@@ -12,9 +12,7 @@ Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad usage or
 configuration (including non-commensurate delay/horizon).
 
 Reports are canonical JSON with no timing data, so identical config + seed
-gives byte-identical output.  The NOISY_CONTROL_THREADS environment variable
-caps the sampling worker pool; results are reduced in fixed chunk order, so
-the thread count never changes any number.
+gives byte-identical output.
 """
 
 import argparse
@@ -24,7 +22,6 @@ import inspect
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,9 +30,7 @@ from . import maxprinciple as mp
 from . import scenarios, verification
 from .dynamics import ControlPath, MemoryKernel, evaluate_performance, reduce_2d, simulate_state
 from .errors import ConfigError, NoisyControlError
-from .paths import JumpSpec, NoiseEnsemble, coarsen, make_grid, sample_ensemble
-
-_SAMPLE_CHUNK = 4096
+from .paths import JumpSpec, coarsen, make_grid, sample_ensemble
 
 _CHECK_NAMES = ("closed-form", "regression", "bridge", "max-principle")
 
@@ -336,42 +331,9 @@ def build_scenario(cfg):
     return model, kernel, jump_spec
 
 
-def _thread_count():
-    raw = os.environ.get("NOISY_CONTROL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError("NOISY_CONTROL_THREADS must be an integer, got %r" % raw)
-    if value < 1:
-        raise ConfigError("NOISY_CONTROL_THREADS must be >= 1, got %d" % value)
-    return value
-
-
 def sample_noise(grid, jump_spec, seed, n_paths):
-    """Ensemble sampler with a bounded worker pool and fixed reduction order.
-
-    Chunks are keyed by path index, so the result is bitwise identical to the
-    single-chunk ensemble no matter how many workers run.
-    """
-    threads = _thread_count()
-    if threads == 1 or n_paths <= _SAMPLE_CHUNK:
-        return sample_ensemble(grid, jump_spec, seed, n_paths)
-    offsets = list(range(0, n_paths, _SAMPLE_CHUNK))
-    sizes = [min(_SAMPLE_CHUNK, n_paths - off) for off in offsets]
-    with ThreadPoolExecutor(max_workers=min(threads, len(offsets))) as pool:
-        parts = list(pool.map(
-            lambda args: sample_ensemble(grid, jump_spec, seed, args[1], first_path=args[0]),
-            zip(offsets, sizes),
-        ))
-    incr = np.vstack([p.increments for p in parts])
-    counts = np.vstack([p.jump_counts for p in parts])
-    marks, times = [], []
-    for p in parts:
-        marks.extend(p.jump_marks)
-        times.extend(p.jump_times)
-    return NoiseEnsemble(grid, incr, counts, marks, times, int(seed))
+    """The run's noise ensemble: paths keyed (seed, 0), ..., (seed, n_paths - 1)."""
+    return sample_ensemble(grid, jump_spec, seed, n_paths)
 
 
 def _closed_form(model, noise):

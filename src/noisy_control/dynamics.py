@@ -441,6 +441,11 @@ class CoefficientModel:
 class StateBundle:
     """Simulated state paths on the shared grid.
 
+    The sweep that fills it runs time-major, but every array here is handed
+    back path-major and C-contiguous: sums over paths or nodes and kernel
+    matrix-vector products give different bits on a transposed layout, so
+    the layout is part of the reproducibility contract.
+
     Attributes:
         x: (n_paths, n_nodes) state on [-delta, horizon].
         y: (n_paths, n_horizon+1) delayed state X(t - delta) on [0, horizon].
@@ -503,6 +508,102 @@ def _step_marks_by_step(grid, counts, marks):
     return by_step
 
 
+def _columns(arr, first=0):
+    """Columns first, first + 1, ... of a path-major array as contiguous rows.
+
+    Copied out 16 at a time, so each cache line of `arr` is read once, not
+    once per column, and transposed while the copy is still in cache.
+    """
+    for k0 in range(first, arr.shape[1], 16):
+        yield from np.ascontiguousarray(arr[:, k0 : k0 + 16].copy().T)
+
+
+def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, what="state"):
+    """Time-major left-point Euler sweep of a process V fed by its own memory window.
+
+    V equals `start` on the initial segment (zero when None) and leaves node
+    k >= m by V[k+1] = V[k] + b h + s dB[k] (+ jump - h * comp when `jumps`),
+    where step(k, V[k], V[k-m], window[k], *jump_rows) returns (b, s) or
+    (b, s, jump, comp) and the jump rows are the step's per-path jump counts
+    and mark sums.  The window integrates V dB over the trailing delay,
+    kernel-weighted for a non-identity kernel.
+
+    The work buffers are (node, path) rows, so each step touches contiguous
+    memory.  The plain window is the difference of two entries of the running
+    prefix of V dB, kept in a ring of m + 1 rows unless `keep_prefix` asks
+    for all of it.  The weighted window keeps the path-major term matrix and
+    its matrix-vector product, whose BLAS summation order fixes its bits.
+
+    Returns time-major (V, plain window, weighted window or None, prefix or
+    None); the windows cover the nodes of [0, horizon].
+
+    Raises:
+        NonFiniteState: V left the finite range (step and time attached).
+    """
+    grid = noise.grid
+    m = grid.steps_per_delay
+    n = grid.n_horizon_steps
+    h = grid.step
+    incr, counts, _ = _as_batch(noise)
+    n_paths = incr.shape[0]
+    use_kernel = kernel is not None and not kernel.is_identity
+    if jumps:
+        mark_sums = np.atleast_2d(noise.step_mark_sums())
+        jump_sources = (_columns(counts, m), _columns(mark_sums, m))
+
+    v = np.zeros((grid.n_nodes, n_paths))
+    first = m if start is None else 0  # a zero start keeps V dB zero before m
+    if start is not None:
+        v[: m + 1] = np.asarray(start)[:, None]
+    incr_rows = _columns(incr, first)
+    ring = grid.n_nodes if keep_prefix else m + 1
+    prefix = np.zeros((ring, n_paths))
+    window = np.empty((n + 1, n_paths))
+    weighted = np.empty((n + 1, n_paths)) if use_kernel else None
+    terms = np.zeros((n_paths, grid.n_steps)) if use_kernel else None
+
+    for k in range(first, m + n + 1):
+        if k >= m:
+            np.subtract(prefix[k % ring], prefix[(k - m) % ring], out=window[k - m])
+            if use_kernel:
+                weighted[k - m] = terms[:, k - m : k] @ kernel.weights(grid, k)
+            if k == m + n:
+                break
+        incr_k = next(incr_rows)
+        if k >= m:
+            rows = [next(source) for source in jump_sources] if jumps else ()
+            coef = step(k, v[k], v[k - m], (weighted if use_kernel else window)[k - m], *rows)
+            # v[k] + b h + s dB (+ jump - h comp), evaluated in that order
+            v_next = v[k + 1]
+            np.multiply(coef[0], h, out=v_next)
+            np.add(v[k], v_next, out=v_next)
+            v_next += coef[1] * incr_k
+            if jumps:
+                v_next += coef[2]
+                v_next -= h * coef[3]
+            if not np.isfinite(v_next).all():
+                t_k = grid.nodes[k]
+                raise NonFiniteState(
+                    "%s became non-finite advancing from t=%g (step %d)" % (what, t_k, k),
+                    step=k, time=t_k,
+                )
+        term = v[k] * incr_k
+        if use_kernel:
+            terms[:, k] = term
+        np.add(prefix[k % ring], term, out=prefix[(k + 1) % ring])
+    return v, window, weighted, (prefix if keep_prefix else None)
+
+
+def _path_major(rows):
+    """C-contiguous transpose of a (node, path) buffer, copied out as in _columns."""
+    if rows is None:
+        return None
+    out = np.empty(rows.shape[::-1])
+    for p0 in range(0, rows.shape[1], 256):
+        out[p0 : p0 + 256] = rows[:, p0 : p0 + 256].copy().T
+    return out
+
+
 def simulate_state(model, control, noise, kernel=None, _expose_prefix=False):
     """Euler simulation of the delayed state with noisy memory.
 
@@ -525,74 +626,37 @@ def simulate_state(model, control, noise, kernel=None, _expose_prefix=False):
         raise GridMismatch("control grid %r vs noise grid %r" % (control.grid, grid))
     m = grid.steps_per_delay
     n = grid.n_horizon_steps
-    h = grid.step
-    incr, counts, marks = _as_batch(noise)
-    n_paths = incr.shape[0]
-
-    use_kernel = kernel is not None and not kernel.is_identity
-    jumps_on = model.has_jumps
-    affine_jumps = jumps_on and isinstance(model.gamma, AffineJumpCoefficient)
-    if jumps_on:
-        mark_sums = (
-            noise.step_mark_sums() if not isinstance(noise, NoisePath)
-            else noise.step_mark_sums()[None, :]
-        )
-        if mark_sums.ndim == 1:
-            mark_sums = mark_sums[None, :]
-        marks_by_step = None if affine_jumps else _step_marks_by_step(grid, counts, marks)
-
-    x = np.empty((n_paths, grid.n_nodes))
-    x[:, : m + 1] = model.initial_segment(grid.nodes[: m + 1])[None, :]
-
-    # Running prefix of the memory integral, anchored at the first node; the
-    # window value Z is always the difference of two prefix entries.
-    prefix = np.zeros((n_paths, grid.n_nodes))
-    terms = np.empty((n_paths, grid.n_steps))
-    for k in range(m):
-        terms[:, k] = x[:, k] * incr[:, k]
-        prefix[:, k + 1] = prefix[:, k] + terms[:, k]
-
-    z = np.empty((n_paths, n + 1))
-    zg = np.empty((n_paths, n + 1)) if use_kernel else None
+    affine_jumps = isinstance(model.gamma, AffineJumpCoefficient)
+    if model.has_jumps and not affine_jumps:
+        marks_by_step = _step_marks_by_step(grid, *_as_batch(noise)[1:])
     u_rows = control.rows()
 
-    for k in range(m, m + n + 1):
-        z[:, k - m] = prefix[:, k] - prefix[:, k - m]
-        if use_kernel:
-            zg[:, k - m] = terms[:, k - m : k] @ kernel.weights(grid, k)
-        if k == m + n:
-            break
+    def step(k, xk, yk, zk, *jump_rows):
         t_k = grid.nodes[k]
-        xk = x[:, k]
-        yk = x[:, k - m]
-        zk = zg[:, k - m] if use_kernel else z[:, k - m]
         uk = u_rows[:, k - m]
-        bk = model.drift(t_k, xk, yk, zk, uk)
-        sk = model.diffusion(t_k, xk, yk, zk, uk)
-        x_next = xk + bk * h + sk * incr[:, k]
-        if jumps_on:
-            if affine_jumps:
-                jump = model.gamma.step_sum(t_k, xk, yk, zk, uk, counts[:, k], mark_sums[:, k])
-            else:
-                jump = model.gamma.step_sum_from_marks(t_k, xk, yk, zk, uk, marks_by_step[k])
-            comp = model.gamma.nu_integral(t_k, xk, yk, zk, uk, model.jump_spec)
-            x_next = x_next + jump - h * comp
-        if not np.all(np.isfinite(x_next)):
-            raise NonFiniteState(
-                "state became non-finite advancing from t=%g (step %d)" % (t_k, k),
-                step=k,
-                time=t_k,
-            )
-        x[:, k + 1] = x_next
-        terms[:, k] = xk * incr[:, k]
-        prefix[:, k + 1] = prefix[:, k] + terms[:, k]
+        coef = (model.drift(t_k, xk, yk, zk, uk), model.diffusion(t_k, xk, yk, zk, uk))
+        if not jump_rows:
+            return coef
+        if affine_jumps:
+            jump = model.gamma.step_sum(t_k, xk, yk, zk, uk, *jump_rows)
+        else:
+            jump = model.gamma.step_sum_from_marks(t_k, xk, yk, zk, uk, marks_by_step[k])
+        return coef + (jump, model.gamma.nu_integral(t_k, xk, yk, zk, uk, model.jump_spec))
 
+    x, z, zg, prefix = _sweep(
+        noise, model.initial_segment(grid.nodes[: m + 1]), step,
+        jumps=model.has_jumps, kernel=kernel, keep_prefix=_expose_prefix,
+    )
+    # Copy back one buffer at a time so the time-major ones are freed early.
+    x = _path_major(x)
     y = x[:, : n + 1].copy()
+    z = _path_major(z)
+    zg = _path_major(zg)
     bundle = StateBundle(
         grid, x, y, z,
         control=control, noise=noise,
         z_general=(z if (kernel is not None and kernel.is_identity) else zg),
-        x2=(prefix if _expose_prefix else None),
+        x2=_path_major(prefix),
         kernel=kernel,
     )
     return bundle

@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import hamiltonian
-from .dynamics import ControlPath, simulate_state, evaluate_performance
+from .dynamics import (
+    AffineJumpCoefficient,
+    ControlPath,
+    _sweep,
+    evaluate_performance,
+    simulate_state,
+)
 from .errors import NonMonotone, OffGrid, OutOfControlSet
 
 
@@ -54,77 +60,45 @@ def _eta_rows(eta, n_paths):
 def derivative_process(model, state, eta):
     """Euler recursion for the derivative of the state in direction eta.
 
-    The recursion mirrors simulate_state with the coefficient gradients
+    The recursion is the state's own sweep with the coefficient gradients
     contracted against (K, K(t - delta), window of K, eta); K vanishes on the
     initial segment.  The memory window uses the same kernel (and weights) the
     state was simulated with.
 
-    Returns a KBundle; raises NotImplementedError for models with
+    Returns a KBundle whose arrays are transposed views of the sweep's
+    (node, path) buffers; raises NotImplementedError for models with
     non-affine jump coefficients (the per-mark gradient contraction is only
     implemented for the affine family).
     """
     grid = state.grid
-    noise = state.noise
-    kernel = state.kernel
     m = grid.steps_per_delay
-    n = grid.n_horizon_steps
-    h = grid.step
-    incr = noise.increments
-    if incr.ndim == 1:
-        incr = incr[None, :]
-    n_paths = state.n_paths
     u_rows = state.control.rows()
-    eta_r = _eta_rows(eta, n_paths)
+    eta_r = _eta_rows(eta, state.n_paths)
     memory = state.memory_arg
+    if model.has_jumps and not isinstance(model.gamma, AffineJumpCoefficient):
+        raise NotImplementedError(
+            "derivative_process supports affine jump coefficients only"
+        )
 
-    jumps_on = model.has_jumps
-    if jumps_on:
-        from .dynamics import AffineJumpCoefficient
-
-        if not isinstance(model.gamma, AffineJumpCoefficient):
-            raise NotImplementedError(
-                "derivative_process supports affine jump coefficients only"
-            )
-        counts = noise.jump_counts
-        if counts.ndim == 1:
-            counts = counts[None, :]
-        mark_sums = noise.step_mark_sums()
-        if mark_sums.ndim == 1:
-            mark_sums = mark_sums[None, :]
-
-    use_kernel = kernel is not None and not kernel.is_identity
-    k_path = np.zeros((n_paths, grid.n_nodes))
-    kterms = np.zeros((n_paths, grid.n_steps))
-    kprefix = np.zeros((n_paths, grid.n_nodes))
-    kz = np.zeros((n_paths, n + 1))
-
-    for j in range(m, m + n + 1):
-        if use_kernel:
-            kz[:, j - m] = kterms[:, j - m : j] @ kernel.weights(grid, j)
-        else:
-            kz[:, j - m] = kprefix[:, j] - kprefix[:, j - m]
-        if j == m + n:
-            break
-        t_j = grid.nodes[j]
+    def step(j, kj, k_lag, kz, *jump_rows):
         i = j - m
-        point = (t_j, state.x[:, j], state.y[:, i], memory[:, i], u_rows[:, i])
-        vec = (k_path[:, j], k_path[:, j - m], kz[:, i], eta_r[:, i])
+        point = (grid.nodes[j], state.x[:, j], state.y[:, i], memory[:, i], u_rows[:, i])
+        vec = (kj, k_lag, kz, eta_r[:, i])
         bg = model.drift_grad(*point)
         sg = model.diffusion_grad(*point)
-        drift_part = sum(bg[w] * vec[w] for w in range(4))
-        diff_part = sum(sg[w] * vec[w] for w in range(4))
-        k_next = k_path[:, j] + drift_part * h + diff_part * incr[:, j]
-        if jumps_on:
-            jump_part = model.gamma.grad_dot_step_sum(
-                *point, vec, counts[:, j], mark_sums[:, j]
-            )
-            comp_part = model.gamma.grad_dot_nu_integral(*point, vec, model.jump_spec)
-            k_next = k_next + jump_part - h * comp_part
-        k_path[:, j + 1] = k_next
-        kterms[:, j] = k_path[:, j] * incr[:, j]
-        kprefix[:, j + 1] = kprefix[:, j] + kterms[:, j]
+        coef = (sum(bg[w] * vec[w] for w in range(4)), sum(sg[w] * vec[w] for w in range(4)))
+        if not jump_rows:
+            return coef
+        return coef + (
+            model.gamma.grad_dot_step_sum(*point, vec, *jump_rows),
+            model.gamma.grad_dot_nu_integral(*point, vec, model.jump_spec),
+        )
 
-    return KBundle(k_path, kz, grid)
+    k_path, kz, kz_weighted, _ = _sweep(
+        state.noise, None, step, jumps=model.has_jumps, kernel=state.kernel,
+        what="derivative process",
+    )
+    return KBundle(k_path.T, (kz if kz_weighted is None else kz_weighted).T, grid)
 
 
 def _mean_se(per_path):

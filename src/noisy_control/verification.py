@@ -47,9 +47,9 @@ def _ens(grid, n, seed, jump_spec=None):
 
 def _timed(fn):
     def wrapper(seed=0, profile="full"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = fn(seed=seed, profile=profile)
-        result.seconds = time.time() - t0
+        result.seconds = time.perf_counter() - t0
         return result
 
     wrapper.__name__ = fn.__name__

@@ -188,30 +188,16 @@ def test_list_json_catalog(capsys):
         assert isinstance(row["checks"], list)
 
 
-def test_chunked_sampling_matches_monolithic(monkeypatch):
+def test_sample_noise_is_sample_ensemble():
     grid = make_grid(0.2, 1.0, 8)
     spec = JumpSpec.discrete(0.5, [1.0], [1.0])
     whole = sample_ensemble(grid, spec, seed=9, n_paths=5000)
-    monkeypatch.setenv("NOISY_CONTROL_THREADS", "4")
-    chunked = cli.sample_noise(grid, spec, seed=9, n_paths=5000)
-    assert np.array_equal(whole.increments, chunked.increments)
-    assert np.array_equal(whole.jump_counts, chunked.jump_counts)
-    assert all(
-        np.array_equal(a, b) for a, b in zip(whole.jump_marks, chunked.jump_marks)
-    )
-
-
-def test_thread_count_env_validation(monkeypatch):
-    monkeypatch.delenv("NOISY_CONTROL_THREADS", raising=False)
-    assert cli._thread_count() == 1
-    monkeypatch.setenv("NOISY_CONTROL_THREADS", "3")
-    assert cli._thread_count() == 3
-    monkeypatch.setenv("NOISY_CONTROL_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        cli._thread_count()
-    monkeypatch.setenv("NOISY_CONTROL_THREADS", "0")
-    with pytest.raises(ConfigError):
-        cli._thread_count()
+    ran = cli.sample_noise(grid, spec, seed=9, n_paths=5000)
+    assert np.array_equal(whole.increments, ran.increments)
+    assert np.array_equal(whole.jump_counts, ran.jump_counts)
+    assert len(ran.jump_marks) == len(whole.jump_marks) == 5000
+    assert all(np.array_equal(a, b) for a, b in zip(whole.jump_marks, ran.jump_marks))
+    assert all(np.array_equal(a, b) for a, b in zip(whole.jump_times, ran.jump_times))
 
 
 def test_templates_parse_cleanly():

@@ -1,5 +1,7 @@
 """Forward simulation: delayed state, memory window, jumps, performance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from noisy_control.errors import (
     NonFiniteState,
     OutOfControlSet,
 )
+from noisy_control.maxprinciple import derivative_process, probe_directions
 from noisy_control.paths import JumpSpec, coarsen, make_grid, sample_ensemble, sample_noise
 
 
@@ -276,3 +279,77 @@ def test_performance_common_random_numbers():
     _, _, per_b = evaluate_performance(model, ControlPath.constant(g, 1.01, control_set=cs), ens)
     diff = per_a - per_b
     assert diff.std(ddof=1) < 0.1 * per_a.std(ddof=1)
+
+
+# sha256 of the sweep outputs at 200 paths, steps_per_delay=8, noise seed 5,
+# constant control 1.0 and the random probe direction.  The plain-window cases
+# use only elementwise + and *, so their bits hold on any IEEE-754 machine;
+# the ramp kernel's window is a BLAS matrix-vector product, so its digests
+# hold on one machine and BLAS build.
+_SWEEP_DIGESTS = {
+    "linear-noisy-memory": (
+        "82f9b2a2f50ae5914d4e72aaa273295d2ba08b050a56e2220a7de0f238883ddb",
+        "c4ce790954caf5a675c4d60626b3f789d6053c29d201ac1d305b8fec1643e5c8",
+        "258855b8934ad1a4c9411569b164e57625aea64a3d09654fe21a580196cda548",
+    ),
+    "consumption-affine-jumps": (
+        "4b052cc8d81a04bf484027f399e4a1fe46fabaeabbac9441e887cbbaa7e7edc6",
+        "2bf25b1e172b5a3167ebb383f99f5b7d94df4fc35a3546b03d90d67322338e61",
+        "4be82c0929af24d4bccadd150e37cf3293368edf9c2739721b2cafdf2b17886d",
+    ),
+    "ramp-kernel": (
+        "3fd15dc4dc6d44efe07fb9a2446f29b1c411403303f01662bebc60abac6ada53",
+        None,
+        "c907929c1eb3ed7709368464e4c1dc2e598e15d2a2accaaf076f6188c4d075f2",
+    ),
+}
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_DIGESTS))
+def test_sweep_outputs_are_pinned_and_path_major(case):
+    g = make_grid(0.2, 1.0, 8)
+    spec, kernel = JumpSpec.none(), None
+    if case == "linear-noisy-memory":
+        model = scenarios.linear_noisy_memory()
+    elif case == "consumption-affine-jumps":
+        spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
+        model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
+    else:
+        model, kernel = scenarios.generalized_memory()
+    ens = sample_ensemble(g, spec, seed=5, n_paths=200)
+    ctrl = ControlPath.constant(g, 1.0, control_set=model.control_set)
+    state = simulate_state(model, ctrl, ens, kernel=kernel)
+    kb = derivative_process(model, state, probe_directions(g)[3][1])
+    want_state, want_x2, want_tangent = _SWEEP_DIGESTS[case]
+    assert _digest(state.x, state.y, state.z, state.memory_arg) == want_state
+    assert _digest(kb.k, kb.kz) == want_tangent
+    # downstream reductions (sums over paths or nodes, kernel matvecs) read
+    # these arrays, and their bits depend on the memory layout
+    bundles = [state]
+    if want_x2 is not None:
+        reduced = reduce_2d(model, ctrl, ens)
+        assert _digest(reduced.x2) == want_x2
+        bundles.append(reduced)
+    for bundle in bundles:
+        arrays = [bundle.x, bundle.y, bundle.z, bundle.memory_arg]
+        arrays += [] if bundle.x2 is None else [bundle.x2]
+        for arr in arrays:
+            assert arr.flags.c_contiguous and arr.shape[0] == 200
+
+
+def test_exploding_derivative_process_raises_with_step_info():
+    # the state stays at xi0 under u = 0, but its tangent overflows at once
+    model = scenarios.custom_affine(bu=1e308)
+    g = make_grid(0.2, 1.0, 8)
+    ens = sample_ensemble(g, JumpSpec.none(), seed=8, n_paths=2)
+    state = simulate_state(model, ControlPath.constant(g, 0.0), ens)
+    with pytest.raises(NonFiniteState) as err, np.errstate(over="ignore", invalid="ignore"):
+        derivative_process(model, state, np.full(g.n_horizon_steps + 1, 10.0))
+    assert err.value.step == g.index_zero
