@@ -26,7 +26,6 @@ from .errors import (
     RankDeficientBasis,
 )
 from .malliavin import Chaos1Exponential
-from .paths import NoisePath
 
 _COND_LIMIT = 1e13
 
@@ -253,10 +252,7 @@ def solve_linear_closed_form(spec, noise):
     q = psi[None, :] * p
     mu = (a_path + sigma0 * psi)[None, :] * p
 
-    incr = noise.increments
-    if incr.ndim == 1:
-        incr = incr[None, :]
-    weight = np.exp((psi[:n] * incr[:, grid.index_zero:]).sum(axis=1))
+    weight = np.exp((psi[:n] * noise.increments[:, grid.index_zero:]).sum(axis=1))
     terminal_residual = float(np.max(np.abs(p[:, -1] - weight)))
 
     diagnostics = {
@@ -416,8 +412,6 @@ class BumpRegressionEngine:
             )
         step = self.grid.index_zero + k
         incr = self.noise.increments
-        if incr.ndim == 1:
-            incr = incr[None, :]
         bump = np.sqrt(np.sqrt(np.finfo(float).eps)) * (1.0 + np.abs(incr[:, step]))
         bumped_vals = self.recompute(self.noise.with_bumped_increment(step, bump))
         quotient = (bumped_vals - self.values) / bump[:, None]
@@ -488,11 +482,7 @@ def _jump_residual_terms(model, state, adjoint):
     noise = state.noise
     spec = model.jump_spec
     counts = noise.jump_counts
-    if counts.ndim == 1:
-        counts = counts[None, :]
     mark_sums = noise.step_mark_sums()
-    if mark_sums.ndim == 1:
-        mark_sums = mark_sums[None, :]
     iz = state.grid.index_zero
     n = state.grid.n_horizon_steps
     h = state.grid.step
@@ -534,10 +524,7 @@ def bsde_residual_1d(adjoint, state, model, engine, kernel=None):
 
     mu = mu_generalized(grid, dHx, dHy, engine, kernel=kernel)
 
-    incr = state.noise.increments
-    if incr.ndim == 1:
-        incr = incr[None, :]
-    incr = incr[:, iz:]
+    incr = state.noise.increments[:, iz:]
     residual = p[:, 1:] - p[:, :-1] + mu[:, :-1] * h - q[:, :-1] * incr
     if model.has_jumps and adjoint.r is not None:
         residual = residual - _jump_residual_terms(model, state, adjoint)
@@ -572,7 +559,7 @@ def _ridge_fit(design, targets, ridge, return_coef=False):
     n = design.shape[0]
     gram = design.T @ design / n
     gram = gram + ridge * np.eye(design.shape[1])
-    cond = np.linalg.cond(gram)
+    cond = np.linalg.cond(gram) if np.isfinite(gram).all() else np.inf
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise RankDeficientBasis(
             "regression basis is rank deficient on this ensemble "
@@ -652,17 +639,11 @@ def solve_absde_2d(model, state, basis=None, ridge=1e-8, kernel=None):
         )
     noise = state.noise
     incr = noise.increments
-    if incr.ndim == 1:
-        incr = incr[None, :]
     u_rows = state.control.rows()
     jumps_on = model.has_jumps
     if jumps_on:
         counts = noise.jump_counts
-        if counts.ndim == 1:
-            counts = counts[None, :]
         mark_sums = noise.step_mark_sums()
-        if mark_sums.ndim == 1:
-            mark_sums = mark_sums[None, :]
 
     shape = (n_paths, n + 1)
     p1 = np.zeros(shape)
@@ -842,10 +823,7 @@ def lift_2d_from_1d(adjoint, engine, model=None, state=None, kernel=None):
 
     noise = state.noise if state is not None else None
     if noise is not None:
-        incr = noise.increments
-        if incr.ndim == 1:
-            incr = incr[None, :]
-        incr = incr[:, grid.index_zero:]
+        incr = noise.increments[:, grid.index_zero:]
         defect = p2[:, 1:] - p2[:, :-1] + mu2[:, :-1] * grid.step - q2[:, :-1] * incr
         p2_residual = float(np.max(np.abs(defect)))
     else:

@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteState,
     OutOfControlSet,
 )
-from .paths import JumpSpec, NoisePath, sample_ensemble
+from .paths import JumpSpec, sample_ensemble
 
 _FD_BUMP = 1e-5
 _ARGS = ("x", "y", "z", "u")
@@ -488,15 +488,6 @@ class StateBundle:
         return self.z if self.z_general is None else self.z_general
 
 
-def _as_batch(noise):
-    if isinstance(noise, NoisePath):
-        incr = noise.increments[None, :]
-        counts = noise.jump_counts[None, :]
-        marks = [noise.jump_marks]
-        return incr, counts, marks
-    return noise.increments, noise.jump_counts, noise.jump_marks
-
-
 def _step_marks_by_step(grid, counts, marks):
     """Regroup per-path flat marks into per-step lists of per-path arrays."""
     n_paths = counts.shape[0]
@@ -544,18 +535,16 @@ def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, what
     m = grid.steps_per_delay
     n = grid.n_horizon_steps
     h = grid.step
-    incr, counts, _ = _as_batch(noise)
-    n_paths = incr.shape[0]
+    n_paths = noise.n_paths
     use_kernel = kernel is not None and not kernel.is_identity
     if jumps:
-        mark_sums = np.atleast_2d(noise.step_mark_sums())
-        jump_sources = (_columns(counts, m), _columns(mark_sums, m))
+        jump_sources = (_columns(noise.jump_counts, m), _columns(noise.step_mark_sums(), m))
 
     v = np.zeros((grid.n_nodes, n_paths))
     first = m if start is None else 0  # a zero start keeps V dB zero before m
     if start is not None:
         v[: m + 1] = np.asarray(start)[:, None]
-    incr_rows = _columns(incr, first)
+    incr_rows = _columns(noise.increments, first)
     ring = grid.n_nodes if keep_prefix else m + 1
     prefix = np.zeros((ring, n_paths))
     window = np.empty((n + 1, n_paths))
@@ -610,12 +599,12 @@ def simulate_state(model, control, noise, kernel=None, _expose_prefix=False):
     Args:
         model: CoefficientModel.
         control: ControlPath on the same grid as the noise.
-        noise: NoisePath or NoiseEnsemble.
+        noise: NoiseEnsemble (a single path is a one-path ensemble).
         kernel: optional MemoryKernel reweighting the memory window; the
             identity kernel reuses the plain memory integral bit for bit.
 
     Returns:
-        StateBundle (always with a path axis; single paths become one row).
+        StateBundle with one row per path.
 
     Raises:
         GridMismatch: control and noise grids differ.
@@ -628,7 +617,7 @@ def simulate_state(model, control, noise, kernel=None, _expose_prefix=False):
     n = grid.n_horizon_steps
     affine_jumps = isinstance(model.gamma, AffineJumpCoefficient)
     if model.has_jumps and not affine_jumps:
-        marks_by_step = _step_marks_by_step(grid, *_as_batch(noise)[1:])
+        marks_by_step = _step_marks_by_step(grid, noise.jump_counts, noise.jump_marks)
     u_rows = control.rows()
 
     def step(k, xk, yk, zk, *jump_rows):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OffGrid
-from .paths import JumpSpec, NoisePath, sample_ensemble
+from .paths import JumpSpec, sample_ensemble
 
 
 def _horizon_values(grid, spec):
@@ -35,13 +35,6 @@ def _horizon_values(grid, spec):
     if out.shape != (width,):
         raise ValueError("expected one value per node of [0, horizon]")
     return out
-
-
-def _horizon_increments(noise):
-    incr = noise.increments
-    if incr.ndim == 1:
-        incr = incr[None, :]
-    return incr[:, noise.grid.index_zero:]
 
 
 class Chaos1Exponential:
@@ -74,7 +67,7 @@ class Chaos1Exponential:
 
     def paths(self, noise):
         """F on every horizon node, shape (n_paths, n_horizon_steps + 1)."""
-        incr = _horizon_increments(noise)
+        incr = noise.increments[:, noise.grid.index_zero:]
         n = self.grid.n_horizon_steps
         expo = np.zeros((incr.shape[0], n + 1))
         terms = self.psi[:n] * incr + self.drift_adjust[:n] * self.grid.step
@@ -114,14 +107,13 @@ class BrownianTerminal:
         self.grid = grid
 
     def terminal(self, noise):
-        return _horizon_increments(noise).sum(axis=1)
+        return noise.increments[:, noise.grid.index_zero:].sum(axis=1)
 
     def mean_terminal(self):
         return 0.0
 
     def conditional_malliavin_terminal(self, noise, k, f_paths=None):
-        incr = _horizon_increments(noise)
-        return np.ones(incr.shape[0])
+        return np.ones(noise.n_paths)
 
 
 def _horizon_index(grid, t):
@@ -163,7 +155,6 @@ class DualityResult:
 def _phi_matrix(grid, phi, noise):
     """phi as per-path step values on the horizon, shape (n_paths, n)."""
     n = grid.n_horizon_steps
-    n_paths = 1 if isinstance(noise, NoisePath) else noise.n_paths
     if callable(phi):
         try:
             vals = np.asarray(phi(grid.horizon_nodes[:n]), dtype=float)
@@ -176,7 +167,7 @@ def _phi_matrix(grid, phi, noise):
     if vals.ndim == 1:
         if vals.shape[0] == n + 1:
             vals = vals[:n]
-        vals = np.broadcast_to(vals, (n_paths, n))
+        vals = np.broadcast_to(vals, (noise.n_paths, n))
     else:
         if vals.shape[1] == n + 1:
             vals = vals[:, :n]
@@ -204,7 +195,7 @@ def duality_check(f_spec, phi, n_paths, seed):
     """
     grid = f_spec.grid
     noise = sample_ensemble(grid, JumpSpec.none(), seed, n_paths)
-    incr = _horizon_increments(noise)
+    incr = noise.increments[:, grid.index_zero:]
     n = grid.n_horizon_steps
     h = grid.step
     phi_vals = _phi_matrix(grid, phi, noise)
@@ -246,7 +237,7 @@ def clark_ocone_residual(f_spec, noise, scheme="corrected"):
     if scheme not in ("corrected", "euler"):
         raise ValueError("scheme must be 'corrected' or 'euler'")
     grid = f_spec.grid
-    incr = _horizon_increments(noise)
+    incr = noise.increments[:, noise.grid.index_zero:]
     n = grid.n_horizon_steps
     h = grid.step
     f_paths = f_spec.paths(noise) if isinstance(f_spec, Chaos1Exponential) else None
@@ -270,24 +261,20 @@ def bump_malliavin(functional, noise, t, bump=None):
 
     Args:
         functional: callable mapping a noise object to per-path values.
-        noise: NoisePath or NoiseEnsemble.
+        noise: NoiseEnsemble (a single path is a one-path ensemble).
         t: a grid node in [0, horizon).
 
     Returns:
-        Per-path derivative estimates (scalar inputs give a length-1 array).
+        Per-path derivative estimates, shape (n_paths,).
     """
     grid = noise.grid
     k = grid.index_of(t)
     if k >= grid.n_steps:
         raise OffGrid("no step starts at the terminal node")
-    incr = noise.increments if noise.increments.ndim == 2 else noise.increments[None, :]
     if bump is None:
-        bump = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(incr[:, k]))
+        bump = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(noise.increments[:, k]))
     bump = np.asarray(bump, dtype=float)
-    if isinstance(noise, NoisePath):
-        bumped = noise.with_bumped_increment(k, float(bump) if bump.ndim == 0 else float(bump[0]))
-    else:
-        bumped = noise.with_bumped_increment(k, bump)
+    bumped = noise.with_bumped_increment(k, bump)
     base = np.atleast_1d(np.asarray(functional(noise), dtype=float))
     shifted = np.atleast_1d(np.asarray(functional(bumped), dtype=float))
     return (shifted - base) / bump

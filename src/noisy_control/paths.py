@@ -221,133 +221,78 @@ def _draw_one(grid, jump_spec, seed, path_index, sqrt_h):
     return incr, counts.astype(np.int64), marks, times
 
 
-class NoisePath:
-    """One realization of the driving noise on a grid.
-
-    Fields:
-        grid: the TimeGrid.
-        increments: Brownian increments, one per step (length grid.n_steps).
-        jump_counts: jumps per step.
-        jump_marks / jump_times: flat arrays, step-major; jumps are applied at
-            the end of their step by the Euler scheme, the times are kept for
-            reporting only.
-        seed, path_index: the key this path was drawn under.
-    """
-
-    def __init__(self, grid, increments, jump_counts, jump_marks, jump_times, seed, path_index=0):
-        self.grid = grid
-        self.increments = np.asarray(increments, dtype=float)
-        if self.increments.shape != (grid.n_steps,):
-            raise ValueError("increments must have one entry per step")
-        self.jump_counts = np.asarray(jump_counts, dtype=np.int64)
-        self.jump_marks = np.asarray(jump_marks, dtype=float)
-        self.jump_times = np.asarray(jump_times, dtype=float)
-        self.seed = seed
-        self.path_index = path_index
-        for arr in (self.increments, self.jump_counts, self.jump_marks, self.jump_times):
-            arr.flags.writeable = False
-
-    @property
-    def n_paths(self):
-        return 1
-
-    def brownian(self):
-        """Cumulative Brownian path on the nodes, pinned to 0 at the first."""
-        out = np.zeros(self.grid.n_nodes)
-        np.cumsum(self.increments, out=out[1:])
-        return out
-
-    def step_mark_sums(self):
-        """Sum of marks per step (zeros when there are no jumps)."""
-        out = np.zeros(self.grid.n_steps)
-        if self.jump_marks.size:
-            steps = np.repeat(np.arange(self.grid.n_steps), self.jump_counts)
-            np.add.at(out, steps, self.jump_marks)
-        return out
-
-    def with_bumped_increment(self, step_index, bump):
-        """Copy of this path with one Brownian increment shifted by `bump`."""
-        incr = self.increments.copy()
-        incr[step_index] += bump
-        return NoisePath(
-            self.grid, incr, self.jump_counts, self.jump_marks, self.jump_times,
-            self.seed, self.path_index,
-        )
-
-
 class NoiseEnsemble:
     """A batch of independent noise paths sharing one grid and seed.
 
-    Path i is bit-identical to sample_noise(grid, jump_spec, seed, path_index=i):
-    the ensemble is just the stacked per-key draws, so results never depend on
-    ensemble size or iteration order.
+    Row i is bit-identical to sample_ensemble(grid, jump_spec, seed, 1,
+    first_path=i): the ensemble is just the stacked per-key draws, so results
+    never depend on ensemble size or iteration order.  A single path is an
+    ensemble with n_paths == 1.
+
+    Fields:
+        grid: the TimeGrid.
+        increments: Brownian increments, shape (n_paths, grid.n_steps).
+        jump_counts: jumps per path and step, same shape.
+        jump_marks / jump_times: lists of flat arrays, one per path, step-major;
+            jumps are applied at the end of their step by the Euler scheme, the
+            times are kept for reporting only.
+        seed: the base seed the paths were drawn under.
+
+    The arrays are read-only, path-major and C-contiguous.
     """
 
     def __init__(self, grid, increments, jump_counts, jump_marks, jump_times, seed):
         self.grid = grid
-        self.increments = np.asarray(increments, dtype=float)
-        self.n_paths = self.increments.shape[0]
-        self.jump_counts = np.asarray(jump_counts, dtype=np.int64)
-        self.jump_marks = jump_marks  # list of flat arrays, one per path
+        self.increments = np.ascontiguousarray(increments, dtype=float)
+        self.jump_counts = np.ascontiguousarray(jump_counts, dtype=np.int64)
+        shape = self.increments.shape
+        if len(shape) != 2 or shape[1] != grid.n_steps or self.jump_counts.shape != shape:
+            raise ValueError(
+                "increments and jump counts must both have shape (n_paths, %d)" % grid.n_steps
+            )
+        self.n_paths = shape[0]
+        self.jump_marks = jump_marks
         self.jump_times = jump_times
         self.seed = seed
         self.increments.flags.writeable = False
         self.jump_counts.flags.writeable = False
 
     def path(self, i):
-        return NoisePath(
+        """Path i as a one-path ensemble (a view of row i)."""
+        i = range(self.n_paths)[i]  # negative indices count from the end
+        return NoiseEnsemble(
             self.grid,
-            self.increments[i],
-            self.jump_counts[i],
-            self.jump_marks[i],
-            self.jump_times[i],
+            self.increments[i : i + 1],
+            self.jump_counts[i : i + 1],
+            self.jump_marks[i : i + 1],
+            self.jump_times[i : i + 1],
             self.seed,
-            path_index=i,
         )
 
     def brownian(self):
+        """Cumulative Brownian paths on the nodes, pinned to 0 at the first."""
         out = np.zeros((self.n_paths, self.grid.n_nodes))
         np.cumsum(self.increments, axis=1, out=out[:, 1:])
         return out
 
     def step_mark_sums(self):
+        """Sum of marks per path and step (zeros when there are no jumps)."""
         out = np.zeros((self.n_paths, self.grid.n_steps))
-        for i in range(self.n_paths):
-            marks = self.jump_marks[i]
-            if marks.size:
-                steps = np.repeat(np.arange(self.grid.n_steps), self.jump_counts[i])
-                np.add.at(out[i], steps, marks)
+        cells = np.repeat(np.arange(out.size), self.jump_counts.ravel())
+        np.add.at(out.reshape(-1), cells, np.concatenate(self.jump_marks))
         return out
 
     def has_jumps(self):
         return any(m.size for m in self.jump_marks)
 
     def with_bumped_increment(self, step_index, bump):
+        """Copy with the Brownian increment of one step shifted by `bump`
+        (a scalar or one value per path)."""
         incr = self.increments.copy()
         incr[:, step_index] += bump
         return NoiseEnsemble(
             self.grid, incr, self.jump_counts, self.jump_marks, self.jump_times, self.seed
         )
-
-
-def sample_noise(grid, jump_spec, seed, path_index=0):
-    """Draw a single noise path.
-
-    Args:
-        grid: TimeGrid.
-        jump_spec: JumpSpec (use JumpSpec.none() for pure diffusion).
-        seed: nonnegative integer; (seed, path_index) keys the counter-based
-            generator, so the same pair always reproduces the same path.
-
-    Returns:
-        NoisePath with Brownian increments of variance h per step and
-        compound-Poisson jumps per step.
-    """
-    if seed < 0 or int(seed) != seed:
-        raise ValueError("seed must be a nonnegative integer")
-    sqrt_h = np.sqrt(grid.step)
-    incr, counts, marks, times = _draw_one(grid, jump_spec, int(seed), path_index, sqrt_h)
-    return NoisePath(grid, incr, counts, marks, times, int(seed), path_index)
 
 
 def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
@@ -396,12 +341,11 @@ def ito_integral(integrand, noise, window):
             before the window take part in the anchored accumulation (they
             cancel exactly in exact arithmetic) and must be finite.  The value
             at the last node is never used.
-        noise: NoisePath or NoiseEnsemble on the same grid.
+        noise: NoiseEnsemble on the same grid.
         window: pair of node times (a, b) with a <= b.
 
     Returns:
-        Scalar for a single path, array of shape (n_paths,) for an ensemble
-        (deterministic integrands broadcast).
+        Array of shape (n_paths,) (deterministic integrands broadcast).
 
     Raises:
         OffGrid: if either window endpoint is not a grid node.
@@ -420,17 +364,13 @@ def ito_integral(integrand, noise, window):
     if not np.all(np.isfinite(integrand[..., :ib])):
         raise ValueError("integrand must be finite on every node before the window end")
     terms = integrand[..., : grid.n_steps] * noise.increments
-    prefix = np.cumsum(terms, axis=-1)
-    upper = prefix[..., ib - 1] if ib > 0 else 0.0
-    lower = prefix[..., ia - 1] if ia > 0 else 0.0
-    out = upper - lower
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    prefix = np.zeros(terms.shape[:-1] + (grid.n_nodes,))
+    np.cumsum(terms, axis=-1, out=prefix[..., 1:])
+    return prefix[..., ib] - prefix[..., ia]
 
 
 def coarsen(noise, factor):
-    """Aggregate a noise path/ensemble onto a grid `factor` times coarser.
+    """Aggregate a noise ensemble onto a grid `factor` times coarser.
 
     Brownian increments over merged steps add; jumps keep their marks and
     times and land in the coarse step containing their fine step.  Used for
@@ -441,29 +381,11 @@ def coarsen(noise, factor):
     if factor < 1 or grid.steps_per_delay % factor:
         raise ValueError("factor must divide steps_per_delay")
     coarse = make_grid(grid.delta, grid.horizon, grid.steps_per_delay // factor)
-
-    def merge_incr(incr):
-        shape = incr.shape[:-1] + (coarse.n_steps, factor)
-        return incr.reshape(shape).sum(axis=-1)
-
-    def merge_counts(counts):
-        shape = counts.shape[:-1] + (coarse.n_steps, factor)
-        return counts.reshape(shape).sum(axis=-1)
-
-    if isinstance(noise, NoisePath):
-        return NoisePath(
-            coarse,
-            merge_incr(noise.increments),
-            merge_counts(noise.jump_counts),
-            noise.jump_marks,
-            noise.jump_times,
-            noise.seed,
-            noise.path_index,
-        )
+    shape = (noise.n_paths, coarse.n_steps, factor)
     return NoiseEnsemble(
         coarse,
-        merge_incr(noise.increments),
-        merge_counts(noise.jump_counts),
+        noise.increments.reshape(shape).sum(axis=-1),
+        noise.jump_counts.reshape(shape).sum(axis=-1),
         noise.jump_marks,
         noise.jump_times,
         noise.seed,

@@ -79,12 +79,8 @@ def _lognormal_weight(psi_fn):
 
     def weight(noise):
         grid = noise.grid
-        incr = noise.increments
-        if incr.ndim == 1:
-            incr = incr[None, :]
         psi_vals = np.asarray(psi_fn(grid.horizon_nodes[:-1]), dtype=float)
-        w = np.exp((psi_vals * incr[:, grid.index_zero:]).sum(axis=1))
-        return w if w.shape[0] > 1 else float(w[0])
+        return np.exp((psi_vals * noise.increments[:, grid.index_zero:]).sum(axis=1))
 
     return weight
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -28,6 +29,39 @@ run = closed-form, bridge
 [output]
 directory = {out}
 """
+
+
+# Explicit affine coefficients with a drift that overflows the state (1e300)
+# or only the quadratic regression design (1e12).
+EXPLODING_AFFINE = """\
+[model]
+name = custom-affine
+bx = {bx}
+s_const = 0.1
+
+[grid]
+steps_per_delay = 4
+
+[monte_carlo]
+n_paths = 200
+
+[checks]
+run = regression
+
+[output]
+directory = {out}
+"""
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+# Regression-derived bytes whose last digits follow the BLAS summation order
+# inside adjoint._ridge_fit, so they regenerate exactly only on some machines
+# (ROADMAP item 5).
+BLAS_ORDER_DEPENDENT = (
+    "consumption/report.json",
+    "custom-affine/adjoint.csv",
+    "linear-noisy-memory/report.json",
+)
 
 
 def _write(tmp_path, text, name="case.ini"):
@@ -148,6 +182,14 @@ def test_run_exit_codes(tmp_path, capsys):
     assert cli.main(["run", off]) == 2
     assert "NonCommensurate" in capsys.readouterr().err
 
+    # an overflowing state, or a regression design that overflows, is typed too
+    for bx, error in (("1e300", "NonFiniteState"), ("1e12", "RankDeficientBasis")):
+        path = _write(tmp_path, EXPLODING_AFFINE.format(bx=bx, out=tmp_path / "big"), "big.ini")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(error + ":") and "Traceback" not in err
+
 
 def test_run_report_is_byte_stable(tmp_path):
     out1 = tmp_path / "a"
@@ -205,3 +247,39 @@ def test_templates_parse_cleanly():
     for name in sorted(os.listdir(here)):
         cfg = cli.load_config(os.path.join(here, name))
         assert cfg["model"]["name"] + ".ini" == name
+
+
+def _regenerate_out(tmp_path, monkeypatch):
+    """Run every committed config from tmp_path; yield (file, new bytes, committed bytes)."""
+    monkeypatch.chdir(tmp_path)  # the reports echo their relative output directory
+    configs = sorted((REPO / "configs").glob("*.ini"))
+    for cfg in configs:
+        assert cli.main(["run", str(cfg)]) == 0
+    for cfg in configs:
+        committed = sorted((REPO / "out" / cfg.stem).iterdir())
+        assert sorted(p.name for p in (tmp_path / "out" / cfg.stem).iterdir()) == [
+            p.name for p in committed
+        ]
+        for old in committed:
+            rel = cfg.stem + "/" + old.name
+            yield rel, (tmp_path / "out" / rel).read_bytes(), old.read_bytes()
+
+
+def test_configs_regenerate_committed_out(tmp_path, monkeypatch):
+    """The committed out/ is what configs/*.ini write, byte for byte."""
+    checked = 0
+    for rel, new, old in _regenerate_out(tmp_path, monkeypatch):
+        if rel not in BLAS_ORDER_DEPENDENT:
+            assert new == old, rel
+            checked += 1
+    assert checked == 9
+
+
+@pytest.mark.xfail(
+    strict=False,
+    reason="ROADMAP item 5: _ridge_fit's BLAS summation order moves the last digits",
+)
+def test_configs_regenerate_blas_order_dependent_out(tmp_path, monkeypatch):
+    differing = [rel for rel, new, old in _regenerate_out(tmp_path, monkeypatch)
+                 if rel in BLAS_ORDER_DEPENDENT and new != old]
+    assert differing == []

@@ -23,7 +23,7 @@ from noisy_control.errors import (
     OutOfControlSet,
 )
 from noisy_control.maxprinciple import derivative_process, probe_directions
-from noisy_control.paths import JumpSpec, coarsen, make_grid, sample_ensemble, sample_noise
+from noisy_control.paths import JumpSpec, coarsen, make_grid, sample_ensemble
 
 
 def _frozen_state_model(xi0=1.0):
@@ -39,7 +39,7 @@ def test_window_is_brownian_difference_for_frozen_state():
     assert np.all(state.x == 1.0)
     m = g.steps_per_delay
     for i in range(ens.n_paths):
-        b = ens.path(i).brownian()
+        b = ens.path(i).brownian()[0]
         expected = b[m:] - b[: g.n_horizon_steps + 1]
         assert np.array_equal(state.z[i], expected)
 
@@ -136,7 +136,7 @@ def test_state_is_adapted_to_the_driving_noise():
     """Bumping a Brownian increment must not move the state before that step."""
     model = scenarios.linear_noisy_memory()
     g = make_grid(0.2, 1.0, 8)
-    noise = sample_noise(g, JumpSpec.none(), seed=7)
+    noise = sample_ensemble(g, JumpSpec.none(), seed=7, n_paths=1)
     ctrl = ControlPath.constant(g, 1.0, control_set=model.control_set)
     base = simulate_state(model, ctrl, noise)
     step = g.index_zero + 12

@@ -79,9 +79,8 @@ def test_bump_malliavin_locality():
     ens = sample_ensemble(g, JumpSpec.none(), seed=4, n_paths=5)
 
     def b_half(noise):
-        incr = noise.increments if noise.increments.ndim == 2 else noise.increments[None, :]
         stop = g.index_of(0.5)
-        return incr[:, g.index_zero : stop].sum(axis=1)
+        return noise.increments[:, g.index_zero : stop].sum(axis=1)
 
     assert np.all(bump_malliavin(b_half, ens, t=0.25) == pytest.approx(1.0))
     assert np.all(bump_malliavin(b_half, ens, t=0.5) == 0.0)

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from noisy_control.errors import NonCommensurate, OffGrid
 from noisy_control.paths import (
     JumpSpec,
-    NoisePath,
+    NoiseEnsemble,
     coarsen,
     ito_integral,
     make_grid,
     sample_ensemble,
-    sample_noise,
 )
 
 
@@ -74,13 +73,15 @@ def test_sampling_is_deterministic_and_keyed_per_path():
     again = sample_ensemble(g, spec, seed=7, n_paths=6)
     assert np.array_equal(ens.increments, again.increments)
     for i in range(6):
-        single = sample_noise(g, spec, seed=7, path_index=i)
-        assert np.array_equal(ens.increments[i], single.increments)
-        assert np.array_equal(ens.jump_counts[i], single.jump_counts)
-        assert np.array_equal(ens.jump_marks[i], single.jump_marks)
+        for single in (sample_ensemble(g, spec, seed=7, n_paths=1, first_path=i), ens.path(i)):
+            assert single.n_paths == 1
+            assert np.array_equal(ens.increments[i : i + 1], single.increments)
+            assert np.array_equal(ens.jump_counts[i : i + 1], single.jump_counts)
+            assert np.array_equal(ens.jump_marks[i], single.jump_marks[0])
+            assert np.array_equal(ens.jump_times[i], single.jump_times[0])
     # a different seed or index must actually change the draw
-    other = sample_noise(g, spec, seed=8, path_index=0)
-    assert not np.array_equal(other.increments, ens.increments[0])
+    other = sample_ensemble(g, spec, seed=8, n_paths=1)
+    assert not np.array_equal(other.increments[0], ens.increments[0])
 
 
 def test_first_path_offset_matches_monolithic():
@@ -113,17 +114,20 @@ def test_jump_counts_match_intensity():
 
 def test_ito_integral_of_ones_telescopes():
     g = make_grid(0.2, 1.0, 8)
-    noise = sample_noise(g, JumpSpec.none(), seed=0)
+    noise = sample_ensemble(g, JumpSpec.none(), seed=0, n_paths=1)
     total = ito_integral(np.ones(g.n_nodes), noise, (-g.delta, g.horizon))
-    assert total == pytest.approx(noise.increments.sum(), rel=1e-13)
-    b = noise.brownian()
+    assert total.shape == (1,)
+    assert total[0] == pytest.approx(noise.increments.sum(), rel=1e-13)
+    b = noise.brownian()[0]
     window = ito_integral(np.ones(g.n_nodes), noise, (0.0, 0.5))
-    assert window == pytest.approx(b[g.index_of(0.5)] - b[g.index_zero])
+    assert window[0] == pytest.approx(b[g.index_of(0.5)] - b[g.index_zero])
+    # an empty window is zero per path, even at the first node
+    assert np.array_equal(ito_integral(np.ones(g.n_nodes), noise, (-g.delta, -g.delta)), [0.0])
 
 
 def test_ito_integral_window_validation():
     g = make_grid(0.2, 1.0, 8)
-    noise = sample_noise(g, JumpSpec.none(), seed=0)
+    noise = sample_ensemble(g, JumpSpec.none(), seed=0, n_paths=1)
     f = np.ones(g.n_nodes)
     with pytest.raises(OffGrid):
         ito_integral(f, noise, (0.0, 0.513))
@@ -149,12 +153,12 @@ def test_ito_integral_additive_over_windows(split, lo, hi, fseed):
     a, b = sorted((lo, hi))
     mid = min(max(split, a), b)
     g = make_grid(0.2, 1.0, 8)
-    noise = sample_noise(g, JumpSpec.none(), seed=1)
+    noise = sample_ensemble(g, JumpSpec.none(), seed=1, n_paths=1)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(fseed)))
     f = gen.normal(size=g.n_nodes)
     ta, tm, tb = g.nodes[a], g.nodes[mid], g.nodes[b]
-    whole = ito_integral(f, noise, (ta, tb))
-    parts = ito_integral(f, noise, (ta, tm)) + ito_integral(f, noise, (tm, tb))
+    whole = ito_integral(f, noise, (ta, tb))[0]
+    parts = (ito_integral(f, noise, (ta, tm)) + ito_integral(f, noise, (tm, tb)))[0]
     # shared prefix sums leave only the final cancellation, a few ulp at most
     assert abs(parts - whole) <= 8 * np.finfo(float).eps * (1.0 + abs(whole))
 
@@ -166,7 +170,8 @@ def test_ito_integral_broadcasts_over_ensembles():
     out = ito_integral(f, ens, (0.0, 1.0))
     assert out.shape == (7,)
     single = ito_integral(f, ens.path(2), (0.0, 1.0))
-    assert out[2] == single
+    assert single.shape == (1,)
+    assert out[2] == single[0]
 
 
 def test_coarsen_sums_increments_and_keeps_jumps():
@@ -184,9 +189,10 @@ def test_coarsen_sums_increments_and_keeps_jumps():
 
 def test_coarsen_single_path():
     g = make_grid(0.2, 1.0, 4)
-    noise = sample_noise(g, JumpSpec.none(), seed=2)
+    noise = sample_ensemble(g, JumpSpec.none(), seed=2, n_paths=1)
     half = coarsen(noise, 4)
-    assert isinstance(half, NoisePath)
+    assert isinstance(half, NoiseEnsemble)
+    assert half.increments.shape == (1, half.grid.n_steps)
     assert half.increments.sum() == pytest.approx(noise.increments.sum())
 
 
@@ -219,12 +225,55 @@ def test_nu_expectation_matches_moments():
 
 def test_with_bumped_increment_is_local():
     g = make_grid(0.2, 1.0, 8)
-    noise = sample_noise(g, JumpSpec.none(), seed=4)
+    noise = sample_ensemble(g, JumpSpec.none(), seed=4, n_paths=1)
     bumped = noise.with_bumped_increment(10, 0.5)
-    assert bumped.increments[10] == noise.increments[10] + 0.5
+    assert bumped.increments[0, 10] == noise.increments[0, 10] + 0.5
     mask = np.ones(g.n_steps, dtype=bool)
     mask[10] = False
-    assert np.array_equal(bumped.increments[mask], noise.increments[mask])
+    assert np.array_equal(bumped.increments[:, mask], noise.increments[:, mask])
     # the original is immutable
     with pytest.raises(ValueError):
-        noise.increments[0] = 1.0
+        noise.increments[0, 0] = 1.0
+
+
+def test_ensemble_shape_contract():
+    """Arrays are (n_paths, n_steps), read-only and C-contiguous; a path is a row view."""
+    g = make_grid(0.2, 1.0, 4)
+    ens = sample_ensemble(g, JumpSpec.discrete(1.0, [2.0], [1.0]), seed=6, n_paths=3)
+    one = ens.path(1)
+    for noise in (ens, one):
+        for arr in (noise.increments, noise.jump_counts):
+            assert arr.shape == (noise.n_paths, g.n_steps)
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert np.shares_memory(one.increments, ens.increments)
+    assert np.array_equal(one.step_mark_sums(), ens.step_mark_sums()[1:2])
+    assert np.array_equal(ens.path(-1).increments, ens.increments[2:])
+    with pytest.raises(IndexError):
+        ens.path(3)
+    with pytest.raises(ValueError):
+        NoiseEnsemble(g, ens.increments[0], ens.jump_counts[0], ens.jump_marks[:1],
+                      ens.jump_times[:1], 6)  # one path still needs a path axis
+    with pytest.raises(ValueError):
+        NoiseEnsemble(g, ens.increments, ens.jump_counts[:, 1:], ens.jump_marks,
+                      ens.jump_times, 6)
+    with pytest.raises(ValueError):
+        NoiseEnsemble(g, ens.increments[:, 1:], ens.jump_counts[:, 1:], ens.jump_marks,
+                      ens.jump_times, 6)
+
+
+@pytest.mark.parametrize("spec", [
+    JumpSpec.discrete(3.0, [-0.5, 1.0, 2.5], [0.2, 0.5, 0.3]),
+    JumpSpec.gaussian(4.0, loc=0.1, scale=0.7),
+    JumpSpec.none(),
+], ids=["discrete", "gaussian", "none"])
+def test_step_mark_sums_matches_per_path_definition(spec):
+    """Bit for bit the per-path sum of each step's marks, added in draw order."""
+    g = make_grid(0.2, 1.0, 8)
+    ens = sample_ensemble(g, spec, seed=21, n_paths=300)
+    expected = np.zeros((ens.n_paths, g.n_steps))
+    for i in range(ens.n_paths):
+        steps = np.repeat(np.arange(g.n_steps), ens.jump_counts[i])
+        np.add.at(expected[i], steps, ens.jump_marks[i])
+    got = ens.step_mark_sums()
+    assert got.shape == (300, g.n_steps)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
