@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MemoryKernel
 from .errors import (
     FixedPointDiverged,
     GridMismatch,
     MalliavinUnavailable,
     RankDeficientBasis,
 )
-from .malliavin import Chaos1Exponential
+from .malliavin import Chaos1Exponential, horizon_values
 
 _COND_LIMIT = 1e13
 
@@ -56,9 +55,13 @@ def hamiltonian(model, t, x, y, z, u, p, q, r=None):
 
     Args:
         model: CoefficientModel.
-        t: time; x, y, z, u, p, q: scalars or per-path arrays.
+        t: time, or the row of horizon times for a whole-horizon block.
+        x, y, z, u, p, q: scalars, per-path arrays, or (rows, n+1) blocks
+            on the horizon nodes (StateBundle.horizon_args).
         r: jump adjoint as an affine pair (r0, r1) meaning r(zeta) = r0 +
-            r1 * zeta, a bare array (slope taken as 0), or None.
+            r1 * zeta, a bare array (slope taken as 0), or None.  Each
+            component is a scalar or, for a block, a node-indexed (rows, n+1)
+            array aligned with x.
 
     Returns:
         HamiltonianEval; the jump term is the nu-quadrature pairing of gamma
@@ -185,16 +188,6 @@ def _window_growth(alpha, h, i, end):
     return w
 
 
-def _time_values(grid, spec, default):
-    fn = spec if spec is not None else default
-    if callable(fn):
-        vals = np.asarray(fn(grid.horizon_nodes), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(grid.n_horizon_steps + 1, float(vals))
-        return vals
-    return np.full(grid.n_horizon_steps + 1, float(fn))
-
-
 def solve_linear_closed_form(spec, noise):
     """Closed-form adjoint for the linear fixture, evaluated on given paths.
 
@@ -227,8 +220,8 @@ def solve_linear_closed_form(spec, noise):
     n = grid.n_horizon_steps
     m = grid.steps_per_delay
     h = grid.step
-    sigma0 = _time_values(grid, spec.sigma0, 0.0)
-    psi = _time_values(grid, spec.psi, 0.0)
+    sigma0 = horizon_values(grid, spec.sigma0)
+    psi = horizon_values(grid, spec.psi)
 
     a_path = np.empty(n + 1)
     alpha = np.empty(n + 1)
@@ -446,6 +439,22 @@ def _kernel_mu_weights(kernel, grid, k_horizon, end_horizon):
     return kernel.forward_weights(grid, iz + k_horizon, iz + end_horizon)
 
 
+def horizon_windows(window, grid, rows, kernel=None):
+    """An engine's window integral on every node of [0, T], as (rows, n+1).
+
+    window(k, weights) is an engine's conditional_window or malliavin_window;
+    weights are the kernel's driver weights over [t_k, (t_k + delta) ^ T]
+    (None for the plain window).  The window at T is empty and its column
+    is zero.
+    """
+    n = grid.n_horizon_steps
+    out = np.zeros((rows, n + 1))
+    for k in range(n):
+        end = min(k + grid.steps_per_delay, n)
+        out[:, k] = window(k, _kernel_mu_weights(kernel, grid, k, end))
+    return out
+
+
 def mu_generalized(grid, dHx, dHy, engine, kernel=None):
     """Conditional driver E[mu(t) | F_t] on every horizon node.
 
@@ -468,12 +477,8 @@ def mu_generalized(grid, dHx, dHy, engine, kernel=None):
         adv = np.zeros(dHy.shape[:-1] + (n + 1,))
         adv[..., : n + 1 - m] = dHy[..., m:]
         out += adv
-    for k in range(n + 1):
-        end = min(k + m, n)
-        if end <= k:
-            continue
-        weights = _kernel_mu_weights(kernel, grid, k, end)
-        out[:, k] += engine.malliavin_window(k, weights)
+    # the terminal window is empty; adding its zero would flip a -0.0 there
+    out[:, :n] += horizon_windows(engine.malliavin_window, grid, out.shape[0], kernel)[:, :n]
     return out
 
 
@@ -481,20 +486,13 @@ def _jump_residual_terms(model, state, adjoint):
     """Compensated jump pairing per step: int int r(zeta) Ntilde(ds, dzeta)."""
     noise = state.noise
     spec = model.jump_spec
-    counts = noise.jump_counts
-    mark_sums = noise.step_mark_sums()
     iz = state.grid.index_zero
     n = state.grid.n_horizon_steps
     h = state.grid.step
-    r0, r1 = _r_pair(adjoint.r)
-    comp0 = counts[:, iz:] - spec.intensity * h
-    comp1 = mark_sums[:, iz:] - spec.levy_moment(1) * h
-    out = np.zeros((counts.shape[0], n))
-    for k in range(n):
-        rr0 = r0[:, k] if r0.ndim == 2 else r0
-        rr1 = r1[:, k] if r1.ndim == 2 else r1
-        out[:, k] = rr0 * comp0[:, k] + rr1 * comp1[:, k]
-    return out
+    r0, r1 = (np.atleast_2d(c)[:, :n] for c in _r_pair(adjoint.r))
+    comp0 = noise.jump_counts[:, iz:] - spec.intensity * h
+    comp1 = noise.step_mark_sums()[:, iz:] - spec.levy_moment(1) * h
+    return r0 * comp0 + r1 * comp1
 
 
 def bsde_residual_1d(adjoint, state, model, engine, kernel=None):
@@ -505,26 +503,13 @@ def bsde_residual_1d(adjoint, state, model, engine, kernel=None):
     the engine's window integrals.  Returns (sup, rms) over paths and steps.
     """
     grid = state.grid
-    n = grid.n_horizon_steps
     h = grid.step
-    iz = grid.index_zero
     p = np.atleast_2d(adjoint.p)
     q = np.atleast_2d(adjoint.q)
-    u_rows = state.control.rows()
-    memory = state.memory_arg
+    ev = hamiltonian(model, *state.horizon_args(), p=p, q=q, r=adjoint.r)
+    mu = mu_generalized(grid, ev.grad[0], ev.grad[1], engine, kernel=kernel)
 
-    dHx = np.empty((max(p.shape[0], state.n_paths), n + 1))
-    dHy = np.empty_like(dHx)
-    for k in range(n + 1):
-        t_k = grid.horizon_nodes[k]
-        point = (t_k, state.x[:, iz + k], state.y[:, k], memory[:, k], u_rows[:, k])
-        ev = hamiltonian(model, *point, p=p[:, k], q=q[:, k], r=adjoint.r)
-        dHx[:, k] = ev.grad[0]
-        dHy[:, k] = ev.grad[1]
-
-    mu = mu_generalized(grid, dHx, dHy, engine, kernel=kernel)
-
-    incr = state.noise.increments[:, iz:]
+    incr = state.noise.increments[:, grid.index_zero:]
     residual = p[:, 1:] - p[:, :-1] + mu[:, :-1] * h - q[:, :-1] * incr
     if model.has_jumps and adjoint.r is not None:
         residual = residual - _jump_residual_terms(model, state, adjoint)
@@ -758,12 +743,7 @@ def bridge_1d_from_2d(adjoint2d, engine, kernel=None):
     of |q2 - window reconstruction| and is the bridge-consistency statistic.
     """
     grid = adjoint2d.grid
-    n = grid.n_horizon_steps
-    recon = np.zeros_like(adjoint2d.q2)
-    for k in range(n + 1):
-        end = min(k + grid.steps_per_delay, n)
-        weights = _kernel_mu_weights(kernel, grid, k, end) if end > k else None
-        recon[:, k] = engine.malliavin_window(k, weights)
+    recon = horizon_windows(engine.malliavin_window, grid, adjoint2d.q2.shape[0], kernel)
     deviation = float(np.max(np.abs(adjoint2d.q2 - recon)))
     triple = AdjointTriple(
         grid, adjoint2d.p1, adjoint2d.q1, adjoint2d.r1, adjoint2d.mu1,
@@ -791,33 +771,18 @@ def lift_2d_from_1d(adjoint, engine, model=None, state=None, kernel=None):
     q = np.atleast_2d(adjoint.q)
     n_paths = p.shape[0]
 
-    p2 = np.zeros((n_paths, n + 1))
-    q2 = np.zeros((n_paths, n + 1))
+    p2 = horizon_windows(engine.conditional_window, grid, n_paths, kernel)
+    q2 = horizon_windows(engine.malliavin_window, grid, n_paths, kernel)
     mu2 = np.zeros((n_paths, n + 1))
     for k in range(n + 1):
-        end = min(k + m, n)
-        weights = _kernel_mu_weights(kernel, grid, k, end) if end > k else None
-        p2[:, k] = engine.conditional_window(k, weights)
-        q2[:, k] = engine.malliavin_window(k, weights)
         mu2[:, k] = engine.value(k)
         if k + m <= n:
             mu2[:, k] = mu2[:, k] - engine.advanced_conditional(k)
 
     if model is not None and state is not None:
-        iz = grid.index_zero
-        u_rows = state.control.rows()
-        memory = state.memory_arg
-        dHx = np.zeros((max(n_paths, state.n_paths), n + 1))
-        dHy = np.zeros_like(dHx)
-        for k in range(n + 1):
-            ev = hamiltonian(
-                model, grid.horizon_nodes[k], state.x[:, iz + k], state.y[:, k],
-                memory[:, k], u_rows[:, k], p=p[:, k], q=q[:, k], r=adjoint.r,
-            )
-            dHx[:, k] = ev.grad[0]
-            dHy[:, k] = ev.grad[1]
-        mu1 = dHx + q2
-        mu1[:, : n + 1 - m] += dHy[:, m:]
+        ev = hamiltonian(model, *state.horizon_args(), p=p, q=q, r=adjoint.r)
+        mu1 = ev.grad[0] + q2
+        mu1[:, : n + 1 - m] += ev.grad[1][:, m:]
     else:
         mu1 = np.atleast_2d(adjoint.mu)
 

@@ -339,7 +339,11 @@ class CoefficientModel:
     """Drift, diffusion, jump, cost and terminal data for one control problem.
 
     All coefficient callables take (t, x, y, z, u) with x, y, z, u possibly
-    arrays (one entry per path) and must vectorize.  Gradients, when supplied,
+    arrays (one entry per path) and must vectorize.  t may also be the row of
+    horizon times, with x, y, z, u then (paths, nodes) blocks: the
+    Hamiltonian's partials are read over the whole horizon in one call (see
+    StateBundle.horizon_args), so the coefficients, their gradients and the
+    jump coefficient must broadcast a time row.  Gradients, when supplied,
     return the 4-tuple of partials in the order (x, y, z, u); missing gradients
     fall back to central finite differences with bump 1e-5 * (1 + |value|).
 
@@ -486,6 +490,17 @@ class StateBundle:
     def memory_arg(self):
         """The memory value the coefficients actually consumed (z or z_general)."""
         return self.z if self.z_general is None else self.z_general
+
+    def horizon_args(self):
+        """(t, x, y, z, u) on the nodes of [0, horizon], one column per node.
+
+        t is the row of horizon times and u has one row when it is shared
+        across paths; this is the point at which the Hamiltonian's partials
+        are read, so coefficients must accept it (see CoefficientModel).
+        """
+        grid = self.grid
+        return (grid.horizon_nodes, self.x[:, grid.index_zero:], self.y,
+                self.memory_arg, self.control.rows())
 
 
 def _step_marks_by_step(grid, counts, marks):

@@ -21,7 +21,7 @@ from .errors import OffGrid
 from .paths import JumpSpec, sample_ensemble
 
 
-def _horizon_values(grid, spec):
+def horizon_values(grid, spec):
     """Evaluate a callable-of-t (or pass through an array) on [0, T] nodes."""
     width = grid.n_horizon_steps + 1
     if callable(spec):
@@ -53,8 +53,8 @@ class Chaos1Exponential:
 
     def __init__(self, grid, psi, drift_adjust, scale=1.0):
         self.grid = grid
-        self.psi = _horizon_values(grid, psi)
-        self.drift_adjust = _horizon_values(grid, drift_adjust)
+        self.psi = horizon_values(grid, psi)
+        self.drift_adjust = horizon_values(grid, drift_adjust)
         self.scale = float(scale)
         h = grid.step
         n = grid.n_horizon_steps

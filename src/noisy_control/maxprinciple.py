@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import hamiltonian
+from .adjoint import _r_pair, hamiltonian
 from .dynamics import (
     AffineJumpCoefficient,
     ControlPath,
@@ -121,58 +121,41 @@ def directional_derivative_K(model, state, eta):
     h = grid.step
     iz = grid.index_zero
     kb = derivative_process(model, state, eta)
-    u_rows = state.control.rows()
     eta_r = _eta_rows(eta, state.n_paths)
-    memory = state.memory_arg
 
+    shape = (state.n_paths, n + 1)
+    fg = [np.broadcast_to(g, shape) for g in model.cost_grad(*state.horizon_args())]
     running = np.zeros(state.n_paths)
     for k in range(n):
-        t_k = grid.horizon_nodes[k]
-        fg = model.cost_grad(t_k, state.x[:, iz + k], state.y[:, k], memory[:, k], u_rows[:, k])
         vec = (kb.k[:, iz + k], kb.k[:, iz + k - grid.steps_per_delay], kb.kz[:, k], eta_r[:, k])
-        running += sum(fg[w] * vec[w] for w in range(4))
+        running += sum(fg[w][:, k] * vec[w] for w in range(4))
     per_path = model.terminal.grad(state.terminal_x, state.noise) * kb.k[:, -1] + h * running
     value, se = _mean_se(per_path)
     return value, se, per_path
 
 
 def control_partial_paths(model, state, adjoint):
-    """dH/du on every horizon node and path, at the given adjoint values."""
+    """dH/du on every horizon node and path, at the given adjoint values.
+
+    One evaluation over the whole horizon block (StateBundle.horizon_args),
+    so the coefficient gradients must accept the row of horizon times.  p and
+    q are (rows, n+1); each component of adjoint.r is a scalar or a
+    node-indexed (rows, n+1) array.  Returns (max(paths, rows), n+1).
+    """
     grid = state.grid
-    n = grid.n_horizon_steps
-    iz = grid.index_zero
     p = np.atleast_2d(adjoint.p)
     q = np.atleast_2d(adjoint.q)
-    u_rows = state.control.rows()
-    memory = state.memory_arg
+    args = state.horizon_args()
+    dhu = (
+        model.cost_grad(*args)[3]
+        + model.drift_grad(*args)[3] * p
+        + model.diffusion_grad(*args)[3] * q
+    )
+    if model.has_jumps and adjoint.r is not None:
+        r0, r1 = _r_pair(adjoint.r)
+        dhu = dhu + model.gamma.pair_grad_nu_integral(*args, r0, r1, model.jump_spec)[3]
     n_rows = max(state.n_paths, p.shape[0])
-
-    # Fast path: one whole-horizon evaluation with a time row instead of a
-    # per-node loop.  Coefficients that choke on array t (or return a wrong
-    # shape) fall through to the loop below.
-    if not model.has_jumps:
-        try:
-            tt = grid.horizon_nodes
-            args = (tt, state.x[:, iz:], state.y, memory, u_rows)
-            dhu = (
-                model.cost_grad(*args)[3]
-                + model.drift_grad(*args)[3] * p
-                + model.diffusion_grad(*args)[3] * q
-            )
-            dhu = np.asarray(dhu, dtype=float)
-            if dhu.shape == (n_rows, n + 1) or dhu.shape == (1, n + 1):
-                return np.broadcast_to(dhu, (n_rows, n + 1)).copy()
-        except Exception:
-            pass
-
-    out = np.empty((n_rows, n + 1))
-    for k in range(n + 1):
-        ev = hamiltonian(
-            model, grid.horizon_nodes[k], state.x[:, iz + k], state.y[:, k],
-            memory[:, k], u_rows[:, k], p=p[:, k], q=q[:, k], r=adjoint.r,
-        )
-        out[:, k] = ev.grad[3]
-    return out
+    return np.broadcast_to(dhu, (n_rows, grid.n_horizon_steps + 1)).copy()
 
 
 def directional_derivative_H(model, state, adjoint, eta):

@@ -148,9 +148,7 @@ def criterion_3_bridge(seed=0, profile="full"):
         f_paths=triple.p,
     )
     q2_closed = (a_path - 0.3)[None, :] * triple.p
-    recon = np.empty_like(q2_closed)
-    for k in range(n + 1):
-        recon[:, k] = engine.malliavin_window(k, None)
+    recon = adjoint_mod.horizon_windows(engine.malliavin_window, grid, n_paths)
     q2_dev = float(np.max(np.abs(q2_closed - recon)))
 
     dhx = 0.3 * triple.p + 0.2 * triple.q
@@ -166,7 +164,9 @@ def criterion_3_bridge(seed=0, profile="full"):
         grid, np.zeros(n + 1), tr_flat.diagnostics["alpha"], 0.5 * np.ones(n + 1), tr_flat.p
     )
     q2_flat = float(np.max(np.abs((tr_flat.diagnostics["A"] - 0.3)[None, :] * tr_flat.p)))
-    recon_flat = float(max(np.max(np.abs(eng_flat.malliavin_window(k, None))) for k in range(n)))
+    recon_flat = float(np.max(np.abs(
+        adjoint_mod.horizon_windows(eng_flat.malliavin_window, grid, n_paths)
+    )))
     statistic = max(q2_dev, mu_dev)
     passed = statistic <= 1e-10 and q2_flat == 0.0 and recon_flat == 0.0
     return CriterionResult(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from noisy_control import adjoint as adjoint_mod
 from noisy_control import scenarios
 from noisy_control.adjoint import (
     AdjointTriple,
@@ -22,6 +23,7 @@ from noisy_control.adjoint import (
 )
 from noisy_control.dynamics import ControlPath, MemoryKernel, reduce_2d, simulate_state
 from noisy_control.errors import GridMismatch, MalliavinUnavailable, RankDeficientBasis
+from noisy_control.maxprinciple import check_necessary_I, control_partial_paths
 from noisy_control.paths import JumpSpec, make_grid, sample_ensemble
 
 GRID = make_grid(0.2, 1.0, 8)
@@ -220,6 +222,73 @@ def test_bridge_and_lift_round_trip():
     assert np.array_equal(back.q, closed.q)
     # and mu1 assembled from model partials matches the closed-form driver
     assert np.max(np.abs(lifted.mu1 - closed.mu)) <= 1e-10
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_jump_adjoint_partials_match_per_node_hamiltonian(monkeypatch):
+    """The regression route's node-indexed r feeds every Hamiltonian reader.
+
+    Each reader evaluates the partials over the whole horizon block; they
+    must equal a node-by-node evaluation with r sliced at the node, sign bits
+    included.
+    """
+    spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
+    model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
+    ens = sample_ensemble(GRID, spec, seed=14, n_paths=600)
+    ctrl = ControlPath.constant(GRID, 1.0, control_set=model.control_set)
+    state = reduce_2d(model, ctrl, ens)
+    engine = DeterministicWindowEngine(GRID, model.meta["a0"] * np.exp(0.3 * (1.0 - NODES)))
+    triple, _ = bridge_1d_from_2d(solve_absde_2d(model, state), engine)
+    r0, r1 = triple.r
+    assert r0.shape == (600, GRID.n_horizon_steps + 1)
+
+    n = GRID.n_horizon_steps
+    m = GRID.steps_per_delay
+    iz = GRID.index_zero
+    u = ctrl.rows()
+    ref = np.empty((4, 600, n + 1))
+    for k in range(n + 1):
+        ev = hamiltonian(
+            model, NODES[k], state.x[:, iz + k], state.y[:, k], state.z[:, k], u[:, k],
+            p=triple.p[:, k], q=triple.q[:, k], r=(r0[:, k], r1[:, k]),
+        )
+        for w in range(4):
+            ref[w, :, k] = ev.grad[w]
+
+    seen = {}
+
+    def spy(grid, dHx, dHy, eng, kernel=None):
+        seen["dHx"], seen["dHy"] = dHx, dHy
+        return mu_generalized(grid, dHx, dHy, eng, kernel=kernel)
+
+    monkeypatch.setattr(adjoint_mod, "mu_generalized", spy)
+    sup, rms = bsde_residual_1d(triple, state, model, engine)
+    assert _same_bits(seen["dHx"], ref[0]) and _same_bits(seen["dHy"], ref[1])
+    # the residual, jump pairing included, against its node-by-node form
+    h = GRID.step
+    mu = mu_generalized(GRID, ref[0], ref[1], engine)
+    marks = ens.step_mark_sums()
+    residual = np.empty((600, n))
+    for k in range(n):
+        jump = (r0[:, k] * (ens.jump_counts[:, iz + k] - spec.intensity * h)
+                + r1[:, k] * (marks[:, iz + k] - spec.levy_moment(1) * h))
+        residual[:, k] = (triple.p[:, k + 1] - triple.p[:, k] + mu[:, k] * h
+                          - triple.q[:, k] * ens.increments[:, iz + k] - jump)
+    assert sup == float(np.max(np.abs(residual)))
+    assert rms == float(np.sqrt(np.mean(residual**2)))
+
+    lifted, _ = lift_2d_from_1d(triple, engine, model=model, state=state)
+    mu1 = ref[0] + lifted.q2
+    mu1[:, : n + 1 - m] += ref[1][:, m:]
+    assert _same_bits(lifted.mu1, mu1)
+
+    assert _same_bits(control_partial_paths(model, state, triple), ref[3])
+    report = check_necessary_I(ctrl, triple, model, state)
+    assert _same_bits(report.details["node_means"], ref[3].mean(axis=0))
 
 
 def test_lift_p2_matches_conditional_window_values():

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -185,7 +186,9 @@ def test_run_exit_codes(tmp_path, capsys):
     # an overflowing state, or a regression design that overflows, is typed too
     for bx, error in (("1e300", "NonFiniteState"), ("1e12", "RankDeficientBasis")):
         path = _write(tmp_path, EXPLODING_AFFINE.format(bx=bx, out=tmp_path / "big"), "big.ini")
-        with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's overflow warnings would quote package source lines
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert cli.main(["run", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(error + ":") and "Traceback" not in err

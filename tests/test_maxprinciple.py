@@ -37,6 +37,23 @@ def _state(model, value=1.0, n_paths=2000, seed=0, kernel=None):
     return simulate_state(model, ctrl, ens, kernel=kernel), ctrl, ens
 
 
+def test_directional_derivative_K_matches_per_node_reference():
+    """One whole-horizon cost gradient, accumulated node by node as before."""
+    model = scenarios.linear_noisy_memory()
+    state, ctrl, _ = _state(model, value=3.0, n_paths=300, seed=4)
+    eta = probe_directions(GRID)[3][1]
+    kb = derivative_process(model, state, eta)
+    iz, m = GRID.index_zero, GRID.steps_per_delay
+    running = np.zeros(300)
+    for k in range(GRID.n_horizon_steps):
+        fg = model.cost_grad(NODES[k], state.x[:, iz + k], state.y[:, k], state.z[:, k],
+                             ctrl.rows()[:, k])
+        vec = (kb.k[:, iz + k], kb.k[:, iz + k - m], kb.kz[:, k], eta[k])
+        running += sum(fg[w] * vec[w] for w in range(4))
+    per_path = model.terminal.grad(state.terminal_x, state.noise) * kb.k[:, -1] + GRID.step * running
+    assert directional_derivative_K(model, state, eta)[2].tobytes() == per_path.tobytes()
+
+
 def test_derivative_process_starts_from_rest():
     model = scenarios.linear_noisy_memory()
     state, _, _ = _state(model, n_paths=50)
