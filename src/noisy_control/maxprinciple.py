@@ -348,19 +348,17 @@ def check_sufficient(control, adjoint, model, state, probe_count=64, seed=0, tol
     lams = gen.uniform(0.1, 0.9, size=probe_count)
     nodes = gen.integers(0, n + 1, size=probe_count)
     rows = gen.integers(0, p.shape[0], size=probe_count)
+    r = None
+    if adjoint.r is not None:
+        # scalars and node rows broadcast over the paths, like p
+        r = [np.broadcast_to(c, np.broadcast_shapes(p.shape, c.shape)) for c in _r_pair(adjoint.r)]
     worst_gap = -np.inf
     witness = None
     for i in range(probe_count):
         k = int(nodes[i])
         t_k = grid.horizon_nodes[k]
         pv, qv = float(p[rows[i], k]), float(q[rows[i], k])
-        rv = None
-        if adjoint.r is not None:
-            r0, r1 = adjoint.r
-            r0 = np.atleast_2d(r0)
-            r1 = np.atleast_2d(r1)
-            rv = (float(r0[min(rows[i], r0.shape[0] - 1), k]),
-                  float(r1[min(rows[i], r1.shape[0] - 1), k]))
+        rv = None if r is None else tuple(float(c[rows[i], k]) for c in r)
         lam = float(lams[i])
         mix = lam * a_pts[i] + (1.0 - lam) * b_pts[i]
 

@@ -147,11 +147,16 @@ class JumpSpec:
         """Marks drawn from a finite set; all jump-measure integrals exact."""
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+        if values.ndim != 1:
+            raise ValueError("mark values must be a 1-d array")
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("mark probabilities must be a distribution")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
 
         def sampler(gen, size):
-            return gen.choice(values, size=size, p=probs)
+            # gen.choice(values, size, p=probs) without its per-call checks
+            return values[cdf.searchsorted(gen.random(size), side="right")]
 
         return cls(intensity, sampler, values, probs)
 
@@ -196,29 +201,13 @@ class JumpSpec:
         )
 
 
-def _path_generator(seed, path_index):
-    # Counter-based generator keyed by (seed, path-index): regeneration of any
-    # single path never depends on how many other paths were drawn.
-    key = np.array([seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _draw_one(grid, jump_spec, seed, path_index, sqrt_h):
-    """Fixed draw layout per path: normals, then jump counts, marks, times."""
-    gen = _path_generator(seed, path_index)
-    incr = sqrt_h * gen.standard_normal(grid.n_steps)
-    if jump_spec.intensity > 0.0:
-        counts = gen.poisson(jump_spec.intensity * grid.step, grid.n_steps)
-        total = int(counts.sum())
-        marks = np.asarray(jump_spec.mark_sampler(gen, total), dtype=float)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        lefts = np.repeat(grid.nodes[:-1], counts)
-        times = lefts + grid.step * gen.random(total)
-    else:
-        counts = np.zeros(grid.n_steps, dtype=np.int64)
-        marks = np.zeros(0)
-        times = np.zeros(0)
-    return incr, counts.astype(np.int64), marks, times
+def _draw_jumps(gen, grid, jump_spec):
+    """Jump counts per step, then their marks, then their times (step-major)."""
+    counts = gen.poisson(jump_spec.intensity * grid.step, grid.n_steps)
+    total = int(counts.sum())
+    marks = np.asarray(jump_spec.mark_sampler(gen, total), dtype=float)
+    times = np.repeat(grid.nodes[:-1], counts) + grid.step * gen.random(total)
+    return counts, marks, times
 
 
 class NoiseEnsemble:
@@ -298,6 +287,7 @@ class NoiseEnsemble:
 def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
     """Draw n_paths independent noise paths keyed (seed, first_path + i).
 
+    Each path draws, in order, its normals, jump counts, marks and times.
     The per-path keying makes chunked sampling reproducible: the concatenation
     of ensembles with first_path 0, c, 2c, ... equals the monolithic ensemble
     bit for bit, whatever the chunk size.
@@ -308,18 +298,29 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
         raise ValueError("need at least one path")
     if first_path < 0 or int(first_path) != first_path:
         raise ValueError("first_path must be a nonnegative integer")
-    sqrt_h = np.sqrt(grid.step)
+    seed, first_path = int(seed), int(first_path)
+    # One Philox re-keyed per path: the state set below (counter 0, empty
+    # buffer, no cached uint32) is that of a fresh Philox(key=[seed, path]).
+    bitgen = np.random.Philox(key=np.array([seed, first_path], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
     incr = np.empty((n_paths, grid.n_steps))
     counts = np.zeros((n_paths, grid.n_steps), dtype=np.int64)
     marks = []
     times = []
     for i in range(n_paths):
-        inc_i, cnt_i, mk_i, tm_i = _draw_one(grid, jump_spec, int(seed), int(first_path) + i, sqrt_h)
-        incr[i] = inc_i
-        counts[i] = cnt_i
+        key[1] = first_path + i
+        bitgen.state = fresh
+        gen.standard_normal(out=incr[i])
+        if jump_spec.intensity > 0.0:
+            counts[i], mk_i, tm_i = _draw_jumps(gen, grid, jump_spec)
+        else:
+            mk_i, tm_i = np.zeros(0), np.zeros(0)
         marks.append(mk_i)
         times.append(tm_i)
-    return NoiseEnsemble(grid, incr, counts, marks, times, int(seed))
+    incr *= np.sqrt(grid.step)
+    return NoiseEnsemble(grid, incr, counts, marks, times, seed)
 
 
 def _check_same_grid(grid, other):

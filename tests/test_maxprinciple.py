@@ -268,3 +268,22 @@ def test_spike_battery_never_beats_the_optimizer():
         gain = float(diff.mean())
         se = float(diff.std(ddof=1) / np.sqrt(len(diff)))
         assert gain <= 3.0 * se + 1e-12
+
+
+def test_sufficient_reads_scalar_and_node_indexed_jump_adjoints_alike():
+    spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
+    model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
+    state, ctrl, _ = _state(model, n_paths=200)
+    shape = (state.n_paths, GRID.n_horizon_steps + 1)
+    p = np.broadcast_to(P_EXACT, shape)
+    reports = [
+        check_sufficient(ctrl, AdjointTriple(GRID, p, np.zeros(shape), r, None, {}), model,
+                         state, seed=5)
+        for r in ((0.0, 0.0), (np.zeros(shape), np.zeros(shape)))
+    ]
+    scalar, arrays = reports
+    assert scalar.passed == arrays.passed
+    assert scalar.statistic == arrays.statistic
+    assert scalar.details["concavity_gap"] == arrays.details["concavity_gap"]
+    assert scalar.details["concavity_witness"] == arrays.details["concavity_witness"]
+    assert scalar.details["variational"].statistic == arrays.details["variational"].statistic

@@ -1,5 +1,7 @@
 """Grid arithmetic, noise sampling, and stochastic-integral plumbing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,10 @@ def test_jump_spec_validation():
     with pytest.raises(ValueError):
         JumpSpec.discrete(1.0, [1.0, 2.0], [0.6, 0.6])
     with pytest.raises(ValueError):
+        JumpSpec.discrete(1.0, [1.0, 2.0], [np.nan, 1.0])
+    with pytest.raises(ValueError):
+        JumpSpec.discrete(1.0, [[1.0, 2.0]], [[0.5, 0.5]])
+    with pytest.raises(ValueError):
         JumpSpec(1.0)  # intensity without a sampler
 
 
@@ -277,3 +283,124 @@ def test_step_mark_sums_matches_per_path_definition(spec):
     got = ens.step_mark_sums()
     assert got.shape == (300, g.n_steps)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+# sha256 of the sampler's output at seed 7 on the 48-step grid, 40 paths from
+# first_path 0 and from first_path 1000: (increments, jump_counts, jump_marks,
+# jump_times), marks and times concatenated in path order.  The bits depend
+# on numpy's Generator algorithms (standard_normal, poisson, random), so they
+# hold for one numpy release line.
+_SAMPLER_SPECS = {
+    "none": JumpSpec.none(),
+    "discrete": JumpSpec.discrete(1.5, [-0.5, 1.0, 2.5], [0.2, 0.5, 0.3]),
+    "gaussian": JumpSpec.gaussian(2.0, loc=0.1, scale=0.7),
+}
+_SAMPLER_DIGESTS = {
+    ("discrete", 0): (
+        "7dbd6a286bb4f9e0e9829ca15b5792f4859141a60fd5070026b3889cbeda3e5e",
+        "c1eaca6a66b8d5329bbd33df4371ad2c39ebd55b8d244ee10eb7356a41bd658c",
+        "40814c89735509b44d49b36f5dfffc225a33602d412cb7452a82ee06db5af5fc",
+        "2f9f6249b0475b955700e2c176303366be890aa09365510b0daa487077d1c3a9",
+    ),
+    ("discrete", 1000): (
+        "6fe4f699c05f767634069f910fe84559e2c3ec602910e20eeb08db0a71ce1780",
+        "8eb6905c17237a188f748ee8ecd20619e22ee3116ff62cf76e3f021ba663938f",
+        "d69d08a61416ecf8d16871144582c2ce47533340a3892cfc65915337164cf140",
+        "322c4847e79c7ab0717112f7033606e2e62dff6589fde8e1fbf32a83a32d0c61",
+    ),
+    ("gaussian", 0): (
+        "7dbd6a286bb4f9e0e9829ca15b5792f4859141a60fd5070026b3889cbeda3e5e",
+        "4645425d806ae40a5effa5ef35ed30fa49c8e0ebd17c0b663977ff5861161e3d",
+        "236941c32d032a7ee31bf02deff8925b3ca9db9619d77e1eccdc5a27cb26e23e",
+        "8106f4fb325d1ca900ebd3ac2ce973c07115e1410659872040621f687876aa3a",
+    ),
+    ("gaussian", 1000): (
+        "6fe4f699c05f767634069f910fe84559e2c3ec602910e20eeb08db0a71ce1780",
+        "a6eb14b467b86807f58f46efa982b0b906c341d589de239fa3fbd9885173ce45",
+        "a14a19af15780427ebe99a2d8788be80d8c8ee5799e3e08039d69d1bc34070f8",
+        "59d7bb22f76fc07ecc024b2087783661e42e901b42f3d5ee1d31afa24a5ad35d",
+    ),
+    ("none", 0): (
+        "7dbd6a286bb4f9e0e9829ca15b5792f4859141a60fd5070026b3889cbeda3e5e",
+        "0299f757a85a1aad6cbe1ad2b0eda925d8df667cd04e646af8917f65cbf24537",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("none", 1000): (
+        "6fe4f699c05f767634069f910fe84559e2c3ec602910e20eeb08db0a71ce1780",
+        "0299f757a85a1aad6cbe1ad2b0eda925d8df667cd04e646af8917f65cbf24537",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _reference_row(grid, spec, marks_of, seed, index):
+    """Path `index` drawn from a fresh Philox keyed (seed, index), in the
+    documented order: normals, jump counts, marks, times."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    incr = np.sqrt(grid.step) * gen.standard_normal(grid.n_steps)
+    if spec.intensity == 0.0:
+        return incr, np.zeros(grid.n_steps, dtype=np.int64), np.zeros(0), np.zeros(0)
+    counts = gen.poisson(spec.intensity * grid.step, grid.n_steps)
+    total = int(counts.sum())
+    marks = marks_of(gen, total)
+    times = np.repeat(grid.nodes[:-1], counts) + grid.step * gen.random(total)
+    return incr, counts, marks, times
+
+
+_REFERENCE_MARKS = {
+    "none": None,
+    "discrete": lambda gen, size: gen.choice([-0.5, 1.0, 2.5], size, p=[0.2, 0.5, 0.3]),
+    "gaussian": lambda gen, size: gen.normal(0.1, 0.7, size=size),
+}
+
+
+@pytest.mark.parametrize("first_path", [0, 1000])
+@pytest.mark.parametrize("name", sorted(_SAMPLER_SPECS))
+def test_sampler_bits_are_pinned_and_keyed_per_path(name, first_path):
+    g = make_grid(0.2, 1.0, 8)
+    spec = _SAMPLER_SPECS[name]
+    ens = sample_ensemble(g, spec, seed=7, n_paths=40, first_path=first_path)
+    got = (
+        _digest(ens.increments),
+        _digest(ens.jump_counts),
+        _digest(np.concatenate(ens.jump_marks)),
+        _digest(np.concatenate(ens.jump_times)),
+    )
+    assert got == _SAMPLER_DIGESTS[name, first_path]
+    for i in range(ens.n_paths):
+        incr, counts, marks, times = _reference_row(
+            g, spec, _REFERENCE_MARKS[name], 7, first_path + i
+        )
+        assert np.array_equal(ens.increments[i], incr)
+        assert np.array_equal(ens.jump_counts[i], counts)
+        assert np.array_equal(ens.jump_marks[i], marks)
+        assert np.array_equal(ens.jump_times[i], times)
+
+
+@pytest.mark.parametrize("values,probs", [
+    ([-0.5, 1.0, 2.5], [0.2, 0.5, 0.3]),
+    ([1.0], [1.0]),
+    ([-2.0, -0.25, 0.0, 0.75, 3.0], [0.1, 0.3, 0.0, 0.4, 0.2]),
+    (np.arange(10.0), [0.1] * 10),  # the cumulative sum ends one ulp below 1
+])
+def test_discrete_sampler_is_generator_choice(values, probs):
+    """Same values and same stream position as Generator.choice."""
+    sampler = JumpSpec.discrete(1.0, values, probs).mark_sampler
+    for size in range(5):
+        for key in range(3):
+            ours = np.random.Generator(np.random.Philox(key=[key, size]))
+            theirs = np.random.Generator(np.random.Philox(key=[key, size]))
+            got = sampler(ours, size)
+            want = theirs.choice(np.asarray(values, dtype=float), size, p=probs)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert ours.random() == theirs.random()
