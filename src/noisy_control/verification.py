@@ -3,7 +3,11 @@
 Each criterion function returns a CriterionResult with the decisive statistic
 and its tolerance; verify_all runs them all and assembles a canonical
 (byte-stable) report.  The same functions back `noisy-control verify` and the
-acceptance tests, so the CLI and the test suite can never drift apart.
+acceptance tests.  The statistics that `noisy-control run` grades (residual
+order, bridge deviations, relative RMS, spike battery) are computed by the
+shared functions below, which criteria 2, 3, 4 and 7 call with their own
+frozen constants, so neither the CLI nor the test suite can drift apart from
+the criteria.
 
 The default seed is the tested configuration; other seeds shift every sampler
 consistently and keep determinism, but the frozen empirical margins are
@@ -11,6 +15,7 @@ validated at seed 0 only.
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -21,6 +26,7 @@ from . import malliavin as malliavin_mod
 from . import maxprinciple as mp
 from . import scenarios
 from .dynamics import ControlPath, MemoryKernel, evaluate_performance, reduce_2d, simulate_state
+from .malliavin import horizon_values
 from .paths import JumpSpec, coarsen, make_grid, sample_ensemble
 
 
@@ -57,6 +63,102 @@ def _timed(fn):
     return wrapper
 
 
+# ---------------------------------------------------------------------------
+# Shared computations.  The checks of `noisy-control run` and the criteria
+# below call these with their own grids, sizes, seeds and tolerances.
+
+
+def closed_form(model, noise):
+    """Closed-form adjoint of a linear-family model on the given noise."""
+    spec = adjoint_mod.LinearBSDESpec.from_model(model)
+    return adjoint_mod.solve_linear_closed_form(spec, noise)
+
+
+def window_engine(model, grid, closed):
+    """dH/dz window engine matching the scenario's volatility loading."""
+    psi = horizon_values(grid, model.meta["psi"])
+    a0 = float(model.meta["a0"])
+    if np.any(psi != 0.0):
+        return adjoint_mod.Chaos1WindowEngine(
+            grid, psi, closed.diagnostics["alpha"],
+            coeff=np.full(psi.shape, a0), f_paths=closed.p,
+        )
+    return adjoint_mod.DeterministicWindowEngine(grid, a0 * closed.p[0])
+
+
+def dhx(model, grid, closed):
+    """dH/dx on the closed-form adjoint: a1 p + sigma0 q."""
+    a1 = float(model.meta["a1"])
+    sigma0 = horizon_values(grid, model.meta["sigma0"])
+    return a1 * closed.p + sigma0[None, :] * closed.q
+
+
+def residual_order(model, fine_noise, control_value, kernel=None):
+    """Order of the closed-form BSDE residual between coarsen(fine, 2) and fine.
+
+    Each level simulates the constant control `control_value` and takes the
+    sup of bsde_residual_1d.  Returns ({steps_per_delay: sup}, log2 of the
+    coarse sup over the fine one).
+    """
+    sups = {}
+    for noise in (coarsen(fine_noise, 2), fine_noise):
+        grid = noise.grid
+        closed = closed_form(model, noise)
+        ctrl = ControlPath.constant(grid, control_value, control_set=model.control_set)
+        state = simulate_state(model, ctrl, noise, kernel=kernel)
+        engine = window_engine(model, grid, closed)
+        sup, _ = adjoint_mod.bsde_residual_1d(closed, state, model, engine, kernel=kernel)
+        sups[grid.steps_per_delay] = float(sup)
+    m = fine_noise.grid.steps_per_delay
+    return sups, float(np.log2(sups[m // 2] / sups[m]))
+
+
+def bridge_deviations(model, grid, closed):
+    """1D <-> 2D bridge: (q2 window reconstruction dev, mu assembly dev)."""
+    engine = window_engine(model, grid, closed)
+    a1 = float(model.meta["a1"])
+    q2_closed = (closed.diagnostics["A"] - a1)[None, :] * closed.p
+    recon = adjoint_mod.horizon_windows(engine.malliavin_window, grid, q2_closed.shape[0])
+    q2_dev = float(np.max(np.abs(q2_closed - recon)))
+    mu_bridge = adjoint_mod.mu_generalized(grid, dhx(model, grid, closed), None, engine)
+    mu_dev = float(np.max(np.abs(mu_bridge - closed.mu)))
+    return q2_dev, mu_dev
+
+
+def rms(x):
+    """Root mean square over every element."""
+    return float(np.sqrt(np.mean(x**2)))
+
+
+def rel_rms(approx, exact):
+    """RMS of approx - exact relative to the RMS of exact, each over its own elements."""
+    return rms(approx - exact) / rms(exact)
+
+
+def spike_battery(model, base, noise, state, seed, t0_nodes, width, values, count,
+                  se_mult, kernel=None):
+    """Spike perturbations of `base`, scored against it with common noise.
+
+    Draws from Philox(seed + 7): per spike a start among `t0_nodes`, then a
+    value uniform on `values` = (low, high).  Each spike of `width` is scored
+    by the paired per-path gain in J over `base`, whose J is evaluated on the
+    held `state`.  Returns (worst gain - se_mult * se, one dict per spike).
+    """
+    _, _, per0 = evaluate_performance(model, base, noise, kernel=kernel, state=state)
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed + 7)))
+    worst = -np.inf
+    spikes = []
+    for _ in range(count):
+        t0 = float(gen.choice(t0_nodes))
+        v = float(gen.uniform(*values))
+        spike = mp.spike_perturbation(base, t0, width, v)
+        _, _, per1 = evaluate_performance(model, spike, noise, kernel=kernel)
+        gain, se = mp._mean_se(per1 - per0)
+        worst = max(worst, gain - se_mult * se)
+        spikes.append({"t0": t0, "value": v, "gain": gain, "se": se})
+    return worst, spikes
+
+
 @_timed
 def criterion_1_reduction(seed=0, profile="full"):
     """Window process == difference of running integrals; 1D/2D states bitwise."""
@@ -87,25 +189,7 @@ def criterion_2_residual_order(seed=0, profile="full"):
     model = scenarios.linear_noisy_memory()
     n_paths = 1000  # cheap closed-form solves; quick profile keeps full accuracy
     noise16 = _ens(make_grid(0.2, 1.0, 16), n_paths, seed + 20)
-    noise8 = coarsen(noise16, 2)
-
-    def sup_residual(noise):
-        grid = noise.grid
-        n = grid.n_horizon_steps
-        spec = adjoint_mod.LinearBSDESpec.from_model(model)
-        triple = adjoint_mod.solve_linear_closed_form(spec, noise)
-        ctrl = ControlPath.constant(grid, 1.0, control_set=model.control_set)
-        state = simulate_state(model, ctrl, noise)
-        engine = adjoint_mod.Chaos1WindowEngine(
-            grid, np.full(n + 1, 0.1), triple.diagnostics["alpha"],
-            coeff=0.5 * np.ones(n + 1), f_paths=triple.p,
-        )
-        sup, _ = adjoint_mod.bsde_residual_1d(triple, state, model, engine)
-        return sup
-
-    sup8 = sup_residual(noise8)
-    sup16 = sup_residual(noise16)
-    order = float(np.log2(sup8 / sup16))
+    sups, order = residual_order(model, noise16, 1.0)
 
     limit_noise = _ens(make_grid(0.2, 1.0, 8), 50, seed + 21)
     grid8 = limit_noise.grid
@@ -115,9 +199,7 @@ def criterion_2_residual_order(seed=0, profile="full"):
         scenarios.linear_noisy_memory(psi=0.0),
         scenarios.linear_noisy_memory(a0=0.0),
     ):
-        tr = adjoint_mod.solve_linear_closed_form(
-            adjoint_mod.LinearBSDESpec.from_model(m_limit), limit_noise
-        )
+        tr = closed_form(m_limit, limit_noise)
         if m_limit.meta["psi"](0.0) == 0.0:
             limit_dev = max(limit_dev, float(np.max(np.abs(tr.p - p_flat[None, :]))))
         else:
@@ -126,7 +208,7 @@ def criterion_2_residual_order(seed=0, profile="full"):
     passed = 0.7 <= order <= 1.3 and limit_dev <= 1e-12
     return CriterionResult(
         2, "residual-order", passed, order, 1.3, 0.0,
-        {"sup_m8": float(sup8), "sup_m16": float(sup16), "order_band": (0.7, 1.3),
+        {"sup_m8": sups[8], "sup_m16": sups[16], "order_band": (0.7, 1.3),
          "limit_deviation": limit_dev},
     )
 
@@ -139,27 +221,13 @@ def criterion_3_bridge(seed=0, profile="full"):
     n = grid.n_horizon_steps
     n_paths = 2000 if profile == "full" else 400
     noise = _ens(grid, n_paths, seed + 30)
-    spec = adjoint_mod.LinearBSDESpec.from_model(model)
-    triple = adjoint_mod.solve_linear_closed_form(spec, noise)
-    a_path = triple.diagnostics["A"]
-    psi = np.full(n + 1, 0.1)
-    engine = adjoint_mod.Chaos1WindowEngine(
-        grid, psi, triple.diagnostics["alpha"], coeff=0.5 * np.ones(n + 1),
-        f_paths=triple.p,
-    )
-    q2_closed = (a_path - 0.3)[None, :] * triple.p
-    recon = adjoint_mod.horizon_windows(engine.malliavin_window, grid, n_paths)
-    q2_dev = float(np.max(np.abs(q2_closed - recon)))
-
-    dhx = 0.3 * triple.p + 0.2 * triple.q
-    mu_bridge = adjoint_mod.mu_generalized(grid, dhx, None, engine)
-    mu_dev = float(np.max(np.abs(mu_bridge - triple.mu)))
+    q2_dev, mu_dev = bridge_deviations(model, grid, closed_form(model, noise))
 
     # psi = 0 limit: the window correction vanishes identically on both routes
+    # (a Chaos1 engine with zero loading, where window_engine would pick the
+    # deterministic one)
     m_flat = scenarios.linear_noisy_memory(psi=0.0)
-    tr_flat = adjoint_mod.solve_linear_closed_form(
-        adjoint_mod.LinearBSDESpec.from_model(m_flat), noise
-    )
+    tr_flat = closed_form(m_flat, noise)
     eng_flat = adjoint_mod.Chaos1WindowEngine(
         grid, np.zeros(n + 1), tr_flat.diagnostics["alpha"], 0.5 * np.ones(n + 1), tr_flat.p
     )
@@ -187,12 +255,7 @@ def criterion_4_regression(seed=0, profile="full"):
     ctrl = ControlPath.constant(grid, 1.0, control_set=model.control_set)
     state = reduce_2d(model, ctrl, noise)
     sol = adjoint_mod.solve_absde_2d(model, state)
-    closed = adjoint_mod.solve_linear_closed_form(
-        adjoint_mod.LinearBSDESpec.from_model(model), noise
-    )
-    rel_linear = float(
-        np.sqrt(np.mean((sol.p1 - closed.p) ** 2)) / np.sqrt(np.mean(closed.p**2))
-    )
+    rel_linear = rel_rms(sol.p1, closed_form(model, noise).p)
 
     jump_spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
     m_jump = scenarios.consumption(jump_scale=0.1, jump_spec=jump_spec)
@@ -202,15 +265,12 @@ def criterion_4_regression(seed=0, profile="full"):
     )
     sol_jump = adjoint_mod.solve_absde_2d(m_jump, state_jump)
     p1_oracle = np.exp(0.3 * (grid.horizon - grid.horizon_nodes))
-    rel_jump = float(
-        np.sqrt(np.mean((sol_jump.p1 - p1_oracle[None, :]) ** 2))
-        / np.sqrt(np.mean(p1_oracle**2))
-    )
+    rel_jump = rel_rms(sol_jump.p1, p1_oracle)
     zero_rms = {
-        "q1": float(np.sqrt((sol_jump.q1**2).mean())),
-        "q2": float(np.sqrt((sol_jump.q2**2).mean())),
-        "r1_level": float(np.sqrt((sol_jump.r1[0] ** 2).mean())),
-        "r1_slope": float(np.sqrt((sol_jump.r1[1] ** 2).mean())),
+        "q1": rms(sol_jump.q1),
+        "q2": rms(sol_jump.q2),
+        "r1_level": rms(sol_jump.r1[0]),
+        "r1_slope": rms(sol_jump.r1[1]),
     }
     worst_zero = max(zero_rms.values())
     passed = rel_linear <= 0.05 and rel_jump <= 0.01 and worst_zero <= 0.02
@@ -238,15 +298,14 @@ def criterion_5_directional(seed=0, profile="full"):
         ("consumption", scenarios.consumption()),
     ):
         ctrl = ControlPath.constant(grid, 3.0, control_set=model.control_set)
-        spec = adjoint_mod.LinearBSDESpec.from_model(model)
         per = {nm: {"K": [], "H": [], "F": []} for nm, _ in directions}
         j_parts = []
         for c in range(n_paths // chunk):
             noise = _ens(grid, chunk, seed + 500 + c)
             state = simulate_state(model, ctrl, noise)
-            closed = adjoint_mod.solve_linear_closed_form(spec, noise)
+            closed = closed_form(model, noise)
             atr = adjoint_mod.AdjointTriple(grid, closed.p, closed.q, None, closed.mu, {})
-            j_parts.append(evaluate_performance(model, ctrl, noise)[2])
+            j_parts.append(evaluate_performance(model, ctrl, noise, state=state)[2])
             for nm, eta in directions:
                 per[nm]["K"].append(mp.directional_derivative_K(model, state, eta)[2])
                 h_per = mp.directional_derivative_H(model, state, atr, eta)[2]
@@ -261,8 +320,7 @@ def criterion_5_directional(seed=0, profile="full"):
         for nm, _ in directions:
             stats = {}
             for route, parts in per[nm].items():
-                v = np.concatenate(parts)
-                stats[route] = (float(v.mean()), float(v.std(ddof=1) / np.sqrt(len(v))))
+                stats[route] = mp._mean_se(np.concatenate(parts))
             for a, b in (("K", "H"), ("K", "F"), ("H", "F")):
                 gap = abs(stats[a][0] - stats[b][0])
                 tol = max(
@@ -291,13 +349,13 @@ def criterion_6_duality(seed=0, profile="full"):
         worst_z = max(worst_z, abs(res.z_score))
 
     co_paths = 10000 if profile == "full" else 2000
-    rms = {}
+    co_rms = {}
     for m in (8, 16):
         g = make_grid(0.2, 1.0, m)
         f = malliavin_mod.Chaos1Exponential(g, 0.1, -0.5 * 0.1**2)
         res = malliavin_mod.clark_ocone_residual(f, _ens(g, co_paths, seed + 610))
-        rms[m] = float(np.sqrt((res**2).mean()))
-    ratio = rms[16] / rms[8]
+        co_rms[m] = rms(res)
+    ratio = co_rms[16] / co_rms[8]
     passed = worst_z <= 4.0 and 0.35 <= ratio <= 0.65
     return CriterionResult(
         6, "duality-clark-ocone", passed, worst_z, 4.0, 0.0,
@@ -328,19 +386,9 @@ def criterion_7_max_principle(seed=0, profile="full"):
     nec = mp.check_necessary_I(ustar, atr, model, state)
     suff = mp.check_sufficient(ustar, atr, model, state, seed=seed)
 
-    _, _, per0 = evaluate_performance(model, ustar, noise, kernel=kernel)
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed + 7)))
     n_spikes = 20 if profile == "full" else 6
-    worst_gain = -np.inf
-    for _ in range(n_spikes):
-        t0 = float(gen.choice(tt[:-8]))
-        v = float(gen.uniform(0.1, 3.0))
-        spike = mp.spike_perturbation(ustar, t0, 0.1, v)
-        _, _, per1 = evaluate_performance(model, spike, noise, kernel=kernel)
-        diff = per1 - per0
-        gain = float(diff.mean())
-        se = float(diff.std(ddof=1) / np.sqrt(len(diff)))
-        worst_gain = max(worst_gain, gain - 2.0 * se)
+    worst_gain, _ = spike_battery(model, ustar, noise, state, seed, tt[:-8], 0.1,
+                                  (0.1, 3.0), n_spikes, 2.0, kernel=kernel)
 
     scaled = ControlPath(grid, 1.5 * u_exact, control_set=model.control_set)
     st_scaled = simulate_state(model, scaled, noise, kernel=kernel)
@@ -367,30 +415,24 @@ def criterion_8_generalized_kernel(seed=0, profile="full"):
     """Ramp-kernel pipeline runs; phi == 1 reduces bitwise; residual order."""
     model, kernel = scenarios.generalized_memory()
     grid = make_grid(0.2, 1.0, 8)
-    n = grid.n_horizon_steps
     tt = grid.horizon_nodes
     u_exact = np.exp(-0.3 * (grid.horizon - tt))
 
     # bitwise reduction of the generalized mu on a stochastic-engine fixture
     m_ref = scenarios.linear_noisy_memory()
     noise_ref = _ens(grid, 200 if profile == "full" else 50, seed + 71)
-    closed = adjoint_mod.solve_linear_closed_form(
-        adjoint_mod.LinearBSDESpec.from_model(m_ref), noise_ref
-    )
-    engine = adjoint_mod.Chaos1WindowEngine(
-        grid, np.full(n + 1, 0.1), closed.diagnostics["alpha"],
-        0.5 * np.ones(n + 1), closed.p,
-    )
-    dhx = 0.3 * closed.p + 0.2 * closed.q
+    closed = closed_form(m_ref, noise_ref)
+    engine = window_engine(m_ref, grid, closed)
+    dh_dx = dhx(m_ref, grid, closed)
     flat = MemoryKernel(
         lambda t, s: np.ones_like(np.asarray(t, dtype=float) * np.asarray(s, dtype=float)),
         bound=1.0,
     )
-    mu_plain = adjoint_mod.mu_generalized(grid, dhx, None, engine, kernel=None)
+    mu_plain = adjoint_mod.mu_generalized(grid, dh_dx, None, engine, kernel=None)
     mu_flagged = adjoint_mod.mu_generalized(
-        grid, dhx, None, engine, kernel=MemoryKernel.identity()
+        grid, dh_dx, None, engine, kernel=MemoryKernel.identity()
     )
-    mu_flat = adjoint_mod.mu_generalized(grid, dhx, None, engine, kernel=flat)
+    mu_flat = adjoint_mod.mu_generalized(grid, dh_dx, None, engine, kernel=flat)
     bitwise = np.array_equal(mu_plain, mu_flagged) and np.array_equal(mu_plain, mu_flat)
 
     def residuals(m_steps, n_paths):
@@ -428,9 +470,7 @@ def _mini_report(seed):
     noise = _ens(grid, 100, seed)
     ctrl = ControlPath.constant(grid, 1.0, control_set=model.control_set)
     state = simulate_state(model, ctrl, noise)
-    closed = adjoint_mod.solve_linear_closed_form(
-        adjoint_mod.LinearBSDESpec.from_model(model), noise
-    )
+    closed = closed_form(model, noise)
     j_value, j_se, _ = evaluate_performance(model, ctrl, noise)
     payload = {
         "terminal_mean": float(state.terminal_x.mean()),
@@ -458,10 +498,7 @@ def criterion_9_determinism(seed=0, profile="full"):
     )
     sol = adjoint_mod.solve_absde_2d(m_ctrl, state)
     corrupted = np.exp(1.25 * 0.3 * (grid.horizon - grid.horizon_nodes))
-    rel = float(
-        np.sqrt(np.mean((sol.p1 - corrupted[None, :]) ** 2))
-        / np.sqrt(np.mean(corrupted**2))
-    )
+    rel = rel_rms(sol.p1, corrupted)
     control_fails = rel > 0.01
     passed = bool(identical and control_fails)
     return CriterionResult(
@@ -524,8 +561,6 @@ def verify_all(seed=0, out_dir=None, profile="full", echo=None):
         ],
     }
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             fh.write(render_report(report))
