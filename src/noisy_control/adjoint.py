@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import _path_major
 from .errors import (
     FixedPointDiverged,
     GridMismatch,
@@ -533,16 +534,15 @@ class QuadXZBasis:
         return np.column_stack([one, x, z, x * x, x * z, z * z])
 
 
-def _ridge_fit(design, targets, ridge, return_coef=False):
-    """Least-squares fit with Tikhonov floor; returns fitted values.
+def _gram(design, ridge):
+    """Normalized Gram matrix of a design with Tikhonov floor, and its condition.
 
-    targets may be (N,) or (N, J) for a shared design.  Raises
-    RankDeficientBasis when the regularized normal matrix is still
-    ill-conditioned (condition number above 1e13), which with the default
-    ridge only happens for degenerate or non-finite designs.
+    Returns (gram, cond).  Raises RankDeficientBasis when the regularized
+    normal matrix is non-finite or still ill-conditioned (condition number
+    above 1e13), which with the default ridge only happens for degenerate or
+    non-finite designs.
     """
-    n = design.shape[0]
-    gram = design.T @ design / n
+    gram = design.T @ design / design.shape[0]
     gram = gram + ridge * np.eye(design.shape[1])
     cond = np.linalg.cond(gram) if np.isfinite(gram).all() else np.inf
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -551,15 +551,20 @@ def _ridge_fit(design, targets, ridge, return_coef=False):
             "(condition number %.3e)" % cond,
             condition_number=float(cond),
         )
-    rhs = design.T @ (targets if targets.ndim == 2 else targets[:, None]) / n
-    coef = np.linalg.solve(gram, rhs)
-    fitted = design @ coef
-    if targets.ndim == 1:
-        fitted = fitted[:, 0]
-        coef = coef[:, 0]
-    if return_coef:
-        return fitted, coef, cond
-    return fitted, cond
+    return gram, cond
+
+
+def _project(design, gram, targets):
+    """Fitted values of targets, (N,) or (N, J), on a design with its _gram."""
+    rhs = design.T @ (targets if targets.ndim == 2 else targets[:, None]) / design.shape[0]
+    fitted = design @ np.linalg.solve(gram, rhs)
+    return fitted if targets.ndim == 2 else fitted[:, 0]
+
+
+def _ridge_fit(design, targets, ridge):
+    """Least-squares fit with Tikhonov floor; returns (fitted values, cond)."""
+    gram, cond = _gram(design, ridge)
+    return _project(design, gram, targets), cond
 
 
 def _affine_r_from_moments(u0, u1, spec):
@@ -579,8 +584,123 @@ def _affine_r_from_moments(u0, u1, spec):
     return r0, r1
 
 
+def _columns_backward(arr):
+    """Columns of a path-major array, last first, as contiguous rows.
+
+    The mirror of dynamics._columns: 16 columns at a time are transposed into
+    one reused (16, n_paths) buffer, so a block's cache lines of `arr` are
+    fetched once.  Because the buffer is reused, a row stays valid only until
+    the next one is read.
+    """
+    buf = np.empty((16, arr.shape[0]))
+    for k1 in range(arr.shape[1], 0, -16):
+        block = buf[: min(k1, 16)]
+        block[:] = arr[:, k1 - len(block) : k1].T
+        yield from block[::-1]
+
+
+def _absde_sweep(model, state, basis, ridge):
+    """The backward sweep of solve_absde_2d on (node, path) rows.
+
+    Returns the time-major outputs [p1, p2, q1, q2, mu1, mu2] (+ [r1_0, r1_1]
+    with jumps) and the per-node condition numbers.  Kept apart from
+    solve_absde_2d so the input blocks and the ring are freed before the
+    outputs are turned path-major.
+    """
+    grid = state.grid
+    n = grid.n_horizon_steps
+    m = grid.steps_per_delay
+    h = grid.step
+    iz = grid.index_zero
+    noise = state.noise
+    jumps_on = model.has_jumps
+    spec = model.jump_spec
+    x_rows = _columns_backward(state.x[:, iz:])
+    y_rows = _columns_backward(state.y)
+    z_rows = _columns_backward(state.z)
+    u_rows = _columns_backward(state.control.rows())  # one row when shared
+    incr_rows = _columns_backward(noise.increments[:, iz:])
+    if jumps_on:
+        count_rows = _columns_backward(noise.jump_counts[:, iz:])
+        mark_rows = _columns_backward(noise.step_mark_sums()[:, iz:])
+
+    out = [np.zeros((n + 1, state.n_paths)) for _ in range(8 if jumps_on else 6)]
+    p1, p2, q1, q2, mu1, mu2 = out[:6]
+    r1_0, r1_1 = out[6:] if jumps_on else (None, None)
+    # dH/dy and dH/dz are only read m nodes after they are written
+    ring = m + 1
+    dHy = np.empty((ring, state.n_paths))
+    dHz = np.empty((ring, state.n_paths))
+    cond = np.empty(n)
+
+    p1[n] = model.terminal.grad(state.terminal_x, noise)
+    ev_T = hamiltonian(
+        model, grid.horizon, next(x_rows), next(y_rows), next(z_rows), next(u_rows),
+        p=p1[n], q=q1[n], r=(0.0, 0.0) if jumps_on else None,
+    )
+    dHy[n % ring] = ev_T.grad[1]
+    dHz[n % ring] = ev_T.grad[2]
+    mu2[n] = dHz[n % ring]
+    mu1[n] = ev_T.grad[0]
+
+    for k in range(n - 1, -1, -1):
+        t_k = grid.horizon_nodes[k]
+        xk, yk, zk, uk, db = (next(rows) for rows in (x_rows, y_rows, z_rows, u_rows, incr_rows))
+        design = basis.design(xk, zk)
+        try:
+            gram, cond[k] = _gram(design, ridge)
+        except RankDeficientBasis as err:
+            raise RankDeficientBasis(
+                "%s at node %d (t=%g)" % (err, k, t_k), condition_number=err.condition_number
+            ) from None
+
+        fitted = _project(design, gram, np.column_stack([p1[k + 1], p2[k + 1]]))
+        pbar1 = fitted[:, 0]
+        pbar2 = fitted[:, 1]
+        fitted_q = _project(design, gram, np.column_stack([
+            (p1[k + 1] - pbar1) * db / h,
+            (p2[k + 1] - pbar2) * db / h,
+        ]))
+        q1[k] = fitted_q[:, 0]
+        q2[k] = fitted_q[:, 1]
+
+        if jumps_on:
+            comp0 = next(count_rows) - spec.intensity * h
+            comp1 = next(mark_rows) - spec.levy_moment(1) * h
+            fitted_r = _project(design, gram, np.column_stack([
+                (p1[k + 1] - pbar1) * comp0 / h,
+                (p1[k + 1] - pbar1) * comp1 / h,
+            ]))
+            r1_0[k], r1_1[k] = _affine_r_from_moments(fitted_r[:, 0], fitted_r[:, 1], spec)
+
+        ev = hamiltonian(
+            model, t_k, xk, yk, zk, uk, p=pbar1, q=q1[k],
+            r=(r1_0[k], r1_1[k]) if jumps_on else None,
+        )
+        dHy[k % ring] = ev.grad[1]
+        dHz[k % ring] = ev.grad[2]
+
+        mu1_k = q2[k] + ev.grad[0]
+        if k + m <= n:
+            mu1_k = mu1_k + _project(design, gram, dHy[(k + m) % ring])
+            mu2_k = dHz[k % ring] - _project(design, gram, dHz[(k + m) % ring])
+        else:
+            mu2_k = dHz[k % ring]
+        mu1[k] = mu1_k
+        mu2[k] = mu2_k
+        p1[k] = pbar1 + mu1_k * h
+        p2[k] = pbar2 + mu2_k * h
+    return out, cond
+
+
 def solve_absde_2d(model, state, basis=None, ridge=1e-8, kernel=None):
     """Backward least-squares sweep for the reduced time-advanced system.
+
+    The sweep is time-major: it reads its inputs backward, 16 nodes at a
+    time, into (node, path) rows and keeps dH/dy and dH/dz in a ring of
+    m + 1 rows.  Each node builds one Gram matrix and condition number and
+    projects every target group on it.  Every array of the result is handed
+    back path-major and C-contiguous, (n_paths, n+1).
 
     Args:
         model: CoefficientModel.
@@ -598,11 +718,14 @@ def solve_absde_2d(model, state, basis=None, ridge=1e-8, kernel=None):
         estimates the martingale loadings from control-variate products with
         the step increments, assembles the drivers mu1 (which consumes the
         same-step q2 and the regressed advance term) and mu2 (the z-partial
-        minus its regressed advance), and steps p back.
+        minus its regressed advance), and steps p back.  diagnostics holds
+        the per-node condition numbers ("condition", (n,) in node order) and
+        their maximum ("max_condition").
 
     Raises:
         KernelNotReducible via reduce_2d upstream; RankDeficientBasis from
-        the regressions; ValueError if the ensemble is too small.
+        the regressions, naming the node; ValueError if the ensemble is too
+        small.
     """
     if kernel is not None and not kernel.is_identity:
         raise MalliavinUnavailable(
@@ -611,123 +734,31 @@ def solve_absde_2d(model, state, basis=None, ridge=1e-8, kernel=None):
     if state.x2 is None:
         raise ValueError("state must come from reduce_2d (x2 missing)")
     basis = basis if basis is not None else QuadXZBasis()
-    grid = state.grid
-    n = grid.n_horizon_steps
-    m = grid.steps_per_delay
-    h = grid.step
-    iz = grid.index_zero
     n_paths = state.n_paths
     if n_paths < 10 * basis.size:
         raise ValueError(
             "need at least %d paths for a size-%d basis, got %d"
             % (10 * basis.size, basis.size, n_paths)
         )
-    noise = state.noise
-    incr = noise.increments
-    u_rows = state.control.rows()
+    rows, cond = _absde_sweep(model, state, basis, ridge)
+    # Each buffer takes its path-major copy back into its own memory, so the
+    # result keeps the sweep's allocations and one copy at a time is live.
+    out = []
+    for a in rows:
+        pm = a.reshape(a.shape[::-1])
+        pm[:] = _path_major(a)
+        out.append(pm)
+    p1, p2, q1, q2, mu1, mu2 = out[:6]
     jumps_on = model.has_jumps
-    if jumps_on:
-        counts = noise.jump_counts
-        mark_sums = noise.step_mark_sums()
-
-    shape = (n_paths, n + 1)
-    p1 = np.zeros(shape)
-    p2 = np.zeros(shape)
-    q1 = np.zeros(shape)
-    q2 = np.zeros(shape)
-    mu1 = np.zeros(shape)
-    mu2 = np.zeros(shape)
-    r1_0 = np.zeros(shape) if jumps_on else None
-    r1_1 = np.zeros(shape) if jumps_on else None
-    dHy_vals = np.zeros(shape)
-    dHz_vals = np.zeros(shape)
-
-    p1[:, n] = model.terminal.grad(state.terminal_x, noise)
-    ev_T = hamiltonian(
-        model,
-        grid.horizon,
-        state.x[:, -1],
-        state.y[:, n],
-        state.z[:, n],
-        u_rows[:, n],
-        p=p1[:, n],
-        q=q1[:, n],
-        r=(0.0, 0.0) if jumps_on else None,
-    )
-    dHy_vals[:, n] = ev_T.grad[1]
-    dHz_vals[:, n] = ev_T.grad[2]
-    mu2[:, n] = dHz_vals[:, n]
-
-    worst_cond = 0.0
-    for k in range(n - 1, -1, -1):
-        t_k = grid.horizon_nodes[k]
-        xk = state.x[:, iz + k]
-        zk = state.z[:, k]
-        design = basis.design(xk, zk)
-        db = incr[:, iz + k]
-
-        cont = np.column_stack([p1[:, k + 1], p2[:, k + 1]])
-        fitted, cond = _ridge_fit(design, cont, ridge)
-        worst_cond = max(worst_cond, cond)
-        pbar1 = fitted[:, 0]
-        pbar2 = fitted[:, 1]
-
-        mart = np.column_stack([
-            (p1[:, k + 1] - pbar1) * db / h,
-            (p2[:, k + 1] - pbar2) * db / h,
-        ])
-        fitted_q, cond = _ridge_fit(design, mart, ridge)
-        worst_cond = max(worst_cond, cond)
-        q1[:, k] = fitted_q[:, 0]
-        q2[:, k] = fitted_q[:, 1]
-
-        if jumps_on:
-            spec = model.jump_spec
-            comp0 = counts[:, iz + k] - spec.intensity * h
-            comp1 = mark_sums[:, iz + k] - spec.levy_moment(1) * h
-            jump_targets = np.column_stack([
-                (p1[:, k + 1] - pbar1) * comp0 / h,
-                (p1[:, k + 1] - pbar1) * comp1 / h,
-            ])
-            fitted_r, cond = _ridge_fit(design, jump_targets, ridge)
-            worst_cond = max(worst_cond, cond)
-            r1_0[:, k], r1_1[:, k] = _affine_r_from_moments(
-                fitted_r[:, 0], fitted_r[:, 1], spec
-            )
-
-        r_here = (r1_0[:, k], r1_1[:, k]) if jumps_on else None
-        ev = hamiltonian(
-            model, t_k, xk, state.y[:, k], zk, u_rows[:, k],
-            p=pbar1, q=q1[:, k], r=r_here,
-        )
-        dHy_vals[:, k] = ev.grad[1]
-        dHz_vals[:, k] = ev.grad[2]
-
-        mu1_k = q2[:, k] + ev.grad[0]
-        if k + m <= n:
-            adv_y, cond = _ridge_fit(design, dHy_vals[:, k + m], ridge)
-            worst_cond = max(worst_cond, cond)
-            mu1_k = mu1_k + adv_y
-            adv_z, cond = _ridge_fit(design, dHz_vals[:, k + m], ridge)
-            worst_cond = max(worst_cond, cond)
-            mu2_k = dHz_vals[:, k] - adv_z
-        else:
-            mu2_k = dHz_vals[:, k]
-        mu1[:, k] = mu1_k
-        mu2[:, k] = mu2_k
-
-        p1[:, k] = pbar1 + mu1_k * h
-        p2[:, k] = pbar2 + mu2_k * h
-
-    mu1[:, n] = ev_T.grad[0]
-    r1 = (r1_0, r1_1) if jumps_on else None
-    r2 = (np.zeros(shape), np.zeros(shape)) if jumps_on else None
+    r1 = tuple(out[6:]) if jumps_on else None
+    r2 = (np.zeros(p1.shape), np.zeros(p1.shape)) if jumps_on else None
     diagnostics = {
         "basis": basis.names,
         "ridge": ridge,
-        "max_condition": worst_cond,
+        "condition": cond,
+        "max_condition": cond.max(),
     }
-    return Adjoint2D(grid, p1, p2, q1, q2, r1, r2, mu1, mu2, diagnostics)
+    return Adjoint2D(state.grid, p1, p2, q1, q2, r1, r2, mu1, mu2, diagnostics)
 
 
 # ---------------------------------------------------------------------------

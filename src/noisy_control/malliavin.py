@@ -200,11 +200,12 @@ def duality_check(f_spec, phi, n_paths, seed):
     h = grid.step
     phi_vals = _phi_matrix(grid, phi, noise)
 
-    f_terminal = f_spec.terminal(noise)
+    # F's paths are built once: the terminal is their last column
+    f_paths = f_spec.paths(noise) if isinstance(f_spec, Chaos1Exponential) else None
+    f_terminal = f_spec.terminal(noise) if f_paths is None else f_paths[:, -1]
     ito = (phi_vals * incr).sum(axis=1)
     lhs_samples = f_terminal * ito
 
-    f_paths = f_spec.paths(noise) if isinstance(f_spec, Chaos1Exponential) else None
     rhs_samples = np.zeros(n_paths)
     for k in range(n):
         cond = f_spec.conditional_malliavin_terminal(noise, k, f_paths)

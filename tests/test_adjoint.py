@@ -1,5 +1,8 @@
 """Adjoint solvers: closed form, regression, window engines, and the bridge."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,11 @@ def test_absde_recovers_linear_fixture():
     rel = np.sqrt(np.mean((sol.p1 - closed.p) ** 2)) / np.sqrt(np.mean(closed.p**2))
     assert rel <= 0.08
     assert sol.diagnostics["max_condition"] < 1e13
+    # one condition number per regression node, in node order: at t = 0 every
+    # path sits at (xi0, 0), so the ridge alone conditions that design
+    cond = sol.diagnostics["condition"]
+    assert cond.shape == (GRID.n_horizon_steps,) and np.argmax(cond) == 0
+    assert cond.max() == sol.diagnostics["max_condition"]
 
 
 def test_absde_zero_components_on_deterministic_adjoint():
@@ -198,9 +206,82 @@ def test_rank_deficient_basis_raises_without_ridge():
     with pytest.raises(RankDeficientBasis) as err:
         solve_absde_2d(model, state, basis=_DuplicateColumnBasis(), ridge=0.0)
     assert err.value.condition_number > 1e13
+    # the backward sweep visits node n - 1 first, and the error names it
+    n = GRID.n_horizon_steps
+    assert str(err.value).endswith("at node %d (t=%g)" % (n - 1, NODES[n - 1]))
     # the default ridge regularizes the same degenerate basis into a solve
     sol = solve_absde_2d(model, state, basis=_DuplicateColumnBasis())
     assert np.all(np.isfinite(sol.p1))
+
+
+_JUMPS = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
+
+
+def _absde_case(case, m, n_paths, seed):
+    """(model, reduce_2d state) for the sweep's pinned and memory cases."""
+    grid = make_grid(0.2, 1.0, m)
+    spec = JumpSpec.none()
+    if case == "linear":
+        model = scenarios.linear_noisy_memory()
+    elif case == "jumps":
+        model, spec = scenarios.consumption(jump_scale=0.1, jump_spec=_JUMPS), _JUMPS
+    else:
+        model = scenarios.custom_affine(bx=0.3, bz=0.5, bu=1.0, sx=0.2, terminal_slope=1.0)
+    ens = sample_ensemble(grid, spec, seed=seed, n_paths=n_paths)
+    if case == "per-path-control":
+        nodes = grid.horizon_nodes
+        u = 1.0 + 0.1 * np.cos(np.arange(n_paths)[:, None] + 7.0 * nodes[None, :])
+        ctrl = ControlPath(grid, u, information="full", control_set=model.control_set)
+    else:
+        ctrl = ControlPath.constant(grid, 1.0, control_set=model.control_set)
+    return model, reduce_2d(model, ctrl, ens)
+
+
+# sha256 of p1, p2, q1, q2, mu1, mu2, r1 and max_condition at 300 paths,
+# seed 21.  The regressions sum through BLAS, so the digests hold on this
+# machine's BLAS build and thread count (ROADMAP item 5).
+_ABSDE_DIGESTS = {
+    # n = 20: the backward reads span a full and a partial 16-node block
+    "linear-m4": ("linear", 4,
+                  "e916511bb599722b03e49a3a84781aa1b0d2f9152e5c4274691635336afb967b"),
+    "consumption-jumps-m8": ("jumps", 8,
+                             "b1eefbcac005067839851f12b5a5498932e394f14ed9530f3776370c41b61861"),
+    # custom-affine under a per-path control, read row by row, not broadcast
+    "custom-affine-per-path-control": (
+        "per-path-control", 8,
+        "07a1a9a31830c17b54b481dad6f27a5073ddbe7f63e419dbf489ceb03a7b7a60"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_ABSDE_DIGESTS))
+def test_absde_outputs_are_pinned_and_path_major(label):
+    case, m, want = _ABSDE_DIGESTS[label]
+    model, state = _absde_case(case, m, n_paths=300, seed=21)
+    sol = solve_absde_2d(model, state)
+    arrays = [sol.p1, sol.p2, sol.q1, sol.q2, sol.mu1, sol.mu2]
+    arrays += list(sol.r1) if sol.r1 is not None else []
+    h = hashlib.sha256()
+    for a in arrays + [np.float64(sol.diagnostics["max_condition"])]:
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == want
+    # verification.rms and friends reduce with np.mean, whose order follows layout
+    for a in arrays:
+        assert a.flags.c_contiguous and a.shape == (300, state.grid.n_horizon_steps + 1)
+
+
+# Traced peak of one call in (n_paths, n+1) float buffers, at 4000 paths x 40
+# steps; the bounds are the peaks of the path-major sweep this one replaced.
+@pytest.mark.parametrize("case, bound", [("linear", 9.08), ("jumps", 14.02)])
+def test_absde_traced_peak_stays_within_bound(case, bound):
+    model, state = _absde_case(case, 8, n_paths=4000, seed=3)
+    solve_absde_2d(model, state)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        solve_absde_2d(model, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * state.n_paths * (state.grid.n_horizon_steps + 1)) <= bound
 
 
 def test_bridge_and_lift_round_trip():

@@ -79,7 +79,8 @@ directory = {out}
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # Regression-derived bytes whose last digits follow the BLAS summation order
-# inside adjoint._ridge_fit, so they regenerate exactly only on some machines
+# inside adjoint._gram and adjoint._project, so they regenerate exactly only
+# on some machines
 # (ROADMAP item 5).
 BLAS_ORDER_DEPENDENT = (
     "consumption/report.json",
@@ -334,7 +335,7 @@ def test_configs_regenerate_committed_out(tmp_path, monkeypatch):
 
 @pytest.mark.xfail(
     strict=False,
-    reason="ROADMAP item 5: _ridge_fit's BLAS summation order moves the last digits",
+    reason="ROADMAP item 5: the regression's BLAS summation order moves the last digits",
 )
 def test_configs_regenerate_blas_order_dependent_out(tmp_path, monkeypatch):
     differing = [rel for rel, new, old in _regenerate_out(tmp_path, monkeypatch)

@@ -118,6 +118,35 @@ def test_duality_battery_all_pass():
         assert abs(res.z_score) <= 4.0, name
 
 
+# (lhs, lhs_se, rhs, rhs_se, z_score) at 2000 paths, seed 600; the sums run
+# in numpy's own order, so the bits are pinned for this numpy build
+_DUALITY_BITS = {
+    "psi-flat/phi-one": "(0.10577303371090863, 0.023110392661783982, "
+                        "0.09994794326608804, 0.0001255129784132707, 0.2532184868598418)",
+    "psi-flat/phi-ramp": "(0.11220305643906994, 0.02420517099694619, "
+                         "0.09868370025837953, 0.00014064592820251022, 0.5608644953262071)",
+    "psi-zero/phi-one": "(0.0016656392816563094, 0.022877750199955017, "
+                        "0.0, 0.0, 0.07280607870522096)",
+    "psi-zero/phi-ramp": "(0.00742902670401978, 0.023941480903624072, "
+                         "0.0, 0.0, 0.31029938097501863)",
+    "psi-wave/phi-one": "(0.15661988580989467, 0.023537255156257875, "
+                        "0.15115227675089332, 0.0003140652152207531, 0.23468868204235918)",
+    "psi-wave/phi-ramp": "(0.15473466030036628, 0.02456285909870189, "
+                         "0.14090598198413828, 0.0003299799170056323, 0.5676830885643794)",
+    "brownian/phi-one": "(1.0462622913230886, 0.03319616445219004, "
+                        "1.0, 0.0, 1.3936035107223532)",
+}
+
+
+def test_duality_battery_results_are_pinned():
+    battery = duality_battery(_grid())
+    assert [name for name, _, _ in battery] == list(_DUALITY_BITS)
+    for name, spec, phi in battery:
+        res = duality_check(spec, phi, n_paths=2000, seed=600)
+        got = (res.lhs, res.lhs_se, res.rhs, res.rhs_se, res.z_score)
+        assert repr(got) == _DUALITY_BITS[name], name
+
+
 def test_duality_accepts_adapted_weights():
     """phi may be a rule of the noise; the identity still holds for adapted phi."""
     g = _grid()
