@@ -278,6 +278,10 @@ def load_config(path):
     if "regression" in requested and model_cfg.get("kernel") == "ramp":
         _fail(path, lines, "checks", "run",
               "the regression route needs the plain (unweighted) memory window")
+    min_paths = 10 * adjoint_mod.QuadXZBasis.size
+    if "regression" in requested and cfg["monte_carlo"]["n_paths"] < min_paths:
+        _fail(path, lines, "monte_carlo", "n_paths",
+              "the regression check needs at least %d paths" % min_paths)
     cfg["_marks"] = marks
     return cfg
 

@@ -326,6 +326,15 @@ class CallableJumpCoefficient:
 
         return jump_spec.nu_expectation(dotted)
 
+    def pair_grad_nu_integral(self, t, x, y, z, u, r0, r1, jump_spec):
+        """4-tuple of integrals of (d gamma / d arg)(zeta) * (r0 + r1 zeta)."""
+        return tuple(
+            jump_spec.nu_expectation(
+                lambda zeta, i=i: self.grad(t, x, y, z, u, zeta)[i] * (r0 + r1 * zeta)
+            )
+            for i in range(4)
+        )
+
 
 def _row(arr, i):
     arr = np.asarray(arr)
@@ -343,9 +352,11 @@ class CoefficientModel:
     horizon times, with x, y, z, u then (paths, nodes) blocks: the
     Hamiltonian's partials are read over the whole horizon in one call (see
     StateBundle.horizon_args), so the coefficients, their gradients and the
-    jump coefficient must broadcast a time row.  Gradients, when supplied,
-    return the 4-tuple of partials in the order (x, y, z, u); missing gradients
-    fall back to central finite differences with bump 1e-5 * (1 + |value|).
+    jump coefficient must broadcast a time row.  check_sufficient also passes
+    a vector of probe times, with one x, y, z, u per probe.  Gradients, when
+    supplied, return the 4-tuple of partials in the order (x, y, z, u);
+    missing gradients fall back to central finite differences with bump
+    1e-5 * (1 + |value|).
 
     Args:
         drift, diffusion, running_cost: coefficient callables.

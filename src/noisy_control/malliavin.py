@@ -24,14 +24,9 @@ from .paths import JumpSpec, sample_ensemble
 def horizon_values(grid, spec):
     """Evaluate a callable-of-t (or pass through an array) on [0, T] nodes."""
     width = grid.n_horizon_steps + 1
-    if callable(spec):
-        out = np.asarray(spec(grid.horizon_nodes), dtype=float)
-        if out.ndim == 0:
-            out = np.full(width, float(out))
-    else:
-        out = np.asarray(spec, dtype=float)
-        if out.ndim == 0:
-            out = np.full(width, float(out))
+    out = np.asarray(spec(grid.horizon_nodes) if callable(spec) else spec, dtype=float)
+    if out.ndim == 0:
+        out = np.full(width, float(out))
     if out.shape != (width,):
         raise ValueError("expected one value per node of [0, horizon]")
     return out

@@ -351,46 +351,43 @@ def check_sufficient(control, adjoint, model, state, probe_count=64, seed=0, tol
     r = None
     if adjoint.r is not None:
         # scalars and node rows broadcast over the paths, like p
-        r = [np.broadcast_to(c, np.broadcast_shapes(p.shape, c.shape)) for c in _r_pair(adjoint.r)]
-    worst_gap = -np.inf
-    witness = None
-    for i in range(probe_count):
-        k = int(nodes[i])
-        t_k = grid.horizon_nodes[k]
-        pv, qv = float(p[rows[i], k]), float(q[rows[i], k])
-        rv = None if r is None else tuple(float(c[rows[i], k]) for c in r)
-        lam = float(lams[i])
-        mix = lam * a_pts[i] + (1.0 - lam) * b_pts[i]
+        r = tuple(np.broadcast_to(c, np.broadcast_shapes(p.shape, c.shape))[rows, nodes]
+                  for c in _r_pair(adjoint.r))
 
-        def h_at(pt):
-            ev = hamiltonian(model, t_k, pt[0], pt[1], pt[2], pt[3], p=pv, q=qv, r=rv)
-            return float(ev.value)
+    def h_at(pts):
+        return hamiltonian(model, grid.horizon_nodes[nodes], *pts.T,
+                           p=p[rows, nodes], q=q[rows, nodes], r=r).value
 
-        gap = lam * h_at(a_pts[i]) + (1.0 - lam) * h_at(b_pts[i]) - h_at(mix)
-        scale = 1.0 + abs(h_at(mix))
-        if gap / scale > worst_gap:
-            worst_gap = gap / scale
-            witness = {"kind": "hamiltonian", "node": k, "a": a_pts[i].tolist(),
-                       "b": b_pts[i].tolist(), "lam": lam}
+    h_mix = h_at(lams[:, None] * a_pts + (1.0 - lams)[:, None] * b_pts)
+    h_gap = lams * h_at(a_pts) + (1.0 - lams) * h_at(b_pts) - h_mix
 
-    n_paths = state.n_paths
     xs = state.x.ravel()
     x_lo, x_hi = float(xs.min()), float(xs.max())
-    for i in range(probe_count):
-        xa = gen.uniform(x_lo - 1.0, x_hi + 1.0)
-        xb = gen.uniform(x_lo - 1.0, x_hi + 1.0)
-        lam = float(gen.uniform(0.1, 0.9))
-        xm = lam * xa + (1.0 - lam) * xb
+    # per probe, in draw order: xa, xb and the mixing weight
+    xa, xb, lam_g = gen.uniform([x_lo - 1.0, x_lo - 1.0, 0.1], [x_hi + 1.0, x_hi + 1.0, 0.9],
+                                size=(probe_count, 3)).T
+    xm = lam_g * xa + (1.0 - lam_g) * xb
+    g = np.array([
+        model.terminal.value(np.array([xa[i], xb[i], xm[i]]),
+                             state.noise.path(int(rows[i]) % state.n_paths))
+        for i in range(probe_count)
+    ])
+    g_gap = lam_g * g[:, 0] + (1.0 - lam_g) * g[:, 1] - g[:, 2]
 
-        def g_at(xv):
-            vals = model.terminal.value(np.full(n_paths, xv), state.noise)
-            return float(np.atleast_1d(vals)[int(rows[i % probe_count]) % n_paths])
-
-        gap = lam * g_at(xa) + (1.0 - lam) * g_at(xb) - g_at(xm)
-        scale = 1.0 + abs(g_at(xm))
-        if gap / scale > worst_gap:
-            worst_gap = gap / scale
-            witness = {"kind": "terminal", "a": xa, "b": xb, "lam": lam}
+    # the first largest scaled gap wins; NaN gaps never do
+    ratios = np.concatenate([h_gap / (1.0 + np.abs(h_mix)), g_gap / (1.0 + np.abs(g[:, 2]))])
+    ratios[np.isnan(ratios)] = -np.inf
+    i = int(np.argmax(ratios))
+    worst_gap = ratios[i]
+    if worst_gap == -np.inf:
+        witness = None
+    elif i < probe_count:
+        witness = {"kind": "hamiltonian", "node": int(nodes[i]), "a": a_pts[i].tolist(),
+                   "b": b_pts[i].tolist(), "lam": float(lams[i])}
+    else:
+        i -= probe_count
+        witness = {"kind": "terminal", "a": float(xa[i]), "b": float(xb[i]),
+                   "lam": float(lam_g[i])}
 
     concave_ok = worst_gap <= tol
     variational = check_necessary_II(control, adjoint, model, state, tol=max(tol, 1e-10))
@@ -410,11 +407,6 @@ def check_sufficient(control, adjoint, model, state, probe_count=64, seed=0, tol
 # First-order condition and spike perturbations
 
 
-def _cost_partial_u(model, t, u, state_point):
-    x, y, z = state_point
-    return model.cost_grad(t, x, y, z, u)[3]
-
-
 def solve_foc(model, p, grid, information="trivial", state=None, tol=1e-10, max_iter=200):
     """Invert the first-order condition df/du(t, u) = E[p(t) | G_t] nodewise.
 
@@ -422,92 +414,74 @@ def solve_foc(model, p, grid, information="trivial", state=None, tol=1e-10, max_
     the range of df/du on V are clamped to the nearer endpoint and flagged in
     the returned path's `clamped` attribute.  Under full information the
     equation is solved pathwise; under the trivial model the target is the
-    cross-path mean of p.
+    cross-path mean of p.  All nodes are bisected at once, with t the row of
+    horizon times.
 
     Raises NonMonotone when df/du is not strictly monotone in u across the
-    probe grid (bisection would not bracket).
+    probe grid (bisection would not bracket), or naming the first node whose
+    residual misses the tolerance.
     """
     cs = model.control_set
     lo, hi = cs.lower, cs.upper
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("first-order inversion needs a bounded control interval")
-    n = grid.n_horizon_steps
     p2d = np.atleast_2d(np.asarray(p, dtype=float))
-    if information == "full":
-        target = p2d
-    else:
-        target = p2d.mean(axis=0)[None, :]
-    n_rows = target.shape[0]
+    target = p2d if information == "full" else p2d.mean(axis=0)[None, :]
 
-    if state is not None:
-        iz = grid.index_zero
-        def point(k):
-            if information == "full":
-                return (state.x[:, iz + k], state.y[:, k], state.memory_arg[:, k])
-            return (
-                float(state.x[:, iz + k].mean()),
-                float(state.y[:, k].mean()),
-                float(state.memory_arg[:, k].mean()),
-            )
+    t = grid.horizon_nodes
+    if state is None:
+        point = point0 = (0.0, 0.0, 0.0)
     else:
-        def point(k):
-            return (0.0, 0.0, 0.0)
+        point = state.horizon_args()[1:4]
+        if information != "full":
+            # each node's mean sums its paths contiguously, as column.mean() does
+            point = tuple(np.ascontiguousarray(v.T).mean(axis=1) for v in point)
+        point0 = tuple(v[..., 0] for v in point)
 
-    probe_u = np.linspace(lo, hi, 9)
     probe_vals = np.array(
-        [np.mean(_cost_partial_u(model, grid.horizon_nodes[0], u, point(0))) for u in probe_u]
+        [np.mean(model.cost_grad(t[0], *point0, u)[3]) for u in np.linspace(lo, hi, 9)]
     )
     diffs = np.diff(probe_vals)
-    if np.all(diffs < 0):
-        increasing = False
-    elif np.all(diffs > 0):
-        increasing = True
+    if np.all(diffs > 0):
+        sign = 1.0
+    elif np.all(diffs < 0):
+        sign = -1.0
     else:
         raise NonMonotone(
             "df/du is not strictly monotone on the control interval "
             "(probe values %s)" % np.array2string(probe_vals, precision=4)
         )
 
-    values = np.empty((n_rows, n + 1))
-    clamped = np.zeros((n_rows, n + 1), dtype=bool)
-    for k in range(n + 1):
-        t_k = grid.horizon_nodes[k]
-        sp = point(k)
-        tgt = target[:, k]
-        g_lo = _cost_partial_u(model, t_k, np.full_like(tgt, lo), sp) - tgt
-        g_hi = _cost_partial_u(model, t_k, np.full_like(tgt, hi), sp) - tgt
-        if not increasing:
-            g_lo, g_hi = -g_lo, -g_hi
-        clamp_hi = g_hi < 0
-        clamp_lo = g_lo > 0
-        a = np.full_like(tgt, lo)
-        b = np.full_like(tgt, hi)
-        for _ in range(max_iter):
-            mid = 0.5 * (a + b)
-            g_mid = _cost_partial_u(model, t_k, mid, sp) - tgt
-            if not increasing:
-                g_mid = -g_mid
-            go_right = g_mid < 0
-            a = np.where(go_right, mid, a)
-            b = np.where(go_right, b, mid)
-            if np.max(b - a) < 1e-16 * max(1.0, abs(hi)):
-                break
-        u_k = 0.5 * (a + b)
-        u_k = np.where(clamp_hi, hi, u_k)
-        u_k = np.where(clamp_lo, lo, u_k)
-        values[:, k] = u_k
-        clamped[:, k] = clamp_hi | clamp_lo
-        resid = np.abs(_cost_partial_u(model, t_k, u_k, sp) - target[:, k])
-        if np.any(~clamped[:, k] & (resid > max(tol, 1e-8 * np.max(np.abs(tgt))))):
-            raise NonMonotone(
-                "bisection failed to reach |df/du - target| <= %g at node %d" % (tol, k)
-            )
+    def excess(u):
+        return sign * (model.cost_grad(t, *point, u)[3] - target)
 
-    if information == "full":
-        out = ControlPath(grid, values, information="full", control_set=cs)
-    else:
-        out = ControlPath(grid, values[0], information="trivial", control_set=cs)
-    out.clamped = clamped if information == "full" else clamped[0]
+    a = np.full_like(target, lo)
+    b = np.full_like(target, hi)
+    clamp_hi = excess(b) < 0
+    clamp_lo = excess(a) > 0
+    live = np.ones(target.shape[1], dtype=bool)
+    for _ in range(max_iter):
+        mid = 0.5 * (a + b)
+        go_right = excess(mid) < 0
+        a = np.where(live & go_right, mid, a)
+        b = np.where(live & ~go_right, mid, b)
+        live &= ~(np.max(b - a, axis=0) < 1e-16 * max(1.0, abs(hi)))
+        if not live.any():
+            break
+    values = np.where(clamp_lo, lo, np.where(clamp_hi, hi, 0.5 * (a + b)))
+    clamped = clamp_hi | clamp_lo
+    resid = np.abs(model.cost_grad(t, *point, values)[3] - target)
+    bound = np.fmax(tol, 1e-8 * np.max(np.abs(target), axis=0))
+    failed = np.flatnonzero(np.any(~clamped & (resid > bound), axis=0))
+    if failed.size:
+        raise NonMonotone(
+            "bisection failed to reach |df/du - target| <= %g at node %d" % (tol, failed[0])
+        )
+
+    if information != "full":
+        information, values, clamped = "trivial", values[0], clamped[0]
+    out = ControlPath(grid, values, information=information, control_set=cs)
+    out.clamped = clamped
     return out
 
 

@@ -7,11 +7,18 @@ thresholds live in the checkers themselves; the asserts here restate them so
 a failure names the number that moved.
 """
 
+import hashlib
 import json
 
 from noisy_control import verification
 
 SEED = 0
+
+# sha256 of render_report(verify_all(seed=0, profile="quick")), so a refactor
+# that moves any report byte fails here.  Criterion 4's regressions sum through
+# BLAS, so the digest holds on the BLAS build and thread count it was recorded
+# with (OpenBLAS 0.3.31, 2 threads; ROADMAP item 5).
+QUICK_REPORT_SHA256 = "defd9ca73071c15987526c4cc0a8631246babc43e21dc493f2aa7b786f569b85"
 
 
 def _run(fn):
@@ -101,3 +108,5 @@ def test_full_suite_summary():
     blob = json.dumps(report, sort_keys=True)
     _, report2 = verification.verify_all(seed=SEED, profile="quick")
     assert json.dumps(report2, sort_keys=True) == blob
+    rendered = verification.render_report(report).encode()
+    assert hashlib.sha256(rendered).hexdigest() == QUICK_REPORT_SHA256

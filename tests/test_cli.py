@@ -213,6 +213,13 @@ def test_run_exit_codes(tmp_path, capsys):
     assert cli.main(["run", off]) == 2
     assert "NonCommensurate" in capsys.readouterr().err
 
+    # too few paths for the regression basis is a config error, not a crash
+    few = _write(tmp_path, EXPLODING_AFFINE.format(bx="0.1", out=tmp_path / "few").replace(
+        "n_paths = 200", "n_paths = 20"), "few.ini")
+    assert cli.main(["run", few]) == 2
+    err = capsys.readouterr().err
+    assert few + ":10: [monte_carlo] n_paths:" in err and "Traceback" not in err
+
     # an overflowing state, or a regression design that overflows, is typed too
     for bx, error in (("1e300", "NonFiniteState"), ("1e12", "RankDeficientBasis")):
         path = _write(tmp_path, EXPLODING_AFFINE.format(bx=bx, out=tmp_path / "big"), "big.ini")

@@ -248,6 +248,9 @@ def test_affine_and_callable_jump_coefficients_agree():
         general.grad_dot_nu_integral(*args, vec4, spec),
         atol=1e-8,  # callable route differentiates numerically
     )
+    for got, want in zip(general.pair_grad_nu_integral(*args, 0.7, -0.2, spec),
+                         affine.pair_grad_nu_integral(*args, 0.7, -0.2, spec)):
+        assert np.allclose(got, want, atol=1e-8)
     assert np.allclose(
         affine.evaluate(*args, 0.7), general.evaluate(*args, 0.7), atol=0.0
     )

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from noisy_control import scenarios
-from noisy_control.adjoint import AdjointTriple
-from noisy_control.dynamics import CallableJumpCoefficient, ControlPath, simulate_state
+from noisy_control.adjoint import AdjointTriple, _r_pair, hamiltonian
+from noisy_control.dynamics import (
+    CallableJumpCoefficient,
+    CoefficientModel,
+    ControlPath,
+    DeterministicTerminal,
+    simulate_state,
+)
 from noisy_control.errors import NonMonotone, OffGrid, OutOfControlSet
 from noisy_control.maxprinciple import (
+    _sample_points,
     check_necessary_I,
     check_necessary_II,
     check_sufficient,
@@ -287,3 +294,306 @@ def test_sufficient_reads_scalar_and_node_indexed_jump_adjoints_alike():
     assert scalar.details["concavity_gap"] == arrays.details["concavity_gap"]
     assert scalar.details["concavity_witness"] == arrays.details["concavity_witness"]
     assert scalar.details["variational"].statistic == arrays.details["variational"].statistic
+
+
+# ---------------------------------------------------------------------------
+# Per-node and per-probe references for the whole-horizon checkers
+
+
+def _solve_foc_reference(model, p, grid, information="trivial", state=None, tol=1e-10,
+                         max_iter=200):
+    """solve_foc as one bisection per node, with the node's own stopping rule."""
+    cs = model.control_set
+    lo, hi = cs.lower, cs.upper
+    n = grid.n_horizon_steps
+    p2d = np.atleast_2d(np.asarray(p, dtype=float))
+    target = p2d if information == "full" else p2d.mean(axis=0)[None, :]
+    n_rows = target.shape[0]
+
+    def dfdu(t, u, sp):
+        return model.cost_grad(t, sp[0], sp[1], sp[2], u)[3]
+
+    if state is not None:
+        iz = grid.index_zero
+
+        def point(k):
+            if information == "full":
+                return (state.x[:, iz + k], state.y[:, k], state.memory_arg[:, k])
+            return (
+                float(state.x[:, iz + k].mean()),
+                float(state.y[:, k].mean()),
+                float(state.memory_arg[:, k].mean()),
+            )
+    else:
+        def point(k):
+            return (0.0, 0.0, 0.0)
+
+    probe_vals = np.array(
+        [np.mean(dfdu(grid.horizon_nodes[0], u, point(0))) for u in np.linspace(lo, hi, 9)]
+    )
+    diffs = np.diff(probe_vals)
+    if np.all(diffs < 0):
+        increasing = False
+    elif np.all(diffs > 0):
+        increasing = True
+    else:
+        raise NonMonotone("not monotone")
+
+    values = np.empty((n_rows, n + 1))
+    clamped = np.zeros((n_rows, n + 1), dtype=bool)
+    for k in range(n + 1):
+        t_k = grid.horizon_nodes[k]
+        sp = point(k)
+        tgt = target[:, k]
+        g_lo = dfdu(t_k, np.full_like(tgt, lo), sp) - tgt
+        g_hi = dfdu(t_k, np.full_like(tgt, hi), sp) - tgt
+        if not increasing:
+            g_lo, g_hi = -g_lo, -g_hi
+        clamp_hi = g_hi < 0
+        clamp_lo = g_lo > 0
+        a = np.full_like(tgt, lo)
+        b = np.full_like(tgt, hi)
+        for _ in range(max_iter):
+            mid = 0.5 * (a + b)
+            g_mid = dfdu(t_k, mid, sp) - tgt
+            if not increasing:
+                g_mid = -g_mid
+            go_right = g_mid < 0
+            a = np.where(go_right, mid, a)
+            b = np.where(go_right, b, mid)
+            if np.max(b - a) < 1e-16 * max(1.0, abs(hi)):
+                break
+        u_k = 0.5 * (a + b)
+        u_k = np.where(clamp_hi, hi, u_k)
+        u_k = np.where(clamp_lo, lo, u_k)
+        values[:, k] = u_k
+        clamped[:, k] = clamp_hi | clamp_lo
+        resid = np.abs(dfdu(t_k, u_k, sp) - target[:, k])
+        if np.any(~clamped[:, k] & (resid > max(tol, 1e-8 * np.max(np.abs(tgt))))):
+            raise NonMonotone(
+                "bisection failed to reach |df/du - target| <= %g at node %d" % (tol, k)
+            )
+    if information == "full":
+        return values, clamped
+    return values[0], clamped[0]
+
+
+def _concavity_reference(adjoint, model, state, probe_count=64, seed=0):
+    """check_sufficient's concavity probes, one scalar Hamiltonian per probe
+    and the terminal payoff on every path; returns (worst gap, witness)."""
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    grid = state.grid
+    n = grid.n_horizon_steps
+    p = np.atleast_2d(adjoint.p)
+    q = np.atleast_2d(adjoint.q)
+    cs = model.control_set
+    a_pts = _sample_points(gen, state, cs, probe_count)
+    b_pts = _sample_points(gen, state, cs, probe_count)
+    lams = gen.uniform(0.1, 0.9, size=probe_count)
+    nodes = gen.integers(0, n + 1, size=probe_count)
+    rows = gen.integers(0, p.shape[0], size=probe_count)
+    r = None
+    if adjoint.r is not None:
+        r = [np.broadcast_to(c, np.broadcast_shapes(p.shape, c.shape)) for c in _r_pair(adjoint.r)]
+    worst_gap = -np.inf
+    witness = None
+    for i in range(probe_count):
+        k = int(nodes[i])
+        t_k = grid.horizon_nodes[k]
+        pv, qv = float(p[rows[i], k]), float(q[rows[i], k])
+        rv = None if r is None else tuple(float(c[rows[i], k]) for c in r)
+        lam = float(lams[i])
+        mix = lam * a_pts[i] + (1.0 - lam) * b_pts[i]
+
+        def h_at(pt):
+            ev = hamiltonian(model, t_k, pt[0], pt[1], pt[2], pt[3], p=pv, q=qv, r=rv)
+            return float(ev.value)
+
+        gap = lam * h_at(a_pts[i]) + (1.0 - lam) * h_at(b_pts[i]) - h_at(mix)
+        scale = 1.0 + abs(h_at(mix))
+        if gap / scale > worst_gap:
+            worst_gap = gap / scale
+            witness = {"kind": "hamiltonian", "node": k, "a": a_pts[i].tolist(),
+                       "b": b_pts[i].tolist(), "lam": lam}
+    n_paths = state.n_paths
+    xs = state.x.ravel()
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    for i in range(probe_count):
+        xa = gen.uniform(x_lo - 1.0, x_hi + 1.0)
+        xb = gen.uniform(x_lo - 1.0, x_hi + 1.0)
+        lam = float(gen.uniform(0.1, 0.9))
+        xm = lam * xa + (1.0 - lam) * xb
+
+        def g_at(xv):
+            vals = model.terminal.value(np.full(n_paths, xv), state.noise)
+            return float(np.atleast_1d(vals)[int(rows[i]) % n_paths])
+
+        gap = lam * g_at(xa) + (1.0 - lam) * g_at(xb) - g_at(xm)
+        scale = 1.0 + abs(g_at(xm))
+        if gap / scale > worst_gap:
+            worst_gap = gap / scale
+            witness = {"kind": "terminal", "a": xa, "b": xb, "lam": lam}
+    return worst_gap, witness
+
+
+def _x_dependent_model():
+    """Consumption dynamics with a running payoff w(t, x, y, z) ln u, so the
+    first-order condition reads the state's per-node means."""
+    base = scenarios.consumption()
+
+    def weight(t, x, y, z):
+        return 1.0 + 0.5 * x * x + 0.1 * y * y + 0.2 * np.abs(z) + 0.1 * t
+
+    def cost(t, x, y, z, u):
+        return weight(t, x, y, z) * np.log(u)
+
+    def cost_grad(t, x, y, z, u):
+        log_u = np.log(u)
+        return (x * log_u, 0.2 * y * log_u, 0.2 * np.sign(z) * log_u,
+                weight(t, x, y, z) / u)
+
+    return CoefficientModel(
+        drift=base.drift, diffusion=base.diffusion, running_cost=cost,
+        terminal=base.terminal, initial_segment=base.initial_segment,
+        control_set=base.control_set, cost_grad=cost_grad, name="x-dependent",
+    )
+
+
+def _assert_foc_matches_reference(model, p, **kwargs):
+    out = solve_foc(model, p, GRID, **kwargs)
+    values, clamped = _solve_foc_reference(model, p, GRID, **kwargs)
+    assert out.values.shape == values.shape
+    assert out.values.tobytes() == values.tobytes()
+    assert out.clamped.shape == clamped.shape
+    assert np.array_equal(out.clamped, clamped)
+    return out
+
+
+def test_solve_foc_matches_per_node_reference():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(21)))
+    shape = (30, GRID.n_horizon_steps + 1)
+    consumption = scenarios.consumption()
+    _assert_foc_matches_reference(consumption, P_EXACT[None, :])
+    jittered = P_EXACT[None, :] * np.exp(gen.normal(0.0, 0.1, size=(40, 1)))
+    _assert_foc_matches_reference(consumption, jittered, information="full")
+    _assert_foc_matches_reference(consumption, jittered)
+    # 1/u = p leaves [0.05, 20] at both ends: clamps to the upper and the
+    # lower bound, pathwise and in the mean
+    wide = np.exp(gen.uniform(-5.0, 5.0, size=shape))
+    out = _assert_foc_matches_reference(consumption, wide, information="full")
+    assert np.any(out.values == 0.05) and np.any(out.values == 20.0)
+    assert np.any(~out.clamped)
+    ends = np.where(NODES < 0.5, 100.0, 0.01)
+    ends[NODES > 0.75] = P_EXACT[NODES > 0.75]
+    out = _assert_foc_matches_reference(consumption, ends[None, :])
+    assert np.any(out.values == 0.05) and np.any(out.values == 20.0)
+    # df/du = -(u - 1) decreases, df/du = u increases
+    spread = gen.normal(0.0, 3.0, size=shape)
+    for running in ("quadratic", "convex"):
+        model = scenarios.custom_affine(running=running)
+        out = _assert_foc_matches_reference(model, spread, information="full")
+        assert np.any(out.clamped) and np.any(~out.clamped)
+        _assert_foc_matches_reference(model, spread)
+
+
+def test_solve_foc_lower_clamp_wins_where_df_du_turns():
+    """df/du = (1 - 2t) u increases at node 0 and decreases after T/2, where
+    a zero target lies above df/du at the lower end and below it at the upper
+    end: both clamps fire and the lower one wins."""
+    base = scenarios.custom_affine(running="convex")
+    model = CoefficientModel(
+        drift=base.drift, diffusion=base.diffusion,
+        running_cost=lambda t, x, y, z, u: 0.5 * (1.0 - 2.0 * t) * u * u,
+        terminal=base.terminal, initial_segment=base.initial_segment,
+        control_set=base.control_set, name="turning",
+    )
+    zero = np.zeros((3, GRID.n_horizon_steps + 1))
+    for information in ("trivial", "full"):
+        out = _assert_foc_matches_reference(model, zero, information=information)
+        late = NODES > 0.5
+        assert np.all(out.clamped[..., late]) and np.all(out.values[..., late] == -5.0)
+
+
+def test_solve_foc_with_state_matches_per_node_reference():
+    """The per-node state means reach the bits through df/du(t, x, y, z, u)."""
+    model = _x_dependent_model()
+    for n_paths, information in ((10000, "trivial"), (300, "full")):
+        state, _, _ = _state(model, n_paths=n_paths, seed=8)
+        gen = np.random.Generator(np.random.Philox(key=np.uint64(n_paths)))
+        p = P_EXACT[None, :] * np.exp(gen.normal(0.0, 0.2, size=(n_paths, 1)))
+        out = _assert_foc_matches_reference(model, p, information=information, state=state)
+        assert not np.any(out.clamped)
+
+
+def test_solve_foc_names_the_first_unconverged_node():
+    """Clamped nodes are exempt from the residual check, so with too few
+    bisection steps the first failing node is the first unclamped one."""
+    model = scenarios.consumption()
+    p = P_EXACT.copy()
+    p[:3] = 100.0
+    messages = []
+    for solver in (solve_foc, _solve_foc_reference):
+        with pytest.raises(NonMonotone) as err:
+            solver(model, p[None, :], GRID, max_iter=5)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("at node 3")
+
+
+def _assert_concavity_matches_reference(control, adjoint, model, state, seed):
+    report = check_sufficient(control, adjoint, model, state, seed=seed)
+    gap, witness = _concavity_reference(adjoint, model, state, seed=seed)
+    assert report.details["concavity_gap"] == gap
+    assert report.details["concavity_witness"] == (witness if gap > 1e-12 else None)
+    return report
+
+
+def test_sufficient_concavity_probes_match_per_probe_reference():
+    shape = (200, GRID.n_horizon_steps + 1)
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(31)))
+    p_rows = P_EXACT[None, :] * np.exp(gen.normal(0.0, 0.2, size=(shape[0], 1)))
+    q_rows = gen.normal(0.0, 0.1, size=shape)
+
+    model, kernel = scenarios.generalized_memory()
+    state, ctrl, _ = _state(model, n_paths=400, kernel=kernel)
+    report = _assert_concavity_matches_reference(ctrl, _flat_adjoint(P_EXACT), model, state, 14)
+    assert report.details["concavity_witness"] is None
+
+    model = scenarios.custom_affine(running="convex")
+    state, ctrl, _ = _state(model, value=0.5, n_paths=200)
+    report = _assert_concavity_matches_reference(
+        ctrl, _flat_adjoint(np.ones(shape[1])), model, state, 3)
+    assert report.details["concavity_witness"]["kind"] == "hamiltonian"
+
+    # a convex terminal payoff under a concave Hamiltonian
+    model = scenarios.custom_affine()
+    model.terminal = DeterministicTerminal(lambda x: 0.5 * x * x)
+    state, ctrl, _ = _state(model, value=0.5, n_paths=200)
+    report = _assert_concavity_matches_reference(
+        ctrl, _flat_adjoint(np.ones(shape[1])), model, state, 4)
+    assert report.details["concavity_witness"]["kind"] == "terminal"
+
+    # a path-dependent terminal weight, read on each probe's own path
+    model = scenarios.linear_noisy_memory()
+    state, ctrl, _ = _state(model, n_paths=200, seed=2)
+    adjoint = AdjointTriple(GRID, p_rows, q_rows, None, None, {})
+    _assert_concavity_matches_reference(ctrl, adjoint, model, state, 6)
+
+    model = _x_dependent_model()
+    state, ctrl, _ = _state(model, n_paths=200, seed=9)
+    _assert_concavity_matches_reference(ctrl, adjoint, model, state, 7)
+
+    # a terminal payoff undefined left of 0: its NaN gaps never win
+    model = scenarios.consumption()
+    model.terminal = DeterministicTerminal(np.sqrt)
+    state, ctrl, _ = _state(model, n_paths=200, seed=10)
+    with np.errstate(invalid="ignore"):
+        report = _assert_concavity_matches_reference(ctrl, adjoint, model, state, 9)
+    assert state.x.min() < 1.0 and np.isfinite(report.details["concavity_gap"])
+
+    spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
+    model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
+    state, ctrl, _ = _state(model, n_paths=200)
+    for r in ((0.1, -0.05), (gen.normal(0.0, 0.1, size=shape), gen.normal(0.0, 0.1, size=shape))):
+        adjoint = AdjointTriple(GRID, p_rows, q_rows, r, None, {})
+        _assert_concavity_matches_reference(ctrl, adjoint, model, state, 8)
