@@ -496,19 +496,20 @@ def _jump_residual_terms(model, state, adjoint):
     return r0 * comp0 + r1 * comp1
 
 
-def bsde_residual_1d(adjoint, state, model, engine, kernel=None):
+def bsde_residual_1d(adjoint, state, model, engine):
     """Pathwise Euler residual of the 1D noisy-memory backward equation.
 
     residual_k = p_{k+1} - p_k + E[mu | F]_k h - q_k dB_k - jump pairing,
     assembled with the model's Hamiltonian partials at the simulated state and
-    the engine's window integrals.  Returns (sup, rms) over paths and steps.
+    the engine's window integrals, weighted by the model's kernel.  Returns
+    (sup, rms) over paths and steps.
     """
     grid = state.grid
     h = grid.step
     p = np.atleast_2d(adjoint.p)
     q = np.atleast_2d(adjoint.q)
     ev = hamiltonian(model, *state.horizon_args(), p=p, q=q, r=adjoint.r)
-    mu = mu_generalized(grid, ev.grad[0], ev.grad[1], engine, kernel=kernel)
+    mu = mu_generalized(grid, ev.grad[0], ev.grad[1], engine, kernel=model.kernel)
 
     incr = state.noise.increments[:, grid.index_zero:]
     residual = p[:, 1:] - p[:, :-1] + mu[:, :-1] * h - q[:, :-1] * incr
@@ -693,7 +694,7 @@ def _absde_sweep(model, state, basis, ridge):
     return out, cond
 
 
-def solve_absde_2d(model, state, basis=None, ridge=1e-8, kernel=None):
+def solve_absde_2d(model, state, basis=None, ridge=1e-8):
     """Backward least-squares sweep for the reduced time-advanced system.
 
     The sweep is time-major: it reads its inputs backward, 16 nodes at a
@@ -708,8 +709,6 @@ def solve_absde_2d(model, state, basis=None, ridge=1e-8, kernel=None):
         basis: regression basis (default QuadXZBasis) evaluated on
             (X(t_k), Z(t_k)).
         ridge: Tikhonov weight.
-        kernel: must be None/identity — the reduction does not apply to
-            weighted memory.
 
     Returns:
         Adjoint2D with all components on the horizon nodes; q and r at the
@@ -727,10 +726,6 @@ def solve_absde_2d(model, state, basis=None, ridge=1e-8, kernel=None):
         the regressions, naming the node; ValueError if the ensemble is too
         small.
     """
-    if kernel is not None and not kernel.is_identity:
-        raise MalliavinUnavailable(
-            "the 2D reduction only represents the unweighted memory window"
-        )
     if state.x2 is None:
         raise ValueError("state must come from reduce_2d (x2 missing)")
     basis = basis if basis is not None else QuadXZBasis()

@@ -305,18 +305,17 @@ def _parse_marks(text, path, lines):
 
 
 def build_scenario(cfg):
-    """Instantiate (model, kernel, jump_spec) from a resolved config."""
+    """Instantiate (model, jump_spec) from a resolved config."""
     mc = dict(cfg["model"])
     name = mc.pop("name")
     control_set = (mc.pop("control_lower"), mc.pop("control_upper"))
-    kernel = None
     kwargs = {"control_set": control_set}
     if name == "consumption":
         kernel_name = mc.pop("kernel")
         if kernel_name == "identity":
-            kernel = MemoryKernel.identity()
+            kwargs["kernel"] = MemoryKernel.identity()
         elif kernel_name == "ramp":
-            kernel = MemoryKernel.ramp(mc["delta"])
+            kwargs["kernel"] = MemoryKernel.ramp(mc["delta"])
         intensity = mc.pop("jump_intensity")
         mc.pop("jump_marks")
         marks = cfg["_marks"]
@@ -325,15 +324,10 @@ def build_scenario(cfg):
             kwargs["jump_scale"] = mc.pop("jump_scale")
         else:
             mc.pop("jump_scale")
-        kwargs["kernel"] = kernel
     kwargs.update(mc)
-    made = scenarios.CATALOG[name]["factory"](**kwargs)
-    if name == "generalized-memory":
-        model, kernel = made
-    else:
-        model = made
+    model = scenarios.CATALOG[name]["factory"](**kwargs)
     jump_spec = model.jump_spec if model.has_jumps else JumpSpec.none()
-    return model, kernel, jump_spec
+    return model, jump_spec
 
 
 def sample_noise(grid, jump_spec, seed, n_paths):
@@ -341,7 +335,7 @@ def sample_noise(grid, jump_spec, seed, n_paths):
     return sample_ensemble(grid, jump_spec, seed, n_paths)
 
 
-def check_closed_form(model, kernel, cfg, grid, noise, closed):
+def check_closed_form(model, cfg, grid, noise, closed):
     """Closed-form route: terminal condition and defect order on a coupled pair.
 
     The order is criterion 2's verification.residual_order.
@@ -354,8 +348,7 @@ def check_closed_form(model, kernel, cfg, grid, noise, closed):
     fine_grid = make_grid(grid.delta, grid.horizon, 2 * grid.steps_per_delay)
     fine = sample_noise(fine_grid, JumpSpec.none(), cfg["monte_carlo"]["seed"] + 1,
                         min(500, cfg["monte_carlo"]["n_paths"]))
-    sups, order = verification.residual_order(model, fine, _reference_control_value(cfg),
-                                              kernel=kernel)
+    sups, order = verification.residual_order(model, fine, _reference_control_value(cfg))
     band = (cfg["checks"]["order_band_low"], cfg["checks"]["order_band_high"])
     # a stochastic adjoint pays an O(h) window-quadrature defect per step; a
     # deterministic one (psi = 0) leaves only the O(h^2) local truncation
@@ -430,7 +423,7 @@ def check_regression(model, cfg, grid, state, closed):
     return result, sol
 
 
-def check_max_principle(model, kernel, cfg, grid, noise, closed):
+def check_max_principle(model, cfg, grid, noise, closed):
     """FOC control, necessary condition, sufficiency, spike battery.
 
     The battery is criterion 7's verification.spike_battery, with spikes four
@@ -438,7 +431,7 @@ def check_max_principle(model, kernel, cfg, grid, noise, closed):
     """
     seed = cfg["monte_carlo"]["seed"]
     ustar = mp.solve_foc(model, closed.p, grid)
-    state = simulate_state(model, ustar, noise, kernel=kernel)
+    state = simulate_state(model, ustar, noise)
     triple = adjoint_mod.AdjointTriple(grid, closed.p, closed.q, None, closed.mu, {})
     nec = mp.check_necessary_I(ustar, triple, model, state)
     suff = mp.check_sufficient(ustar, triple, model, state, seed=seed)
@@ -446,7 +439,7 @@ def check_max_principle(model, kernel, cfg, grid, noise, closed):
     worst, spikes = verification.spike_battery(
         model, ustar, noise, state, seed, grid.horizon_nodes[:-5], 4 * grid.step,
         (max(lo, 0.1), min(hi, 3.0)), cfg["checks"]["spike_count"],
-        cfg["checks"]["se_multiplier"], kernel=kernel,
+        cfg["checks"]["se_multiplier"],
     )
     passed = bool(nec.passed and suff.passed and worst <= 0.0)
     return {
@@ -464,7 +457,7 @@ def check_max_principle(model, kernel, cfg, grid, noise, closed):
 
 def run_scenario(cfg):
     """Execute the configured pipeline; returns (report_dict, passed)."""
-    model, kernel, jump_spec = build_scenario(cfg)
+    model, jump_spec = build_scenario(cfg)
     grid = make_grid(cfg["model"]["delta"], cfg["model"]["horizon"],
                      cfg["grid"]["steps_per_delay"])
     noise = sample_noise(grid, jump_spec, cfg["monte_carlo"]["seed"],
@@ -479,24 +472,23 @@ def run_scenario(cfg):
     else:
         control = ControlPath.constant(grid, cfg["control"]["value"],
                                        control_set=model.control_set)
-    state = simulate_state(model, control, noise, kernel=kernel)
-    j_value, j_se, _ = evaluate_performance(model, control, noise, kernel=kernel,
-                                            state=state)
+    state = simulate_state(model, control, noise)
+    j_value, j_se, _ = evaluate_performance(model, control, noise, state=state)
 
     checks = {}
     regression_sol = None
     for check in cfg["checks"]["run"]:
         if check == "closed-form":
-            checks[check] = check_closed_form(model, kernel, cfg, grid, noise, closed)
+            checks[check] = check_closed_form(model, cfg, grid, noise, closed)
         elif check == "bridge":
             checks[check] = check_bridge(model, cfg, grid, closed)
         elif check == "regression":
-            reg_state = reduce_2d(model, control, noise, kernel=kernel)
+            reg_state = reduce_2d(model, control, noise)
             checks[check], regression_sol = check_regression(
                 model, cfg, grid, reg_state, closed
             )
         elif check == "max-principle":
-            checks[check] = check_max_principle(model, kernel, cfg, grid, noise, closed)
+            checks[check] = check_max_principle(model, cfg, grid, noise, closed)
     passed = all(c["passed"] for c in checks.values())
 
     echo = {k: v for k, v in cfg.items() if not k.startswith("_")}

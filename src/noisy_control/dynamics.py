@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteState,
     OutOfControlSet,
 )
-from .paths import JumpSpec, sample_ensemble
+from .paths import JumpSpec
 
 _FD_BUMP = 1e-5
 _ARGS = ("x", "y", "z", "u")
@@ -365,6 +365,9 @@ class CoefficientModel:
         control_set: admissible interval for the control.
         jump_coefficient / jump_spec: compound-Poisson part (both or neither).
         drift_grad, diffusion_grad, cost_grad: optional analytic 4-gradients.
+        kernel: optional MemoryKernel reweighting the memory window Z.  Every
+            simulation, derivative and residual of the model reads it from
+            here; the identity kernel reuses the plain window bit for bit.
     """
 
     def __init__(
@@ -381,6 +384,7 @@ class CoefficientModel:
         diffusion_grad=None,
         cost_grad=None,
         name="",
+        kernel=None,
     ):
         if jump_coefficient is not None and jump_spec is None:
             raise ValueError("a jump coefficient needs a jump spec")
@@ -396,6 +400,7 @@ class CoefficientModel:
         self._diffusion_grad = diffusion_grad
         self._cost_grad = cost_grad
         self.name = name
+        self.kernel = kernel
 
     @property
     def has_jumps(self):
@@ -465,14 +470,14 @@ class StateBundle:
         x: (n_paths, n_nodes) state on [-delta, horizon].
         y: (n_paths, n_horizon+1) delayed state X(t - delta) on [0, horizon].
         z: (n_paths, n_horizon+1) trailing-window memory integral on [0, horizon].
-        z_general: kernel-weighted memory integral, present when a kernel was
-            supplied (identical object to z for the identity kernel).
+        z_general: kernel-weighted memory integral, present when the model
+            has a kernel (identical object to z for the identity kernel).
         x2: running memory integral from the first node, present only on
             bundles built by reduce_2d; then z[k] == x2[k] - x2[k-m] exactly.
-        control, noise, kernel: the inputs the bundle was built from.
+        control, noise: the inputs the bundle was built from.
     """
 
-    def __init__(self, grid, x, y, z, control, noise, z_general=None, x2=None, kernel=None):
+    def __init__(self, grid, x, y, z, control, noise, z_general=None, x2=None):
         self.grid = grid
         self.x = x
         self.y = y
@@ -481,7 +486,6 @@ class StateBundle:
         self.x2 = x2
         self.control = control
         self.noise = noise
-        self.kernel = kernel
         for arr in (x, y, z):
             arr.flags.writeable = False
         if x2 is not None:
@@ -619,15 +623,15 @@ def _path_major(rows):
     return out
 
 
-def simulate_state(model, control, noise, kernel=None, _expose_prefix=False):
+def simulate_state(model, control, noise, _expose_prefix=False):
     """Euler simulation of the delayed state with noisy memory.
+
+    The memory window is weighted by model.kernel when the model has one.
 
     Args:
         model: CoefficientModel.
         control: ControlPath on the same grid as the noise.
         noise: NoiseEnsemble (a single path is a one-path ensemble).
-        kernel: optional MemoryKernel reweighting the memory window; the
-            identity kernel reuses the plain memory integral bit for bit.
 
     Returns:
         StateBundle with one row per path.
@@ -658,6 +662,7 @@ def simulate_state(model, control, noise, kernel=None, _expose_prefix=False):
             jump = model.gamma.step_sum_from_marks(t_k, xk, yk, zk, uk, marks_by_step[k])
         return coef + (jump, model.gamma.nu_integral(t_k, xk, yk, zk, uk, model.jump_spec))
 
+    kernel = model.kernel
     x, z, zg, prefix = _sweep(
         noise, model.initial_segment(grid.nodes[: m + 1]), step,
         jumps=model.has_jumps, kernel=kernel, keep_prefix=_expose_prefix,
@@ -667,17 +672,15 @@ def simulate_state(model, control, noise, kernel=None, _expose_prefix=False):
     y = x[:, : n + 1].copy()
     z = _path_major(z)
     zg = _path_major(zg)
-    bundle = StateBundle(
+    return StateBundle(
         grid, x, y, z,
         control=control, noise=noise,
         z_general=(z if (kernel is not None and kernel.is_identity) else zg),
         x2=_path_major(prefix),
-        kernel=kernel,
     )
-    return bundle
 
 
-def reduce_2d(model, control, noise, kernel=None):
+def reduce_2d(model, control, noise):
     """Simulate the equivalent two-component system (state, running memory).
 
     The second component is the memory integral accumulated from the first
@@ -686,18 +689,19 @@ def reduce_2d(model, control, noise, kernel=None):
     operation with simulate_state, so the state paths agree bitwise.
 
     Raises:
-        KernelNotReducible: a non-identity kernel was supplied (the reduction
-            only represents the unweighted window).
+        KernelNotReducible: the model has a non-identity kernel (the
+            reduction only represents the unweighted window).
     """
+    kernel = model.kernel
     if kernel is not None and not kernel.is_identity:
         raise KernelNotReducible(
             "the two-component reduction represents only the plain window "
             "integral; got a weighted kernel with bound %g" % kernel.bound
         )
-    return simulate_state(model, control, noise, kernel=kernel, _expose_prefix=True)
+    return simulate_state(model, control, noise, _expose_prefix=True)
 
 
-def evaluate_performance(model, control, noise, kernel=None, state=None):
+def evaluate_performance(model, control, noise, state=None):
     """Performance of a control on given noise: (J, std_error, per-path values).
 
     J is the left-point time quadrature of the running cost plus the terminal
@@ -705,7 +709,7 @@ def evaluate_performance(model, control, noise, kernel=None, state=None):
     horizon exactly.
     """
     if state is None:
-        state = simulate_state(model, control, noise, kernel=kernel)
+        state = simulate_state(model, control, noise)
     grid = state.grid
     n = grid.n_horizon_steps
     u_rows = control.rows()
@@ -722,20 +726,3 @@ def evaluate_performance(model, control, noise, kernel=None, state=None):
     j_hat = float(per_path.mean())
     se = float(per_path.std(ddof=1) / np.sqrt(state.n_paths)) if state.n_paths > 1 else 0.0
     return j_hat, se, per_path
-
-
-def performance(model, control, n_paths, seed, kernel=None):
-    """Monte Carlo estimate of the performance functional.
-
-    Args:
-        model, control: the problem and the control to grade.
-        n_paths: ensemble size (reusing a seed gives common random numbers).
-        seed: base seed for the counter-based generator.
-
-    Returns:
-        (estimate, standard_error).
-    """
-    grid = control.grid
-    noise = sample_ensemble(grid, model.jump_spec, seed, n_paths)
-    j_hat, se, _ = evaluate_performance(model, control, noise, kernel=kernel)
-    return j_hat, se

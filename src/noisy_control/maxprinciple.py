@@ -62,8 +62,8 @@ def derivative_process(model, state, eta):
 
     The recursion is the state's own sweep with the coefficient gradients
     contracted against (K, K(t - delta), window of K, eta); K vanishes on the
-    initial segment.  The memory window uses the same kernel (and weights) the
-    state was simulated with.
+    initial segment.  The memory window is weighted by model.kernel, as the
+    state's was.
 
     Returns a KBundle whose arrays are transposed views of the sweep's
     (node, path) buffers; raises NotImplementedError for models with
@@ -95,7 +95,7 @@ def derivative_process(model, state, eta):
         )
 
     k_path, kz, kz_weighted, _ = _sweep(
-        state.noise, None, step, jumps=model.has_jumps, kernel=state.kernel,
+        state.noise, None, step, jumps=model.has_jumps, kernel=model.kernel,
         what="derivative process",
     )
     return KBundle(k_path.T, (kz if kz_weighted is None else kz_weighted).T, grid)
@@ -172,7 +172,7 @@ def directional_derivative_H(model, state, adjoint, eta):
     return value, se, per_path
 
 
-def finite_difference_derivative(model, control, noise, eta, s=1e-3, kernel=None):
+def finite_difference_derivative(model, control, noise, eta, s=1e-3):
     """Central finite difference of J in direction eta with common noise.
 
     Falls back to a one-sided difference when the shifted control leaves the
@@ -198,8 +198,8 @@ def finite_difference_derivative(model, control, noise, eta, s=1e-3, kernel=None
         plus, minus, denom = control, minus, s
     else:
         denom = 2 * s
-    _, _, per_plus = evaluate_performance(model, plus, noise, kernel=kernel)
-    _, _, per_minus = evaluate_performance(model, minus, noise, kernel=kernel)
+    _, _, per_plus = evaluate_performance(model, plus, noise)
+    _, _, per_minus = evaluate_performance(model, minus, noise)
     per_path = (per_plus - per_minus) / denom
     value, se = _mean_se(per_path)
     return value, se, per_path

@@ -156,8 +156,9 @@ def consumption(
     optimal control is u*(t) = e^{-a1 (T - t)}.
 
     Args:
-        kernel: optional MemoryKernel; the ramp kernel with a0=1 gives the
-            generalized-memory variant where dX = (Z' + a1 X - u) dt + ...
+        kernel: optional MemoryKernel, kept as model.kernel; the ramp kernel
+            with a0=1 gives the generalized-memory variant where
+            dX = (Z' + a1 X - u) dt + ...
         running: "log" for ln u, or "linear" for linear_rate * u (used to
             build boundary-optimum fixtures).
         jump_scale: adds the compensated jump term jump_scale * X dN~ with
@@ -215,6 +216,7 @@ def consumption(
         diffusion_grad=diffusion_grad,
         cost_grad=cost_grad,
         name="consumption",
+        kernel=kernel,
     )
     model.meta = {
         "a0": a0,
@@ -224,7 +226,6 @@ def consumption(
         "delta": delta,
         "horizon": horizon,
         "xi0": xi0,
-        "kernel": kernel,
         "running": running,
         "linear_rate": linear_rate,
         "jump_scale": jump_scale,
@@ -237,16 +238,14 @@ def generalized_memory(a1=0.3, sigma0=0.2, delta=0.2, horizon=1.0, xi0=1.0,
     """Consumption dynamics driven by the ramp-weighted memory integral.
 
     dX = (Z' + a1 X - u) dt + sigma0 X dB with Z'(t) = int_{t-delta}^t
-    (s - t + delta)/delta X dB.  Returns (model, kernel); pass the kernel to
-    simulate_state and the adjoint machinery.
+    (s - t + delta)/delta X dB: the model's kernel is MemoryKernel.ramp(delta).
     """
-    kernel = MemoryKernel.ramp(delta)
     model = consumption(
         a0=1.0, a1=a1, sigma0=sigma0, delta=delta, horizon=horizon, xi0=xi0,
-        kernel=kernel, control_set=control_set,
+        kernel=MemoryKernel.ramp(delta), control_set=control_set,
     )
     model.name = "generalized-memory"
-    return model, kernel
+    return model
 
 
 def custom_affine(
@@ -384,8 +383,7 @@ CATALOG = {
     },
     "generalized-memory": {
         "factory": generalized_memory,
-        "summary": "consumption dynamics with the ramp-weighted memory window "
-                   "(returns model and kernel)",
+        "summary": "consumption dynamics with the ramp-weighted memory window",
     },
     "custom-affine": {
         "factory": custom_affine,

@@ -93,7 +93,7 @@ def dhx(model, grid, closed):
     return a1 * closed.p + sigma0[None, :] * closed.q
 
 
-def residual_order(model, fine_noise, control_value, kernel=None):
+def residual_order(model, fine_noise, control_value):
     """Order of the closed-form BSDE residual between coarsen(fine, 2) and fine.
 
     Each level simulates the constant control `control_value` and takes the
@@ -105,9 +105,9 @@ def residual_order(model, fine_noise, control_value, kernel=None):
         grid = noise.grid
         closed = closed_form(model, noise)
         ctrl = ControlPath.constant(grid, control_value, control_set=model.control_set)
-        state = simulate_state(model, ctrl, noise, kernel=kernel)
+        state = simulate_state(model, ctrl, noise)
         engine = window_engine(model, grid, closed)
-        sup, _ = adjoint_mod.bsde_residual_1d(closed, state, model, engine, kernel=kernel)
+        sup, _ = adjoint_mod.bsde_residual_1d(closed, state, model, engine)
         sups[grid.steps_per_delay] = float(sup)
     m = fine_noise.grid.steps_per_delay
     return sups, float(np.log2(sups[m // 2] / sups[m]))
@@ -136,7 +136,7 @@ def rel_rms(approx, exact):
 
 
 def spike_battery(model, base, noise, state, seed, t0_nodes, width, values, count,
-                  se_mult, kernel=None):
+                  se_mult):
     """Spike perturbations of `base`, scored against it with common noise.
 
     Draws from Philox(seed + 7): per spike a start among `t0_nodes`, then a
@@ -144,7 +144,7 @@ def spike_battery(model, base, noise, state, seed, t0_nodes, width, values, coun
     by the paired per-path gain in J over `base`, whose J is evaluated on the
     held `state`.  Returns (worst gain - se_mult * se, one dict per spike).
     """
-    _, _, per0 = evaluate_performance(model, base, noise, kernel=kernel, state=state)
+    _, _, per0 = evaluate_performance(model, base, noise, state=state)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed + 7)))
     worst = -np.inf
     spikes = []
@@ -152,7 +152,7 @@ def spike_battery(model, base, noise, state, seed, t0_nodes, width, values, coun
         t0 = float(gen.choice(t0_nodes))
         v = float(gen.uniform(*values))
         spike = mp.spike_perturbation(base, t0, width, v)
-        _, _, per1 = evaluate_performance(model, spike, noise, kernel=kernel)
+        _, _, per1 = evaluate_performance(model, spike, noise)
         gain, se = mp._mean_se(per1 - per0)
         worst = max(worst, gain - se_mult * se)
         spikes.append({"t0": t0, "value": v, "gain": gain, "se": se})
@@ -367,7 +367,7 @@ def criterion_6_duality(seed=0, profile="full"):
 @_timed
 def criterion_7_max_principle(seed=0, profile="full"):
     """FOC inversion, necessary/sufficient certification, spike battery."""
-    model, kernel = scenarios.generalized_memory()
+    model = scenarios.generalized_memory()
     grid = make_grid(0.2, 1.0, 8)
     tt = grid.horizon_nodes
     p_exact = np.exp(0.3 * (grid.horizon - tt))
@@ -379,7 +379,7 @@ def criterion_7_max_principle(seed=0, profile="full"):
     foc_dev = float(np.max(np.abs(foc.values - u_exact)))
 
     ustar = ControlPath(grid, u_exact, control_set=model.control_set)
-    state = simulate_state(model, ustar, noise, kernel=kernel)
+    state = simulate_state(model, ustar, noise)
     atr = adjoint_mod.AdjointTriple(
         grid, p_exact[None, :], np.zeros((1, grid.n_horizon_steps + 1)), None, None, {}
     )
@@ -388,10 +388,10 @@ def criterion_7_max_principle(seed=0, profile="full"):
 
     n_spikes = 20 if profile == "full" else 6
     worst_gain, _ = spike_battery(model, ustar, noise, state, seed, tt[:-8], 0.1,
-                                  (0.1, 3.0), n_spikes, 2.0, kernel=kernel)
+                                  (0.1, 3.0), n_spikes, 2.0)
 
     scaled = ControlPath(grid, 1.5 * u_exact, control_set=model.control_set)
-    st_scaled = simulate_state(model, scaled, noise, kernel=kernel)
+    st_scaled = simulate_state(model, scaled, noise)
     nec_scaled = mp.check_necessary_I(scaled, atr, model, st_scaled)
 
     passed = (
@@ -413,7 +413,7 @@ def criterion_7_max_principle(seed=0, profile="full"):
 @_timed
 def criterion_8_generalized_kernel(seed=0, profile="full"):
     """Ramp-kernel pipeline runs; phi == 1 reduces bitwise; residual order."""
-    model, kernel = scenarios.generalized_memory()
+    model = scenarios.generalized_memory()
     grid = make_grid(0.2, 1.0, 8)
     tt = grid.horizon_nodes
     u_exact = np.exp(-0.3 * (grid.horizon - tt))
@@ -441,12 +441,12 @@ def criterion_8_generalized_kernel(seed=0, profile="full"):
         t_loc = g.horizon_nodes
         pe = np.exp(0.3 * (g.horizon - t_loc))
         u = ControlPath(g, np.exp(-0.3 * (g.horizon - t_loc)), control_set=model.control_set)
-        st = simulate_state(model, u, nz, kernel=kernel)
+        st = simulate_state(model, u, nz)
         triple = adjoint_mod.AdjointTriple(
             g, pe[None, :], np.zeros((1, g.n_horizon_steps + 1)), None, None, {}
         )
         eng = adjoint_mod.DeterministicWindowEngine(g, pe)
-        return adjoint_mod.bsde_residual_1d(triple, st, model, eng, kernel=kernel)
+        return adjoint_mod.bsde_residual_1d(triple, st, model, eng)
 
     n_paths = 500 if profile == "full" else 100
     sup8, rms8 = residuals(8, n_paths)

@@ -148,7 +148,7 @@ def test_load_config_jump_marks_validation(tmp_path):
         "jump_marks = -0.5:0.5, 1.0:0.5\njump_scale = 0.1\n",
     )
     cfg = cli.load_config(good)
-    model, kernel, jump_spec = cli.build_scenario(cfg)
+    model, jump_spec = cli.build_scenario(cfg)
     assert jump_spec is not None
     assert jump_spec.levy_moment(1) == pytest.approx(1.0 * (-0.5 * 0.5 + 1.0 * 0.5))
 

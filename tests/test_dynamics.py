@@ -1,11 +1,12 @@
 """Forward simulation: delayed state, memory window, jumps, performance."""
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
 
-from noisy_control import scenarios
+from noisy_control import adjoint, cli, dynamics, maxprinciple, scenarios, verification
 from noisy_control.dynamics import (
     AffineJumpCoefficient,
     CallableJumpCoefficient,
@@ -79,13 +80,15 @@ def test_identity_kernel_shares_window_arithmetic():
     ens = sample_ensemble(g, JumpSpec.none(), seed=3, n_paths=8)
     ctrl = ControlPath.constant(g, 1.0, control_set=model.control_set)
     plain = simulate_state(model, ctrl, ens)
-    flagged = simulate_state(model, ctrl, ens, kernel=MemoryKernel.identity())
+    model.kernel = MemoryKernel.identity()
+    flagged = simulate_state(model, ctrl, ens)
     assert np.array_equal(plain.x, flagged.x)
     assert np.array_equal(flagged.z_general, flagged.z)
 
     # an unflagged phi = 1 kernel resummes the window, so only ulp-level equal
     flat = MemoryKernel(lambda t, s: np.ones_like(np.asarray(s, dtype=float)), 1.0)
-    resummed = simulate_state(model, ctrl, ens, kernel=flat)
+    model.kernel = flat
+    resummed = simulate_state(model, ctrl, ens)
     assert np.max(np.abs(resummed.z_general - plain.z)) < 1e-13
     assert np.max(np.abs(resummed.x - plain.x)) < 1e-12
 
@@ -100,7 +103,8 @@ def test_ramp_kernel_downweights_old_noise():
     assert w[-1] == pytest.approx(7.0 / 8.0)
     ens = sample_ensemble(g, JumpSpec.none(), seed=4, n_paths=4)
     model = _frozen_state_model()
-    state = simulate_state(model, ControlPath.constant(g, 0.0), ens, kernel=kernel)
+    model.kernel = kernel
+    state = simulate_state(model, ControlPath.constant(g, 0.0), ens)
     k = g.index_zero + 8
     manual = ens.increments[:, k - 8 : k] @ w
     assert np.allclose(state.z_general[:, 8], manual, rtol=0, atol=1e-15)
@@ -115,8 +119,37 @@ def test_reduce_2d_prefix_identity_and_kernel_guard():
     m = g.steps_per_delay
     window = state.x2[:, m:] - state.x2[:, : g.n_horizon_steps + 1]
     assert np.array_equal(state.z, window)
+
+    # the generalized-memory model carries the ramp kernel: the reduction
+    # refuses it, and the plain simulation weights its window with it
+    ramp_model = scenarios.generalized_memory()
     with pytest.raises(KernelNotReducible):
-        reduce_2d(model, ctrl, ens, kernel=MemoryKernel.ramp(0.2))
+        reduce_2d(ramp_model, ctrl, ens)
+    ramp = simulate_state(ramp_model, ctrl, ens)
+    assert ramp.z_general is not None and ramp.z_general is not ramp.z
+    iz = g.index_zero
+    for k in (0, 3, g.n_horizon_steps):
+        j = iz + k
+        terms = ramp.x[:, j - m : j] * ens.increments[:, j - m : j]
+        manual = terms @ MemoryKernel.ramp(0.2).weights(g, j)
+        assert np.allclose(ramp.z_general[:, k], manual, rtol=0, atol=1e-15)
+
+
+def test_no_public_function_takes_a_kernel_beside_its_model():
+    """The memory kernel lives on the model: passing one beside it again
+    would let the two disagree.  lift_2d_from_1d is an engine-level function
+    whose optional model only supplies Hamiltonian partials."""
+    offenders = []
+    for module in (dynamics, maxprinciple, adjoint, verification, scenarios, cli):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            params = inspect.signature(obj).parameters
+            if "model" in params and "kernel" in params:
+                offenders.append("%s.%s" % (module.__name__, name))
+    assert offenders == ["noisy_control.adjoint.lift_2d_from_1d"]
 
 
 def test_constant_cost_integrates_to_horizon_exactly():
@@ -318,17 +351,17 @@ def _digest(*arrays):
 @pytest.mark.parametrize("case", sorted(_SWEEP_DIGESTS))
 def test_sweep_outputs_are_pinned_and_path_major(case):
     g = make_grid(0.2, 1.0, 8)
-    spec, kernel = JumpSpec.none(), None
+    spec = JumpSpec.none()
     if case == "linear-noisy-memory":
         model = scenarios.linear_noisy_memory()
     elif case == "consumption-affine-jumps":
         spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
         model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
     else:
-        model, kernel = scenarios.generalized_memory()
+        model = scenarios.generalized_memory()
     ens = sample_ensemble(g, spec, seed=5, n_paths=200)
     ctrl = ControlPath.constant(g, 1.0, control_set=model.control_set)
-    state = simulate_state(model, ctrl, ens, kernel=kernel)
+    state = simulate_state(model, ctrl, ens)
     kb = derivative_process(model, state, probe_directions(g)[3][1])
     want_state, want_x2, want_tangent = _SWEEP_DIGESTS[case]
     assert _digest(state.x, state.y, state.z, state.memory_arg) == want_state

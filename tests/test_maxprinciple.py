@@ -38,10 +38,10 @@ def _flat_adjoint(p_row):
     return AdjointTriple(GRID, p_row[None, :], zeros, None, None, {})
 
 
-def _state(model, value=1.0, n_paths=2000, seed=0, kernel=None):
+def _state(model, value=1.0, n_paths=2000, seed=0):
     ens = sample_ensemble(GRID, model.jump_spec or JumpSpec.none(), seed, n_paths)
     ctrl = ControlPath.constant(GRID, value, control_set=model.control_set)
-    return simulate_state(model, ctrl, ens, kernel=kernel), ctrl, ens
+    return simulate_state(model, ctrl, ens), ctrl, ens
 
 
 def test_directional_derivative_K_matches_per_node_reference():
@@ -236,11 +236,11 @@ def test_necessary_checks_vacuous_on_singleton_control_set():
 
 
 def test_sufficient_certifies_concave_problem():
-    model, kernel = scenarios.generalized_memory()
+    model = scenarios.generalized_memory()
     adjoint = _flat_adjoint(P_EXACT)
     ustar = solve_foc(model, P_EXACT[None, :], GRID)
     ens = sample_ensemble(GRID, JumpSpec.none(), 14, 800)
-    state = simulate_state(model, ustar, ens, kernel=kernel)
+    state = simulate_state(model, ustar, ens)
     report = check_sufficient(ustar, adjoint, model, state, seed=14)
     assert report.passed
     assert report.details["concavity_gap"] <= 1e-12
@@ -554,8 +554,8 @@ def test_sufficient_concavity_probes_match_per_probe_reference():
     p_rows = P_EXACT[None, :] * np.exp(gen.normal(0.0, 0.2, size=(shape[0], 1)))
     q_rows = gen.normal(0.0, 0.1, size=shape)
 
-    model, kernel = scenarios.generalized_memory()
-    state, ctrl, _ = _state(model, n_paths=400, kernel=kernel)
+    model = scenarios.generalized_memory()
+    state, ctrl, _ = _state(model, n_paths=400)
     report = _assert_concavity_matches_reference(ctrl, _flat_adjoint(P_EXACT), model, state, 14)
     assert report.details["concavity_witness"] is None
 
