@@ -432,9 +432,14 @@ class BumpRegressionEngine:
 # Driver assembly and the 1D residual checker
 
 
+def _plain(kernel):
+    """True for the unweighted window: no kernel or the identity kernel."""
+    return kernel is None or kernel.is_identity
+
+
 def _kernel_mu_weights(kernel, grid, k_horizon, end_horizon):
     """Forward kernel weights for the driver window, or None for identity."""
-    if kernel is None or kernel.is_identity:
+    if _plain(kernel):
         return None
     iz = grid.index_zero
     return kernel.forward_weights(grid, iz + k_horizon, iz + end_horizon)
@@ -785,11 +790,20 @@ def lift_2d_from_1d(adjoint, engine, model=None, state=None, kernel=None):
     (p1, q1, r1) are the input arrays unchanged (so bridging back returns
     them bitwise).  mu1/mu2 are assembled from the engine; when model and
     state are given, dH/dx and dH/dy are recomputed from the model partials,
-    otherwise adjoint.mu is carried over as mu1.
+    otherwise adjoint.mu is carried over as mu1.  The windows are weighted by
+    `kernel`, which defaults to model.kernel when a model is given.
 
     Returns (Adjoint2D, p2_equation_residual_sup) where the residual is the
     Euler defect of the p2 equation dp2 = -mu2 dt + q2 dB.
+
+    Raises:
+        ValueError: `kernel` is not the model's kernel.
     """
+    if model is not None:
+        if kernel is None:
+            kernel = model.kernel
+        elif kernel is not model.kernel and not (_plain(kernel) and _plain(model.kernel)):
+            raise ValueError("kernel differs from the model's kernel; pass the model alone")
     grid = adjoint.grid
     n = grid.n_horizon_steps
     m = grid.steps_per_delay

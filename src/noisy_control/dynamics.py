@@ -539,7 +539,8 @@ def _columns(arr, first=0):
         yield from np.ascontiguousarray(arr[:, k0 : k0 + 16].copy().T)
 
 
-def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, what="state"):
+def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, ring=False,
+           what="state"):
     """Time-major left-point Euler sweep of a process V fed by its own memory window.
 
     V equals `start` on the initial segment (zero when None) and leaves node
@@ -554,9 +555,13 @@ def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, what
     prefix of V dB, kept in a ring of m + 1 rows unless `keep_prefix` asks
     for all of it.  The weighted window keeps the path-major term matrix and
     its matrix-vector product, whose BLAS summation order fixes its bits.
+    With `ring`, V is kept in a ring of m + 2 rows, so the row being written
+    is never V[k-m], and each window in one row: for callers that read the
+    process only inside `step`.
 
     Returns time-major (V, plain window, weighted window or None, prefix or
-    None); the windows cover the nodes of [0, horizon].
+    None); the windows cover the nodes of [0, horizon].  With `ring`, V is
+    its terminal row and each window its last row.
 
     Raises:
         NonFiniteState: V left the finite range (step and time attached).
@@ -570,32 +575,37 @@ def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, what
     if jumps:
         jump_sources = (_columns(noise.jump_counts, m), _columns(noise.step_mark_sums(), m))
 
-    v = np.zeros((grid.n_nodes, n_paths))
+    v_rows = m + 2 if ring else grid.n_nodes
+    v = np.zeros((v_rows, n_paths))
     first = m if start is None else 0  # a zero start keeps V dB zero before m
     if start is not None:
         v[: m + 1] = np.asarray(start)[:, None]
     incr_rows = _columns(noise.increments, first)
-    ring = grid.n_nodes if keep_prefix else m + 1
-    prefix = np.zeros((ring, n_paths))
-    window = np.empty((n + 1, n_paths))
-    weighted = np.empty((n + 1, n_paths)) if use_kernel else None
+    prefix_rows = grid.n_nodes if keep_prefix else m + 1
+    prefix = np.zeros((prefix_rows, n_paths))
+    window_rows = 1 if ring else n + 1
+    window = np.empty((window_rows, n_paths))
+    weighted = np.empty((window_rows, n_paths)) if use_kernel else None
     terms = np.zeros((n_paths, grid.n_steps)) if use_kernel else None
 
     for k in range(first, m + n + 1):
+        vk = v[k % v_rows]
         if k >= m:
-            np.subtract(prefix[k % ring], prefix[(k - m) % ring], out=window[k - m])
+            w = (k - m) % window_rows
+            np.subtract(prefix[k % prefix_rows], prefix[(k - m) % prefix_rows], out=window[w])
             if use_kernel:
-                weighted[k - m] = terms[:, k - m : k] @ kernel.weights(grid, k)
+                weighted[w] = terms[:, k - m : k] @ kernel.weights(grid, k)
             if k == m + n:
                 break
         incr_k = next(incr_rows)
         if k >= m:
             rows = [next(source) for source in jump_sources] if jumps else ()
-            coef = step(k, v[k], v[k - m], (weighted if use_kernel else window)[k - m], *rows)
+            coef = step(k, vk, v[(k - m) % v_rows], (weighted if use_kernel else window)[w],
+                        *rows)
             # v[k] + b h + s dB (+ jump - h comp), evaluated in that order
-            v_next = v[k + 1]
+            v_next = v[(k + 1) % v_rows]
             np.multiply(coef[0], h, out=v_next)
-            np.add(v[k], v_next, out=v_next)
+            np.add(vk, v_next, out=v_next)
             v_next += coef[1] * incr_k
             if jumps:
                 v_next += coef[2]
@@ -606,11 +616,11 @@ def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, what
                     "%s became non-finite advancing from t=%g (step %d)" % (what, t_k, k),
                     step=k, time=t_k,
                 )
-        term = v[k] * incr_k
+        term = vk * incr_k
         if use_kernel:
             terms[:, k] = term
-        np.add(prefix[k % ring], term, out=prefix[(k + 1) % ring])
-    return v, window, weighted, (prefix if keep_prefix else None)
+        np.add(prefix[k % prefix_rows], term, out=prefix[(k + 1) % prefix_rows])
+    return (vk if ring else v), window, weighted, (prefix if keep_prefix else None)
 
 
 def _path_major(rows):
@@ -621,6 +631,49 @@ def _path_major(rows):
     for p0 in range(0, rows.shape[1], 256):
         out[p0 : p0 + 256] = rows[:, p0 : p0 + 256].copy().T
     return out
+
+
+def _state_sweep(model, control, noise, keep_prefix=False, cost=None):
+    """_sweep of the state equation of `model` under `control` on `noise`.
+
+    With `cost`, a zero row of one value per path, each step also adds the
+    running cost at its node to `cost`, in node order, with u a scalar when
+    the control is shared across paths; the sweep then keeps the state in a
+    ring (see _sweep) and returns its terminal row as V.
+
+    Raises:
+        GridMismatch: control and noise grids differ.
+        NonFiniteState: the state left the finite range.
+    """
+    grid = noise.grid
+    if control.grid != grid:
+        raise GridMismatch("control grid %r vs noise grid %r" % (control.grid, grid))
+    m = grid.steps_per_delay
+    affine_jumps = isinstance(model.gamma, AffineJumpCoefficient)
+    if model.has_jumps and not affine_jumps:
+        marks_by_step = _step_marks_by_step(grid, noise.jump_counts, noise.jump_marks)
+    u_rows = control.rows()
+
+    def step(k, xk, yk, zk, *jump_rows):
+        t_k = grid.nodes[k]
+        uk = u_rows[:, k - m]
+        if cost is not None:
+            u_cost = uk if u_rows.shape[0] > 1 else u_rows[0, k - m]
+            np.add(cost, model.running_cost(t_k, xk, yk, zk, u_cost), out=cost)
+        coef = (model.drift(t_k, xk, yk, zk, uk), model.diffusion(t_k, xk, yk, zk, uk))
+        if not jump_rows:
+            return coef
+        if affine_jumps:
+            jump = model.gamma.step_sum(t_k, xk, yk, zk, uk, *jump_rows)
+        else:
+            jump = model.gamma.step_sum_from_marks(t_k, xk, yk, zk, uk, marks_by_step[k])
+        return coef + (jump, model.gamma.nu_integral(t_k, xk, yk, zk, uk, model.jump_spec))
+
+    return _sweep(
+        noise, model.initial_segment(grid.nodes[: m + 1]), step,
+        jumps=model.has_jumps, kernel=model.kernel, keep_prefix=keep_prefix,
+        ring=cost is not None,
+    )
 
 
 def simulate_state(model, control, noise, _expose_prefix=False):
@@ -641,37 +694,13 @@ def simulate_state(model, control, noise, _expose_prefix=False):
         NonFiniteState: the state left the finite range (step and time attached).
     """
     grid = noise.grid
-    if control.grid != grid:
-        raise GridMismatch("control grid %r vs noise grid %r" % (control.grid, grid))
-    m = grid.steps_per_delay
-    n = grid.n_horizon_steps
-    affine_jumps = isinstance(model.gamma, AffineJumpCoefficient)
-    if model.has_jumps and not affine_jumps:
-        marks_by_step = _step_marks_by_step(grid, noise.jump_counts, noise.jump_marks)
-    u_rows = control.rows()
-
-    def step(k, xk, yk, zk, *jump_rows):
-        t_k = grid.nodes[k]
-        uk = u_rows[:, k - m]
-        coef = (model.drift(t_k, xk, yk, zk, uk), model.diffusion(t_k, xk, yk, zk, uk))
-        if not jump_rows:
-            return coef
-        if affine_jumps:
-            jump = model.gamma.step_sum(t_k, xk, yk, zk, uk, *jump_rows)
-        else:
-            jump = model.gamma.step_sum_from_marks(t_k, xk, yk, zk, uk, marks_by_step[k])
-        return coef + (jump, model.gamma.nu_integral(t_k, xk, yk, zk, uk, model.jump_spec))
-
-    kernel = model.kernel
-    x, z, zg, prefix = _sweep(
-        noise, model.initial_segment(grid.nodes[: m + 1]), step,
-        jumps=model.has_jumps, kernel=kernel, keep_prefix=_expose_prefix,
-    )
+    x, z, zg, prefix = _state_sweep(model, control, noise, keep_prefix=_expose_prefix)
     # Copy back one buffer at a time so the time-major ones are freed early.
     x = _path_major(x)
-    y = x[:, : n + 1].copy()
+    y = x[:, : grid.n_horizon_steps + 1].copy()
     z = _path_major(z)
     zg = _path_major(zg)
+    kernel = model.kernel
     return StateBundle(
         grid, x, y, z,
         control=control, noise=noise,
@@ -707,22 +736,36 @@ def evaluate_performance(model, control, noise, state=None):
     J is the left-point time quadrature of the running cost plus the terminal
     payoff; the quadrature factors out h so a constant cost integrates to the
     horizon exactly.
+
+    Without `state`, the running cost is summed inside the state's own Euler
+    sweep, which keeps only a ring of state rows: no StateBundle is built,
+    and the per-path values are bitwise those read from
+    state=simulate_state(model, control, noise).  Pass `state` when one is
+    already held.
+
+    Raises:
+        GridMismatch: control and noise grids differ (without `state`).
+        NonFiniteState: the state left the finite range (without `state`).
     """
     if state is None:
-        state = simulate_state(model, control, noise)
-    grid = state.grid
-    n = grid.n_horizon_steps
-    u_rows = control.rows()
-    t_hor = grid.horizon_nodes
-    zmem = state.memory_arg
-    cost = np.zeros(state.n_paths)
-    for j in range(n):
-        cost = cost + model.running_cost(
-            t_hor[j], state.x[:, grid.index_zero + j], state.y[:, j], zmem[:, j],
-            u_rows[:, j] if u_rows.shape[0] > 1 else u_rows[0, j],
-        )
-    per_path = grid.step * cost + model.terminal.value(state.terminal_x, noise)
-    per_path = np.broadcast_to(per_path, (state.n_paths,)).astype(float)
+        grid, n_paths = noise.grid, noise.n_paths
+        cost = np.zeros(n_paths)
+        x_terminal = _state_sweep(model, control, noise, cost=cost)[0]
+    else:
+        grid, n_paths = state.grid, state.n_paths
+        n = grid.n_horizon_steps
+        u_rows = control.rows()
+        t_hor = grid.horizon_nodes
+        zmem = state.memory_arg
+        cost = np.zeros(n_paths)
+        for j in range(n):
+            cost = cost + model.running_cost(
+                t_hor[j], state.x[:, grid.index_zero + j], state.y[:, j], zmem[:, j],
+                u_rows[:, j] if u_rows.shape[0] > 1 else u_rows[0, j],
+            )
+        x_terminal = state.terminal_x
+    per_path = grid.step * cost + model.terminal.value(x_terminal, noise)
+    per_path = np.broadcast_to(per_path, (n_paths,)).astype(float)
     j_hat = float(per_path.mean())
-    se = float(per_path.std(ddof=1) / np.sqrt(state.n_paths)) if state.n_paths > 1 else 0.0
+    se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     return j_hat, se, per_path

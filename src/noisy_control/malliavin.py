@@ -236,8 +236,9 @@ def clark_ocone_residual(f_spec, noise, scheme="corrected"):
     incr = noise.increments[:, noise.grid.index_zero:]
     n = grid.n_horizon_steps
     h = grid.step
+    # F's paths are built once: the terminal is their last column
     f_paths = f_spec.paths(noise) if isinstance(f_spec, Chaos1Exponential) else None
-    terminal = f_spec.terminal(noise)
+    terminal = f_spec.terminal(noise) if f_paths is None else f_paths[:, -1]
     recon = np.full(incr.shape[0], f_spec.mean_terminal())
     for k in range(n):
         cond = f_spec.conditional_malliavin_terminal(noise, k, f_paths)

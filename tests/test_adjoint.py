@@ -385,6 +385,30 @@ def test_lift_p2_matches_conditional_window_values():
     assert np.allclose(lifted.p2[:, k], engine.conditional_window(k), atol=0.0)
 
 
+def test_lift_reads_the_models_kernel():
+    """A weighted-kernel model lifted without kernel= weights its windows."""
+    model = scenarios.generalized_memory()
+    ens = sample_ensemble(GRID, JumpSpec.none(), seed=10, n_paths=50)
+    ctrl = ControlPath.constant(GRID, 1.0, control_set=model.control_set)
+    state = simulate_state(model, ctrl, ens)
+    engine = DeterministicWindowEngine(GRID, np.exp(0.3 * (1.0 - NODES)))
+    triple = AdjointTriple(GRID, np.ones((1, GRID.n_horizon_steps + 1)),
+                           np.zeros((1, GRID.n_horizon_steps + 1)), None, None, {})
+    lifted, _ = lift_2d_from_1d(triple, engine, model=model, state=state)
+    weighted, _ = lift_2d_from_1d(triple, engine, kernel=model.kernel)
+    plain, _ = lift_2d_from_1d(triple, engine)
+    assert _same_bits(lifted.p2, weighted.p2)
+    assert not np.array_equal(lifted.p2, plain.p2)
+    with pytest.raises(ValueError, match="model's kernel"):
+        lift_2d_from_1d(triple, engine, model=model, kernel=MemoryKernel.identity())
+    plain_model = scenarios.linear_noisy_memory()
+    for kernel in (None, MemoryKernel.identity()):  # both mean the plain window
+        plain_model.kernel = kernel
+        again, _ = lift_2d_from_1d(triple, engine, model=plain_model,
+                                   kernel=MemoryKernel.identity())
+        assert _same_bits(again.p2, plain.p2)
+
+
 def test_bump_regression_engine_against_exact_windows():
     """The generic bump-and-regress engine tracks the exact chaos engine."""
     model = scenarios.linear_noisy_memory()

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from noisy_control import adjoint, cli, dynamics, maxprinciple, scenarios, verif
 from noisy_control.dynamics import (
     AffineJumpCoefficient,
     CallableJumpCoefficient,
+    CoefficientModel,
     ControlPath,
     ControlSet,
     MemoryKernel,
@@ -19,6 +21,7 @@ from noisy_control.dynamics import (
 )
 from noisy_control.errors import (
     GradientMismatch,
+    GridMismatch,
     KernelNotReducible,
     NonFiniteState,
     OutOfControlSet,
@@ -138,7 +141,7 @@ def test_reduce_2d_prefix_identity_and_kernel_guard():
 def test_no_public_function_takes_a_kernel_beside_its_model():
     """The memory kernel lives on the model: passing one beside it again
     would let the two disagree.  lift_2d_from_1d is an engine-level function
-    whose optional model only supplies Hamiltonian partials."""
+    whose kernel defaults to its optional model's and may not differ from it."""
     offenders = []
     for module in (dynamics, maxprinciple, adjoint, verification, scenarios, cli):
         for name, obj in vars(module).items():
@@ -315,6 +318,100 @@ def test_performance_common_random_numbers():
     _, _, per_b = evaluate_performance(model, ControlPath.constant(g, 1.01, control_set=cs), ens)
     diff = per_a - per_b
     assert diff.std(ddof=1) < 0.1 * per_a.std(ddof=1)
+
+
+# sha256 of the per-path J at 200 paths, steps_per_delay=8, noise seed 5 and
+# constant control 1.0 (custom-affine: a per-path control), recorded with the
+# J read from a simulated StateBundle.  The weighted window of
+# generalized-memory is a BLAS matrix-vector product and state-cost calls exp
+# and log1p, so those two digests hold on one machine and numpy/BLAS build.
+_PERFORMANCE_DIGESTS = {
+    "linear-noisy-memory": "e0547595782d58d51723c04deb81859dba40ec6c89c4bef2733fab6f0d5b612c",
+    "consumption-affine-jumps": "8593940e02bb47a9bc58dd6b885f03a528bf80e99ae4ef6688a4d2d137020edb",
+    "consumption-callable-jumps": "8593940e02bb47a9bc58dd6b885f03a528bf80e99ae4ef6688a4d2d137020edb",
+    "generalized-memory": "dc7d961ddc25ddae12be70dc5c67e337cbd1e97c4dc0145e8abdf75a5b9c392c",
+    "custom-affine-full": "18295af0db81b0a0644593719651320ef8aa0ace63c3da7b87d8c9a02a689369",
+    "state-cost": "bf465f03f8e57df754d1df9a5ac3358b1998ad11c46ef1b74c56e11c72652291",
+}
+
+
+def _performance_case(case, g):
+    spec = JumpSpec.none()
+    if case == "linear-noisy-memory":
+        model = scenarios.linear_noisy_memory()
+    elif case.startswith("consumption"):
+        spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
+        model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
+        if case == "consumption-callable-jumps":
+            model.gamma = CallableJumpCoefficient(lambda t, x, y, z, u, zeta: 0.1 * x * zeta)
+    elif case == "generalized-memory":
+        model = scenarios.generalized_memory()
+    elif case == "custom-affine-full":
+        model = scenarios.custom_affine(bx=0.3, by=-0.2, bz=0.5, bu=0.4, sx=0.2,
+                                        s_const=0.1, terminal_slope=1.5)
+    else:
+        # the built-in running costs read only u; this one reads every argument,
+        # and the diffusion hands back the delayed state row itself
+        base = scenarios.linear_noisy_memory()
+        model = CoefficientModel(
+            drift=base.drift, diffusion=lambda t, x, y, z, u: y,
+            running_cost=lambda t, x, y, z, u: np.exp(-x) * y + np.log1p(z * z) - t * u * u,
+            terminal=base.terminal, initial_segment=base.initial_segment,
+            control_set=base.control_set, name=case,
+        )
+    ens = sample_ensemble(g, spec, seed=5, n_paths=200)
+    if case == "custom-affine-full":
+        values = np.random.default_rng(1).uniform(-1, 1, (200, g.n_horizon_steps + 1))
+        ctrl = ControlPath(g, values, "full", model.control_set)
+    else:
+        ctrl = ControlPath.constant(g, 1.0, control_set=model.control_set)
+    return model, ctrl, ens
+
+
+@pytest.mark.parametrize("case", sorted(_PERFORMANCE_DIGESTS))
+def test_state_free_performance_matches_the_state_bitwise(case):
+    g = make_grid(0.2, 1.0, 8)
+    model, ctrl, ens = _performance_case(case, g)
+    j_free, se_free, free = evaluate_performance(model, ctrl, ens)
+    j_held, se_held, held = evaluate_performance(
+        model, ctrl, ens, state=simulate_state(model, ctrl, ens)
+    )
+    assert free.dtype == held.dtype and free.shape == held.shape == (200,)
+    assert free.tobytes() == held.tobytes()
+    assert (j_free, se_free) == (j_held, se_held)
+    assert hashlib.sha256(free.tobytes()).hexdigest() == _PERFORMANCE_DIGESTS[case]
+
+
+def test_state_free_performance_raises_typed_errors():
+    g = make_grid(0.2, 1.0, 8)
+    ens = sample_ensemble(g, JumpSpec.none(), seed=8, n_paths=2)
+    with pytest.raises(GridMismatch):
+        evaluate_performance(
+            scenarios.custom_affine(), ControlPath.constant(make_grid(0.2, 1.0, 4), 0.0), ens
+        )
+    model = scenarios.custom_affine(bx=1e300)  # finite after one step, inf after two
+    with pytest.raises(NonFiniteState) as err, np.errstate(over="ignore"):
+        evaluate_performance(model, ControlPath.constant(g, 0.0), ens)
+    assert err.value.step == g.index_zero + 1
+    assert err.value.time == g.nodes[g.index_zero + 1]
+
+
+# One state-free J holds a ring of state rows, not a StateBundle: reading J
+# from a simulated state peaks at 3.55 (n_paths, n_nodes) float buffers here.
+@pytest.mark.parametrize("name", ["linear_noisy_memory", "consumption"])
+def test_state_free_performance_traced_peak_stays_below_two_buffers(name):
+    model = getattr(scenarios, name)()
+    g = make_grid(0.2, 1.0, 64)
+    ens = sample_ensemble(g, JumpSpec.none(), seed=3, n_paths=4000)
+    ctrl = ControlPath.constant(g, 3.0, control_set=model.control_set)
+    evaluate_performance(model, ctrl, ens)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        evaluate_performance(model, ctrl, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * ens.n_paths * g.n_nodes) < 2.0
 
 
 # sha256 of the sweep outputs at 200 paths, steps_per_delay=8, noise seed 5,
