@@ -1,7 +1,7 @@
 """Tools for controlled jump-diffusions with delay and noisy memory.
 
 Submodules:
-    paths         grids, driving noise, discrete Ito integration
+    paths         grids and driving noise
     dynamics      coefficient models, state simulation, 2D reduction
     malliavin     chaos-1 calculus, duality and martingale-representation checks
     adjoint       Hamiltonian, backward equations, closed forms, bridge maps

@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import _path_major
-from .errors import (
-    FixedPointDiverged,
-    GridMismatch,
-    MalliavinUnavailable,
-    RankDeficientBasis,
-)
+from .errors import FixedPointDiverged, GridMismatch, RankDeficientBasis
 from .malliavin import Chaos1Exponential, horizon_values
 
 _COND_LIMIT = 1e13
@@ -344,90 +339,6 @@ class DeterministicWindowEngine:
         return self.values[k + self.grid.steps_per_delay]
 
 
-class BumpRegressionEngine:
-    """Fallback window engine: bump-and-regress Malliavin estimates.
-
-    For a dH/dz process with no closed form, conditional expectations are
-    least-squares projections on a state basis, and E[D_t dH/dz(s) | F_t] is
-    estimated by bumping the Brownian increment at t, recomputing the process
-    with the supplied rule, and regressing the per-path difference quotient.
-    Estimates carry both regression and finite-difference error; acceptance
-    checks never rely on this engine (see the exact engines above), but it is
-    validated against them on the linear fixture.
-
-    Args:
-        grid: TimeGrid.
-        values: (n_paths, n+1) dH/dz on the horizon nodes.
-        recompute: callable noise -> (n_paths, n+1) dH/dz values, used for
-            bumped noise; None disables Malliavin windows.
-        noise: the ensemble the values were computed on.
-        design: (n_paths, n_features, n+1) regression features per node, or a
-            callable k -> (n_paths, n_features).
-        ridge: Tikhonov weight for the regressions.
-    """
-
-    def __init__(self, grid, values, recompute, noise, design, ridge=1e-8):
-        self.grid = grid
-        self.values = values
-        self.recompute = recompute
-        self.noise = noise
-        self._design = design
-        self.ridge = ridge
-        self._bumped_cache = {}
-
-    def _design_at(self, k):
-        if callable(self._design):
-            return self._design(k)
-        return self._design[:, :, k]
-
-    def value(self, k):
-        return self.values[:, k]
-
-    def _fit(self, k, targets):
-        return _ridge_fit(self._design_at(k), targets, self.ridge)[0]
-
-    def conditional_window(self, k, weights=None):
-        n = self.grid.n_horizon_steps
-        end = min(k + self.grid.steps_per_delay, n)
-        if end <= k:
-            return np.zeros(self.values.shape[0])
-        fitted = self._fit(k, self.values[:, k:end])
-        if weights is not None:
-            fitted = fitted * weights[: end - k][None, :]
-        return self.grid.step * fitted.sum(axis=1)
-
-    def _bumped_quotient(self, k):
-        if k in self._bumped_cache:
-            return self._bumped_cache[k]
-        if self.recompute is None:
-            raise MalliavinUnavailable(
-                "no recompute rule was supplied, so Malliavin windows cannot "
-                "be bump-estimated for this dH/dz process"
-            )
-        step = self.grid.index_zero + k
-        incr = self.noise.increments
-        bump = np.sqrt(np.sqrt(np.finfo(float).eps)) * (1.0 + np.abs(incr[:, step]))
-        bumped_vals = self.recompute(self.noise.with_bumped_increment(step, bump))
-        quotient = (bumped_vals - self.values) / bump[:, None]
-        self._bumped_cache[k] = quotient
-        return quotient
-
-    def malliavin_window(self, k, weights=None):
-        n = self.grid.n_horizon_steps
-        end = min(k + self.grid.steps_per_delay, n)
-        if end <= k:
-            return np.zeros(self.values.shape[0])
-        quotient = self._bumped_quotient(k)
-        fitted = self._fit(k, quotient[:, k:end])
-        if weights is not None:
-            fitted = fitted * weights[: end - k][None, :]
-        return self.grid.step * fitted.sum(axis=1)
-
-    def advanced_conditional(self, k):
-        k_adv = k + self.grid.steps_per_delay
-        return self._fit(k, self.values[:, k_adv])
-
-
 # ---------------------------------------------------------------------------
 # Driver assembly and the 1D residual checker
 
@@ -565,12 +476,6 @@ def _project(design, gram, targets):
     rhs = design.T @ (targets if targets.ndim == 2 else targets[:, None]) / design.shape[0]
     fitted = design @ np.linalg.solve(gram, rhs)
     return fitted if targets.ndim == 2 else fitted[:, 0]
-
-
-def _ridge_fit(design, targets, ridge):
-    """Least-squares fit with Tikhonov floor; returns (fitted values, cond)."""
-    gram, cond = _gram(design, ridge)
-    return _project(design, gram, targets), cond
 
 
 def _affine_r_from_moments(u0, u1, spec):
@@ -783,7 +688,7 @@ def bridge_1d_from_2d(adjoint2d, engine, kernel=None):
     return triple, deviation
 
 
-def lift_2d_from_1d(adjoint, engine, model=None, state=None, kernel=None):
+def lift_2d_from_1d(adjoint, engine, model=None, state=None):
     """Extend a 1D triple to the 2D system via the window integrals.
 
     p2(t) = window conditional of dH/dz; q2(t) = its Malliavin window; r2 = 0;
@@ -791,19 +696,12 @@ def lift_2d_from_1d(adjoint, engine, model=None, state=None, kernel=None):
     them bitwise).  mu1/mu2 are assembled from the engine; when model and
     state are given, dH/dx and dH/dy are recomputed from the model partials,
     otherwise adjoint.mu is carried over as mu1.  The windows are weighted by
-    `kernel`, which defaults to model.kernel when a model is given.
+    model.kernel when a model is given, and are the plain windows otherwise.
 
     Returns (Adjoint2D, p2_equation_residual_sup) where the residual is the
     Euler defect of the p2 equation dp2 = -mu2 dt + q2 dB.
-
-    Raises:
-        ValueError: `kernel` is not the model's kernel.
     """
-    if model is not None:
-        if kernel is None:
-            kernel = model.kernel
-        elif kernel is not model.kernel and not (_plain(kernel) and _plain(model.kernel)):
-            raise ValueError("kernel differs from the model's kernel; pass the model alone")
+    kernel = model.kernel if model is not None else None
     grid = adjoint.grid
     n = grid.n_horizon_steps
     m = grid.steps_per_delay

@@ -144,10 +144,13 @@ def load_config(path):
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
-                return conv(raw)
+                value = conv(raw)
             except (TypeError, ValueError):
                 _fail(path, lines, section, key,
                       "cannot parse %r as %s" % (raw, conv.__name__))
+            if conv is float and not np.isfinite(value):
+                _fail(path, lines, section, key, "expected a finite number, got %r" % raw)
+            return value
         return default
 
     def get_bool(section, key, default):
@@ -199,6 +202,10 @@ def load_config(path):
             model_cfg[key] = get("model", key, float(default), float)
         else:  # pragma: no cover - schema and this loop must stay in sync
             raise AssertionError(key)
+
+    for key in ("delta", "horizon"):
+        if not model_cfg[key] > 0:
+            _fail(path, lines, "model", key, "must be positive")
 
     marks = _parse_marks(model_cfg.get("jump_marks", ""), path, lines)
     if model_cfg.get("jump_intensity", 0.0) > 0 and marks is None:
@@ -520,9 +527,10 @@ def run_scenario(cfg):
 
 def write_outputs(cfg, report, artifacts):
     out_dir = cfg["output"]["directory"]
+    text = verification.render_report(report)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(verification.render_report(report))
+        fh.write(text)
     written = [os.path.join(out_dir, "report.json")]
     grid = artifacts["grid"]
     state = artifacts["state"]

@@ -35,10 +35,6 @@ class FixedPointDiverged(NoisyControlError):
     """The backward coefficient sweep produced non-finite values."""
 
 
-class MalliavinUnavailable(NoisyControlError):
-    """No usable representation of the memory-window integrand was supplied."""
-
-
 class RankDeficientBasis(NoisyControlError):
     """Regression basis is numerically rank deficient; carries the condition
     number of the Gram matrix."""

@@ -248,30 +248,3 @@ def clark_ocone_residual(f_spec, noise, scheme="corrected"):
             recon = recon + 0.5 * f_spec.psi[k] ** 2 * cond_f * (incr[:, k] ** 2 - h)
     return np.abs(terminal - recon)
 
-
-def bump_malliavin(functional, noise, t, bump=None):
-    """Forward-difference probe of a Malliavin derivative at time t.
-
-    Recomputes a path functional after shifting the Brownian increment of the
-    step starting at t, and returns (F(bumped) - F(base)) / bump per path.
-    The default bump is sqrt(machine eps) * (1 + |dB_t|), per path.
-
-    Args:
-        functional: callable mapping a noise object to per-path values.
-        noise: NoiseEnsemble (a single path is a one-path ensemble).
-        t: a grid node in [0, horizon).
-
-    Returns:
-        Per-path derivative estimates, shape (n_paths,).
-    """
-    grid = noise.grid
-    k = grid.index_of(t)
-    if k >= grid.n_steps:
-        raise OffGrid("no step starts at the terminal node")
-    if bump is None:
-        bump = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(noise.increments[:, k]))
-    bump = np.asarray(bump, dtype=float)
-    bumped = noise.with_bumped_increment(k, bump)
-    base = np.atleast_1d(np.asarray(functional(noise), dtype=float))
-    shifted = np.atleast_1d(np.asarray(functional(bumped), dtype=float))
-    return (shifted - base) / bump

@@ -407,15 +407,16 @@ def check_sufficient(control, adjoint, model, state, probe_count=64, seed=0, tol
 # First-order condition and spike perturbations
 
 
-def solve_foc(model, p, grid, information="trivial", state=None, tol=1e-10, max_iter=200):
-    """Invert the first-order condition df/du(t, u) = E[p(t) | G_t] nodewise.
+def solve_foc(model, p, grid, tol=1e-10, max_iter=200):
+    """Invert the first-order condition df/du(t, u) = E[p(t)] nodewise.
 
+    The control is deterministic (the trivial information model): the target
+    is the cross-path mean of p, and df/du is read at x = y = z = 0, so f_u
+    must depend on (t, u) alone, as it does in every catalog scenario.
     Bisection on the control interval; nodes where the target lies outside
     the range of df/du on V are clamped to the nearer endpoint and flagged in
-    the returned path's `clamped` attribute.  Under full information the
-    equation is solved pathwise; under the trivial model the target is the
-    cross-path mean of p.  All nodes are bisected at once, with t the row of
-    horizon times.
+    the returned path's `clamped` attribute.  All nodes are bisected at once,
+    with t the row of horizon times.
 
     Raises NonMonotone when df/du is not strictly monotone in u across the
     probe grid (bisection would not bracket), or naming the first node whose
@@ -425,22 +426,13 @@ def solve_foc(model, p, grid, information="trivial", state=None, tol=1e-10, max_
     lo, hi = cs.lower, cs.upper
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("first-order inversion needs a bounded control interval")
-    p2d = np.atleast_2d(np.asarray(p, dtype=float))
-    target = p2d if information == "full" else p2d.mean(axis=0)[None, :]
-
+    target = np.atleast_2d(np.asarray(p, dtype=float)).mean(axis=0)
     t = grid.horizon_nodes
-    if state is None:
-        point = point0 = (0.0, 0.0, 0.0)
-    else:
-        point = state.horizon_args()[1:4]
-        if information != "full":
-            # each node's mean sums its paths contiguously, as column.mean() does
-            point = tuple(np.ascontiguousarray(v.T).mean(axis=1) for v in point)
-        point0 = tuple(v[..., 0] for v in point)
 
-    probe_vals = np.array(
-        [np.mean(model.cost_grad(t[0], *point0, u)[3]) for u in np.linspace(lo, hi, 9)]
-    )
+    def dfdu(t, u):
+        return model.cost_grad(t, 0.0, 0.0, 0.0, u)[3]
+
+    probe_vals = np.array([np.mean(dfdu(t[0], u)) for u in np.linspace(lo, hi, 9)])
     diffs = np.diff(probe_vals)
     if np.all(diffs > 0):
         sign = 1.0
@@ -453,34 +445,32 @@ def solve_foc(model, p, grid, information="trivial", state=None, tol=1e-10, max_
         )
 
     def excess(u):
-        return sign * (model.cost_grad(t, *point, u)[3] - target)
+        return sign * (dfdu(t, u) - target)
 
     a = np.full_like(target, lo)
     b = np.full_like(target, hi)
     clamp_hi = excess(b) < 0
     clamp_lo = excess(a) > 0
-    live = np.ones(target.shape[1], dtype=bool)
+    live = np.ones(target.shape, dtype=bool)
     for _ in range(max_iter):
         mid = 0.5 * (a + b)
         go_right = excess(mid) < 0
         a = np.where(live & go_right, mid, a)
         b = np.where(live & ~go_right, mid, b)
-        live &= ~(np.max(b - a, axis=0) < 1e-16 * max(1.0, abs(hi)))
+        live &= ~(b - a < 1e-16 * max(1.0, abs(hi)))
         if not live.any():
             break
     values = np.where(clamp_lo, lo, np.where(clamp_hi, hi, 0.5 * (a + b)))
     clamped = clamp_hi | clamp_lo
-    resid = np.abs(model.cost_grad(t, *point, values)[3] - target)
-    bound = np.fmax(tol, 1e-8 * np.max(np.abs(target), axis=0))
-    failed = np.flatnonzero(np.any(~clamped & (resid > bound), axis=0))
+    resid = np.abs(dfdu(t, values) - target)
+    bound = np.fmax(tol, 1e-8 * np.abs(target))
+    failed = np.flatnonzero(~clamped & (resid > bound))
     if failed.size:
         raise NonMonotone(
             "bisection failed to reach |df/du - target| <= %g at node %d" % (tol, failed[0])
         )
 
-    if information != "full":
-        information, values, clamped = "trivial", values[0], clamped[0]
-    out = ControlPath(grid, values, information=information, control_set=cs)
+    out = ControlPath(grid, values, control_set=cs)
     out.clamped = clamped
     return out
 

@@ -1,4 +1,4 @@
-"""Time grids, driving noise, and discrete Ito integration.
+"""Time grids and the driving noise.
 
 Everything downstream is indexed by the shared grid: nodes t_k = -delta + k*h
 with h = delta / steps_per_delay, so the delay is always an exact index shift
@@ -7,7 +7,7 @@ and no float time arithmetic is needed anywhere else.
 
 import numpy as np
 
-from .errors import GridMismatch, NonCommensurate, OffGrid
+from .errors import NonCommensurate, OffGrid
 
 _COMMENSURATE_RTOL = 1e-9
 
@@ -321,53 +321,6 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
         times.append(tm_i)
     incr *= np.sqrt(grid.step)
     return NoiseEnsemble(grid, incr, counts, marks, times, seed)
-
-
-def _check_same_grid(grid, other):
-    if grid != other:
-        raise GridMismatch("objects live on different grids: %r vs %r" % (grid, other))
-
-
-def ito_integral(integrand, noise, window):
-    """Left-point Ito sum of a node-indexed integrand over [a, b).
-
-    The sum is evaluated as a difference of running prefix sums accumulated in
-    increasing index order from the first grid node.  That anchoring makes the
-    windowed integral reproduce, bit for bit, the running memory integrals the
-    simulator maintains (so Z is exactly recomputable), and it fixes the
-    floating-point summation order once and for all.
-
-    Args:
-        integrand: array of node values, shape (..., n_nodes); values at nodes
-            before the window take part in the anchored accumulation (they
-            cancel exactly in exact arithmetic) and must be finite.  The value
-            at the last node is never used.
-        noise: NoiseEnsemble on the same grid.
-        window: pair of node times (a, b) with a <= b.
-
-    Returns:
-        Array of shape (n_paths,) (deterministic integrands broadcast).
-
-    Raises:
-        OffGrid: if either window endpoint is not a grid node.
-    """
-    grid = noise.grid
-    a, b = window
-    ia = grid.index_of(a)
-    ib = grid.index_of(b)
-    if ia > ib:
-        raise ValueError("window must satisfy a <= b")
-    integrand = np.asarray(integrand, dtype=float)
-    if integrand.shape[-1] not in (grid.n_nodes, grid.n_steps):
-        raise ValueError(
-            "integrand must be indexed by grid nodes (length %d)" % grid.n_nodes
-        )
-    if not np.all(np.isfinite(integrand[..., :ib])):
-        raise ValueError("integrand must be finite on every node before the window end")
-    terms = integrand[..., : grid.n_steps] * noise.increments
-    prefix = np.zeros(terms.shape[:-1] + (grid.n_nodes,))
-    np.cumsum(terms, axis=-1, out=prefix[..., 1:])
-    return prefix[..., ib] - prefix[..., ia]
 
 
 def coarsen(noise, factor):

@@ -26,6 +26,7 @@ from . import malliavin as malliavin_mod
 from . import maxprinciple as mp
 from . import scenarios
 from .dynamics import ControlPath, MemoryKernel, evaluate_performance, reduce_2d, simulate_state
+from .errors import NonFiniteState
 from .malliavin import horizon_values
 from .paths import JumpSpec, coarsen, make_grid, sample_ensemble
 
@@ -478,7 +479,7 @@ def _mini_report(seed):
         "performance": [float(j_value), float(j_se)],
         "alpha_head": [float(v) for v in closed.diagnostics["alpha"][:4]],
     }
-    return json.dumps(payload, sort_keys=True).encode()
+    return _canonical_json(payload).encode()
 
 
 @_timed
@@ -561,18 +562,32 @@ def verify_all(seed=0, out_dir=None, profile="full", echo=None):
         ],
     }
     if out_dir is not None:
+        text = render_report(report)
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            fh.write(render_report(report))
+            fh.write(text)
         with open(os.path.join(out_dir, "verify.txt"), "w") as fh:
             for r in results:
                 fh.write(r.one_line() + "\n")
     return results, report
 
 
+def _canonical_json(payload, indent=None):
+    """Strict JSON with sorted keys; NaN or infinity raises NonFiniteState."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteState("a report value is not finite: %s" % exc) from exc
+
+
 def render_report(report):
-    """Canonical report serialization (sorted keys, fixed layout)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical report serialization (sorted keys, fixed layout).
+
+    Raises:
+        NonFiniteState: a value is NaN or infinite, which strict JSON cannot
+            hold.
+    """
+    return _canonical_json(report, indent=2) + "\n"
 
 
 def _jsonable(value):

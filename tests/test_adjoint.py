@@ -10,7 +10,6 @@ from noisy_control import adjoint as adjoint_mod
 from noisy_control import scenarios
 from noisy_control.adjoint import (
     AdjointTriple,
-    BumpRegressionEngine,
     Chaos1WindowEngine,
     DeterministicWindowEngine,
     LinearBSDESpec,
@@ -25,7 +24,7 @@ from noisy_control.adjoint import (
     solve_linear_closed_form,
 )
 from noisy_control.dynamics import ControlPath, MemoryKernel, reduce_2d, simulate_state
-from noisy_control.errors import GridMismatch, MalliavinUnavailable, RankDeficientBasis
+from noisy_control.errors import FixedPointDiverged, GridMismatch, RankDeficientBasis
 from noisy_control.maxprinciple import check_necessary_I, control_partial_paths
 from noisy_control.paths import JumpSpec, make_grid, sample_ensemble
 
@@ -107,6 +106,14 @@ def test_closed_form_rejects_wrong_grid():
     other = sample_ensemble(make_grid(0.25, 1.0, 8), JumpSpec.none(), 0, 3)
     with pytest.raises(GridMismatch):
         _closed(model, other)
+
+
+def test_closed_form_names_the_node_where_the_sweep_diverges():
+    """psi = 1e200 squares to infinity in the rate at the first swept node."""
+    ens = sample_ensemble(GRID, JumpSpec.none(), seed=0, n_paths=4)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FixedPointDiverged, match="at node 40 "):
+        solve_linear_closed_form(LinearBSDESpec(a0=1.0, a1=0.0, psi=1e200), ens)
 
 
 def test_window_reconstruction_identity():
@@ -386,7 +393,8 @@ def test_lift_p2_matches_conditional_window_values():
 
 
 def test_lift_reads_the_models_kernel():
-    """A weighted-kernel model lifted without kernel= weights its windows."""
+    """A weighted-kernel model weights the lift's windows, with or without a
+    state; a plain model and no model both lift with the plain window."""
     model = scenarios.generalized_memory()
     ens = sample_ensemble(GRID, JumpSpec.none(), seed=10, n_paths=50)
     ctrl = ControlPath.constant(GRID, 1.0, control_set=model.control_set)
@@ -395,59 +403,15 @@ def test_lift_reads_the_models_kernel():
     triple = AdjointTriple(GRID, np.ones((1, GRID.n_horizon_steps + 1)),
                            np.zeros((1, GRID.n_horizon_steps + 1)), None, None, {})
     lifted, _ = lift_2d_from_1d(triple, engine, model=model, state=state)
-    weighted, _ = lift_2d_from_1d(triple, engine, kernel=model.kernel)
+    weighted, _ = lift_2d_from_1d(triple, engine, model=model)
     plain, _ = lift_2d_from_1d(triple, engine)
     assert _same_bits(lifted.p2, weighted.p2)
     assert not np.array_equal(lifted.p2, plain.p2)
-    with pytest.raises(ValueError, match="model's kernel"):
-        lift_2d_from_1d(triple, engine, model=model, kernel=MemoryKernel.identity())
     plain_model = scenarios.linear_noisy_memory()
     for kernel in (None, MemoryKernel.identity()):  # both mean the plain window
         plain_model.kernel = kernel
-        again, _ = lift_2d_from_1d(triple, engine, model=plain_model,
-                                   kernel=MemoryKernel.identity())
+        again, _ = lift_2d_from_1d(triple, engine, model=plain_model)
         assert _same_bits(again.p2, plain.p2)
-
-
-def test_bump_regression_engine_against_exact_windows():
-    """The generic bump-and-regress engine tracks the exact chaos engine."""
-    model = scenarios.linear_noisy_memory()
-    ens = sample_ensemble(GRID, JumpSpec.none(), seed=12, n_paths=3000)
-    closed = _closed(model, ens)
-    exact = _chaos_engine(model, closed)
-    spec = LinearBSDESpec.from_model(model)
-
-    def recompute(noise):
-        return 0.5 * solve_linear_closed_form(spec, noise).p
-
-    def design(k):
-        return np.column_stack([np.ones(ens.n_paths), closed.p[:, k]])
-
-    engine = BumpRegressionEngine(
-        GRID, 0.5 * closed.p, recompute, ens, design, ridge=1e-8
-    )
-    k = 3
-    est = engine.malliavin_window(k)
-    ref = exact.malliavin_window(k)
-    rel = np.linalg.norm(est - ref) / np.linalg.norm(ref)
-    corr = np.corrcoef(est, ref)[0, 1]
-    assert rel <= 0.35
-    assert corr >= 0.9
-    # conditional (non-Malliavin) windows are plain regressions: much tighter
-    cond = engine.conditional_window(k)
-    cond_ref = exact.conditional_window(k)
-    assert np.linalg.norm(cond - cond_ref) / np.linalg.norm(cond_ref) <= 0.05
-
-
-def test_bump_engine_without_recompute_rule():
-    values = np.ones((4, GRID.n_horizon_steps + 1))
-    engine = BumpRegressionEngine(
-        GRID, values, None,
-        sample_ensemble(GRID, JumpSpec.none(), 0, 4),
-        lambda k: np.ones((4, 1)),
-    )
-    with pytest.raises(MalliavinUnavailable):
-        engine.malliavin_window(0)
 
 
 def test_deterministic_engine_windows():

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from noisy_control import cli
-from noisy_control.errors import ConfigError
+from noisy_control import cli, verification
+from noisy_control.errors import ConfigError, NonFiniteState
 from noisy_control.paths import JumpSpec, make_grid, sample_ensemble
 
 FAST_LINEAR = """\
@@ -194,6 +194,23 @@ def test_load_config_rejects_regression_under_weighted_memory(tmp_path):
     assert "regression" in str(err.value)
 
 
+@pytest.mark.parametrize("name,key,value", [
+    ("custom-affine", "target", "nan"),
+    ("custom-affine", "target", "inf"),
+    ("custom-affine", "target", "-inf"),
+    ("consumption", "delta", "0"),
+    ("consumption", "delta", "-0.2"),
+    ("linear-noisy-memory", "horizon", "0"),
+])
+def test_run_rejects_non_finite_and_non_positive_numbers(tmp_path, capsys, name, key, value):
+    path = _write(tmp_path, "[model]\nname = %s\n%s = %s\n[output]\ndirectory = %s\n"
+                  % (name, key, value, tmp_path / "out"))
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "%s:3: [model] %s: " % (path, key) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_exit_codes(tmp_path, capsys):
     ok = _write(tmp_path, FAST_LINEAR.format(out=tmp_path / "out"))
     assert cli.main(["run", ok]) == 0
@@ -229,6 +246,13 @@ def test_run_exit_codes(tmp_path, capsys):
             assert cli.main(["run", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(error + ":") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_render_report_rejects_non_finite_values(value):
+    report = {"performance": {"estimate": 1.0, "standard_error": value}}
+    with pytest.raises(NonFiniteState, match="not finite"):
+        verification.render_report(report)
 
 
 def test_run_report_is_byte_stable(tmp_path):

@@ -140,8 +140,7 @@ def test_reduce_2d_prefix_identity_and_kernel_guard():
 
 def test_no_public_function_takes_a_kernel_beside_its_model():
     """The memory kernel lives on the model: passing one beside it again
-    would let the two disagree.  lift_2d_from_1d is an engine-level function
-    whose kernel defaults to its optional model's and may not differ from it."""
+    would let the two disagree."""
     offenders = []
     for module in (dynamics, maxprinciple, adjoint, verification, scenarios, cli):
         for name, obj in vars(module).items():
@@ -152,7 +151,7 @@ def test_no_public_function_takes_a_kernel_beside_its_model():
             params = inspect.signature(obj).parameters
             if "model" in params and "kernel" in params:
                 offenders.append("%s.%s" % (module.__name__, name))
-    assert offenders == ["noisy_control.adjoint.lift_2d_from_1d"]
+    assert offenders == []
 
 
 def test_constant_cost_integrates_to_horizon_exactly():

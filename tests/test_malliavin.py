@@ -7,7 +7,6 @@ from noisy_control.errors import OffGrid
 from noisy_control.malliavin import (
     BrownianTerminal,
     Chaos1Exponential,
-    bump_malliavin,
     chaos1_malliavin,
     clark_ocone_residual,
     duality_check,
@@ -61,32 +60,6 @@ def test_chaos1_malliavin_is_psi_times_future_value():
     assert np.all(chaos1_malliavin(f, ens, t=0.8, s=0.75) == 0.0)
     with pytest.raises(OffGrid):
         chaos1_malliavin(f, ens, t=-0.1, s=0.5)
-
-
-def test_bump_malliavin_matches_closed_form():
-    g = _grid()
-    psi = 0.1
-    f = Chaos1Exponential(g, psi, -0.5 * psi**2)
-    ens = sample_ensemble(g, JumpSpec.none(), seed=3, n_paths=40)
-    probe = bump_malliavin(f.terminal, ens, t=0.5)
-    exact = psi * f.terminal(ens)
-    assert np.allclose(probe, exact, rtol=1e-5)
-
-
-def test_bump_malliavin_locality():
-    """The derivative of B(0.5) in a direction at t >= 0.5 vanishes."""
-    g = _grid()
-    ens = sample_ensemble(g, JumpSpec.none(), seed=4, n_paths=5)
-
-    def b_half(noise):
-        stop = g.index_of(0.5)
-        return noise.increments[:, g.index_zero : stop].sum(axis=1)
-
-    assert np.all(bump_malliavin(b_half, ens, t=0.25) == pytest.approx(1.0))
-    assert np.all(bump_malliavin(b_half, ens, t=0.5) == 0.0)
-    assert np.all(bump_malliavin(b_half, ens, t=0.75) == 0.0)
-    with pytest.raises(OffGrid):
-        bump_malliavin(b_half, ens, t=1.0)  # no step starts at T
 
 
 def test_duality_flat_fixture():

@@ -133,15 +133,6 @@ def test_solve_foc_inverts_log_utility():
     assert not np.any(ustar.clamped)
 
 
-def test_solve_foc_full_information_is_pathwise():
-    model = scenarios.consumption()
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(2)))
-    p_paths = P_EXACT[None, :] * np.exp(gen.normal(0.0, 0.1, size=(40, 1)))
-    ustar = solve_foc(model, p_paths, GRID, information="full")
-    resid = np.abs(1.0 / ustar.values - p_paths)
-    assert np.max(resid) <= 1e-10
-
-
 def test_solve_foc_clamps_to_the_interval():
     model = scenarios.consumption()
     ustar = solve_foc(model, 100.0 * P_EXACT[None, :], GRID)
@@ -300,36 +291,18 @@ def test_sufficient_reads_scalar_and_node_indexed_jump_adjoints_alike():
 # Per-node and per-probe references for the whole-horizon checkers
 
 
-def _solve_foc_reference(model, p, grid, information="trivial", state=None, tol=1e-10,
-                         max_iter=200):
+def _solve_foc_reference(model, p, grid, tol=1e-10, max_iter=200):
     """solve_foc as one bisection per node, with the node's own stopping rule."""
     cs = model.control_set
     lo, hi = cs.lower, cs.upper
     n = grid.n_horizon_steps
-    p2d = np.atleast_2d(np.asarray(p, dtype=float))
-    target = p2d if information == "full" else p2d.mean(axis=0)[None, :]
-    n_rows = target.shape[0]
+    target = np.atleast_2d(np.asarray(p, dtype=float)).mean(axis=0)[None, :]
 
-    def dfdu(t, u, sp):
-        return model.cost_grad(t, sp[0], sp[1], sp[2], u)[3]
-
-    if state is not None:
-        iz = grid.index_zero
-
-        def point(k):
-            if information == "full":
-                return (state.x[:, iz + k], state.y[:, k], state.memory_arg[:, k])
-            return (
-                float(state.x[:, iz + k].mean()),
-                float(state.y[:, k].mean()),
-                float(state.memory_arg[:, k].mean()),
-            )
-    else:
-        def point(k):
-            return (0.0, 0.0, 0.0)
+    def dfdu(t, u):
+        return model.cost_grad(t, 0.0, 0.0, 0.0, u)[3]
 
     probe_vals = np.array(
-        [np.mean(dfdu(grid.horizon_nodes[0], u, point(0))) for u in np.linspace(lo, hi, 9)]
+        [np.mean(dfdu(grid.horizon_nodes[0], u)) for u in np.linspace(lo, hi, 9)]
     )
     diffs = np.diff(probe_vals)
     if np.all(diffs < 0):
@@ -339,14 +312,13 @@ def _solve_foc_reference(model, p, grid, information="trivial", state=None, tol=
     else:
         raise NonMonotone("not monotone")
 
-    values = np.empty((n_rows, n + 1))
-    clamped = np.zeros((n_rows, n + 1), dtype=bool)
+    values = np.empty((1, n + 1))
+    clamped = np.zeros((1, n + 1), dtype=bool)
     for k in range(n + 1):
         t_k = grid.horizon_nodes[k]
-        sp = point(k)
         tgt = target[:, k]
-        g_lo = dfdu(t_k, np.full_like(tgt, lo), sp) - tgt
-        g_hi = dfdu(t_k, np.full_like(tgt, hi), sp) - tgt
+        g_lo = dfdu(t_k, np.full_like(tgt, lo)) - tgt
+        g_hi = dfdu(t_k, np.full_like(tgt, hi)) - tgt
         if not increasing:
             g_lo, g_hi = -g_lo, -g_hi
         clamp_hi = g_hi < 0
@@ -355,7 +327,7 @@ def _solve_foc_reference(model, p, grid, information="trivial", state=None, tol=
         b = np.full_like(tgt, hi)
         for _ in range(max_iter):
             mid = 0.5 * (a + b)
-            g_mid = dfdu(t_k, mid, sp) - tgt
+            g_mid = dfdu(t_k, mid) - tgt
             if not increasing:
                 g_mid = -g_mid
             go_right = g_mid < 0
@@ -368,13 +340,11 @@ def _solve_foc_reference(model, p, grid, information="trivial", state=None, tol=
         u_k = np.where(clamp_lo, lo, u_k)
         values[:, k] = u_k
         clamped[:, k] = clamp_hi | clamp_lo
-        resid = np.abs(dfdu(t_k, u_k, sp) - target[:, k])
+        resid = np.abs(dfdu(t_k, u_k) - target[:, k])
         if np.any(~clamped[:, k] & (resid > max(tol, 1e-8 * np.max(np.abs(tgt))))):
             raise NonMonotone(
                 "bisection failed to reach |df/du - target| <= %g at node %d" % (tol, k)
             )
-    if information == "full":
-        return values, clamped
     return values[0], clamped[0]
 
 
@@ -459,9 +429,9 @@ def _x_dependent_model():
     )
 
 
-def _assert_foc_matches_reference(model, p, **kwargs):
-    out = solve_foc(model, p, GRID, **kwargs)
-    values, clamped = _solve_foc_reference(model, p, GRID, **kwargs)
+def _assert_foc_matches_reference(model, p):
+    out = solve_foc(model, p, GRID)
+    values, clamped = _solve_foc_reference(model, p, GRID)
     assert out.values.shape == values.shape
     assert out.values.tobytes() == values.tobytes()
     assert out.clamped.shape == clamped.shape
@@ -475,14 +445,11 @@ def test_solve_foc_matches_per_node_reference():
     consumption = scenarios.consumption()
     _assert_foc_matches_reference(consumption, P_EXACT[None, :])
     jittered = P_EXACT[None, :] * np.exp(gen.normal(0.0, 0.1, size=(40, 1)))
-    _assert_foc_matches_reference(consumption, jittered, information="full")
     _assert_foc_matches_reference(consumption, jittered)
-    # 1/u = p leaves [0.05, 20] at both ends: clamps to the upper and the
-    # lower bound, pathwise and in the mean
     wide = np.exp(gen.uniform(-5.0, 5.0, size=shape))
-    out = _assert_foc_matches_reference(consumption, wide, information="full")
-    assert np.any(out.values == 0.05) and np.any(out.values == 20.0)
-    assert np.any(~out.clamped)
+    _assert_foc_matches_reference(consumption, wide)
+    # 1/u = p leaves [0.05, 20] at both ends: clamps to the upper and the
+    # lower bound
     ends = np.where(NODES < 0.5, 100.0, 0.01)
     ends[NODES > 0.75] = P_EXACT[NODES > 0.75]
     out = _assert_foc_matches_reference(consumption, ends[None, :])
@@ -491,8 +458,6 @@ def test_solve_foc_matches_per_node_reference():
     spread = gen.normal(0.0, 3.0, size=shape)
     for running in ("quadratic", "convex"):
         model = scenarios.custom_affine(running=running)
-        out = _assert_foc_matches_reference(model, spread, information="full")
-        assert np.any(out.clamped) and np.any(~out.clamped)
         _assert_foc_matches_reference(model, spread)
 
 
@@ -508,21 +473,9 @@ def test_solve_foc_lower_clamp_wins_where_df_du_turns():
         control_set=base.control_set, name="turning",
     )
     zero = np.zeros((3, GRID.n_horizon_steps + 1))
-    for information in ("trivial", "full"):
-        out = _assert_foc_matches_reference(model, zero, information=information)
-        late = NODES > 0.5
-        assert np.all(out.clamped[..., late]) and np.all(out.values[..., late] == -5.0)
-
-
-def test_solve_foc_with_state_matches_per_node_reference():
-    """The per-node state means reach the bits through df/du(t, x, y, z, u)."""
-    model = _x_dependent_model()
-    for n_paths, information in ((10000, "trivial"), (300, "full")):
-        state, _, _ = _state(model, n_paths=n_paths, seed=8)
-        gen = np.random.Generator(np.random.Philox(key=np.uint64(n_paths)))
-        p = P_EXACT[None, :] * np.exp(gen.normal(0.0, 0.2, size=(n_paths, 1)))
-        out = _assert_foc_matches_reference(model, p, information=information, state=state)
-        assert not np.any(out.clamped)
+    out = _assert_foc_matches_reference(model, zero)
+    late = NODES > 0.5
+    assert np.all(out.clamped[late]) and np.all(out.values[late] == -5.0)
 
 
 def test_solve_foc_names_the_first_unconverged_node():

@@ -4,15 +4,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from noisy_control.errors import NonCommensurate, OffGrid
 from noisy_control.paths import (
     JumpSpec,
     NoiseEnsemble,
     coarsen,
-    ito_integral,
     make_grid,
     sample_ensemble,
 )
@@ -112,68 +109,6 @@ def test_jump_counts_match_intensity():
     assert abs(per_path.mean() - expected) < 4 * se
     for i in (0, 1, 2):
         assert len(ens.jump_marks[i]) == per_path[i]
-
-
-def test_ito_integral_of_ones_telescopes():
-    g = make_grid(0.2, 1.0, 8)
-    noise = sample_ensemble(g, JumpSpec.none(), seed=0, n_paths=1)
-    total = ito_integral(np.ones(g.n_nodes), noise, (-g.delta, g.horizon))
-    assert total.shape == (1,)
-    assert total[0] == pytest.approx(noise.increments.sum(), rel=1e-13)
-    b = noise.brownian()[0]
-    window = ito_integral(np.ones(g.n_nodes), noise, (0.0, 0.5))
-    assert window[0] == pytest.approx(b[g.index_of(0.5)] - b[g.index_zero])
-    # an empty window is zero per path, even at the first node
-    assert np.array_equal(ito_integral(np.ones(g.n_nodes), noise, (-g.delta, -g.delta)), [0.0])
-
-
-def test_ito_integral_window_validation():
-    g = make_grid(0.2, 1.0, 8)
-    noise = sample_ensemble(g, JumpSpec.none(), seed=0, n_paths=1)
-    f = np.ones(g.n_nodes)
-    with pytest.raises(OffGrid):
-        ito_integral(f, noise, (0.0, 0.513))
-    with pytest.raises(ValueError):
-        ito_integral(f, noise, (0.5, 0.0))
-    with pytest.raises(ValueError):
-        ito_integral(f[:5], noise, (0.0, 0.5))
-    bad = f.copy()
-    bad[3] = np.nan
-    with pytest.raises(ValueError):
-        ito_integral(bad, noise, (0.0, 0.5))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    split=st.integers(min_value=0, max_value=48),
-    lo=st.integers(min_value=0, max_value=48),
-    hi=st.integers(min_value=0, max_value=48),
-    fseed=st.integers(min_value=0, max_value=2**16),
-)
-def test_ito_integral_additive_over_windows(split, lo, hi, fseed):
-    """Prefix-sum anchoring makes window additivity exact, not approximate."""
-    a, b = sorted((lo, hi))
-    mid = min(max(split, a), b)
-    g = make_grid(0.2, 1.0, 8)
-    noise = sample_ensemble(g, JumpSpec.none(), seed=1, n_paths=1)
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(fseed)))
-    f = gen.normal(size=g.n_nodes)
-    ta, tm, tb = g.nodes[a], g.nodes[mid], g.nodes[b]
-    whole = ito_integral(f, noise, (ta, tb))[0]
-    parts = (ito_integral(f, noise, (ta, tm)) + ito_integral(f, noise, (tm, tb)))[0]
-    # shared prefix sums leave only the final cancellation, a few ulp at most
-    assert abs(parts - whole) <= 8 * np.finfo(float).eps * (1.0 + abs(whole))
-
-
-def test_ito_integral_broadcasts_over_ensembles():
-    g = make_grid(0.2, 1.0, 8)
-    ens = sample_ensemble(g, JumpSpec.none(), seed=5, n_paths=7)
-    f = np.linspace(0.0, 1.0, g.n_nodes)
-    out = ito_integral(f, ens, (0.0, 1.0))
-    assert out.shape == (7,)
-    single = ito_integral(f, ens.path(2), (0.0, 1.0))
-    assert single.shape == (1,)
-    assert out[2] == single[0]
 
 
 def test_coarsen_sums_increments_and_keeps_jumps():
