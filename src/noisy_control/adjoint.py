@@ -498,10 +498,9 @@ def _affine_r_from_moments(u0, u1, spec):
 def _columns_backward(arr):
     """Columns of a path-major array, last first, as contiguous rows.
 
-    The mirror of dynamics._columns: 16 columns at a time are transposed into
-    one reused (16, n_paths) buffer, so a block's cache lines of `arr` are
-    fetched once.  Because the buffer is reused, a row stays valid only until
-    the next one is read.
+    16 columns at a time are transposed into one reused (16, n_paths) buffer,
+    so a block's cache lines of `arr` are fetched once.  Because the buffer
+    is reused, a row stays valid only until the next one is read.
     """
     buf = np.empty((16, arr.shape[0]))
     for k1 in range(arr.shape[1], 0, -16):
@@ -530,10 +529,10 @@ def _absde_sweep(model, state, basis, ridge):
     y_rows = _columns_backward(state.y)
     z_rows = _columns_backward(state.z)
     u_rows = _columns_backward(state.control.rows())  # one row when shared
-    incr_rows = _columns_backward(noise.increments[:, iz:])
+    incr = noise.increment_rows[iz:]
     if jumps_on:
-        count_rows = _columns_backward(noise.jump_counts[:, iz:])
-        mark_rows = _columns_backward(noise.step_mark_sums()[:, iz:])
+        counts = noise.jump_count_rows[iz:]
+        mark_sums = noise.mark_sum_rows[iz:]
 
     out = [np.zeros((n + 1, state.n_paths)) for _ in range(8 if jumps_on else 6)]
     p1, p2, q1, q2, mu1, mu2 = out[:6]
@@ -556,7 +555,8 @@ def _absde_sweep(model, state, basis, ridge):
 
     for k in range(n - 1, -1, -1):
         t_k = grid.horizon_nodes[k]
-        xk, yk, zk, uk, db = (next(rows) for rows in (x_rows, y_rows, z_rows, u_rows, incr_rows))
+        xk, yk, zk, uk = (next(rows) for rows in (x_rows, y_rows, z_rows, u_rows))
+        db = incr[k]
         design = basis.design(xk, zk)
         try:
             gram, cond[k] = _gram(design, ridge)
@@ -576,8 +576,8 @@ def _absde_sweep(model, state, basis, ridge):
         q2[k] = fitted_q[:, 1]
 
         if jumps_on:
-            comp0 = next(count_rows) - spec.intensity * h
-            comp1 = next(mark_rows) - spec.levy_moment(1) * h
+            comp0 = counts[k] - spec.intensity * h
+            comp1 = mark_sums[k] - spec.levy_moment(1) * h
             fitted_r = _project(design, gram, np.column_stack([
                 (p1[k + 1] - pbar1) * comp0 / h,
                 (p1[k + 1] - pbar1) * comp1 / h,
@@ -607,9 +607,10 @@ def _absde_sweep(model, state, basis, ridge):
 def solve_absde_2d(model, state, basis=None, ridge=1e-8):
     """Backward least-squares sweep for the reduced time-advanced system.
 
-    The sweep is time-major: it reads its inputs backward, 16 nodes at a
-    time, into (node, path) rows and keeps dH/dy and dH/dz in a ring of
-    m + 1 rows.  Each node builds one Gram matrix and condition number and
+    The sweep is time-major: it reads the state backward, 16 nodes at a
+    time, into (node, path) rows, reads the noise from the ensemble's
+    time-major companions, and keeps dH/dy and dH/dz in a ring of m + 1
+    rows.  Each node builds one Gram matrix and condition number and
     projects every target group on it.  Every array of the result is handed
     back path-major and C-contiguous, (n_paths, n+1).
 

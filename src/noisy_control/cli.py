@@ -306,6 +306,11 @@ def _parse_marks(text, path, lines):
         except ValueError:
             _fail(path, lines, "model", "jump_marks",
                   "expected value:prob pairs separated by commas, got %r" % part)
+    if not np.all(np.isfinite(values)):
+        _fail(path, lines, "model", "jump_marks", "mark values must be finite, got %r" % text)
+    if not (np.all(np.isfinite(probs)) and min(probs) >= 0):
+        _fail(path, lines, "model", "jump_marks",
+              "probabilities must be finite and non-negative, got %r" % text)
     if abs(sum(probs) - 1.0) > 1e-12:
         _fail(path, lines, "model", "jump_marks", "probabilities must sum to 1")
     return values, probs

@@ -356,7 +356,8 @@ class CoefficientModel:
     a vector of probe times, with one x, y, z, u per probe.  Gradients, when
     supplied, return the 4-tuple of partials in the order (x, y, z, u);
     missing gradients fall back to central finite differences with bump
-    1e-5 * (1 + |value|).
+    1e-5 * (1 + |value|).  A partial may be a read-only broadcast view (the
+    catalog's constant partials are), so no caller writes into one.
 
     Args:
         drift, diffusion, running_cost: coefficient callables.
@@ -529,16 +530,6 @@ def _step_marks_by_step(grid, counts, marks):
     return by_step
 
 
-def _columns(arr, first=0):
-    """Columns first, first + 1, ... of a path-major array as contiguous rows.
-
-    Copied out 16 at a time, so each cache line of `arr` is read once, not
-    once per column, and transposed while the copy is still in cache.
-    """
-    for k0 in range(first, arr.shape[1], 16):
-        yield from np.ascontiguousarray(arr[:, k0 : k0 + 16].copy().T)
-
-
 def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, ring=False,
            what="state"):
     """Time-major left-point Euler sweep of a process V fed by its own memory window.
@@ -551,10 +542,13 @@ def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, ring
     kernel-weighted for a non-identity kernel.
 
     The work buffers are (node, path) rows, so each step touches contiguous
-    memory.  The plain window is the difference of two entries of the running
-    prefix of V dB, kept in a ring of m + 1 rows unless `keep_prefix` asks
-    for all of it.  The weighted window keeps the path-major term matrix and
-    its matrix-vector product, whose BLAS summation order fixes its bits.
+    memory, and the noise is read forward from the ensemble's time-major
+    companions (NoiseEnsemble.increment_rows and, with jumps, jump_count_rows
+    and mark_sum_rows).  The plain window is the difference of two entries
+    of the running prefix of V dB, kept in a ring of m + 1 rows unless
+    `keep_prefix` asks for all of it.  The weighted window keeps the
+    path-major term matrix and its matrix-vector product, whose BLAS
+    summation order fixes its bits.
     With `ring`, V is kept in a ring of m + 2 rows, so the row being written
     is never V[k-m], and each window in one row: for callers that read the
     process only inside `step`.
@@ -572,15 +566,15 @@ def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, ring
     h = grid.step
     n_paths = noise.n_paths
     use_kernel = kernel is not None and not kernel.is_identity
+    incr = noise.increment_rows
     if jumps:
-        jump_sources = (_columns(noise.jump_counts, m), _columns(noise.step_mark_sums(), m))
+        counts, mark_sums = noise.jump_count_rows, noise.mark_sum_rows
 
     v_rows = m + 2 if ring else grid.n_nodes
     v = np.zeros((v_rows, n_paths))
     first = m if start is None else 0  # a zero start keeps V dB zero before m
     if start is not None:
         v[: m + 1] = np.asarray(start)[:, None]
-    incr_rows = _columns(noise.increments, first)
     prefix_rows = grid.n_nodes if keep_prefix else m + 1
     prefix = np.zeros((prefix_rows, n_paths))
     window_rows = 1 if ring else n + 1
@@ -597,9 +591,9 @@ def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, ring
                 weighted[w] = terms[:, k - m : k] @ kernel.weights(grid, k)
             if k == m + n:
                 break
-        incr_k = next(incr_rows)
+        incr_k = incr[k]
         if k >= m:
-            rows = [next(source) for source in jump_sources] if jumps else ()
+            rows = (counts[k], mark_sums[k]) if jumps else ()
             coef = step(k, vk, v[(k - m) % v_rows], (weighted if use_kernel else window)[w],
                         *rows)
             # v[k] + b h + s dB (+ jump - h comp), evaluated in that order
@@ -624,7 +618,7 @@ def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, ring
 
 
 def _path_major(rows):
-    """C-contiguous transpose of a (node, path) buffer, copied out as in _columns."""
+    """C-contiguous transpose of a (node, path) buffer, copied out 256 paths at a time."""
     if rows is None:
         return None
     out = np.empty(rows.shape[::-1])

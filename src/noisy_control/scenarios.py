@@ -20,56 +20,86 @@ from .malliavin import BrownianTerminal, Chaos1Exponential
 
 
 def _as_time_fn(value):
-    """Normalize a constant or callable-of-t into a vectorized callable."""
+    """Normalize a constant or callable-of-t into a vectorized callable.
+
+    A constant comes back as itself for a scalar t, and filled to t's shape
+    otherwise.
+    """
     if callable(value):
         return value
     c = float(value)
 
     def fn(t):
-        return np.full(np.shape(np.asarray(t, dtype=float)), c)
+        return c if np.ndim(t) == 0 else np.full(np.shape(t), c)
 
     return fn
 
 
+def _constants(*values):
+    """shape -> the tuple of `values` as read-only views broadcast to shape.
+
+    The views are cached per shape, so a gradient with constant partials
+    allocates nothing per call; no caller writes into a gradient partial.
+    """
+    scalars = [np.asarray(float(v)) for v in values]
+    cache = {}
+
+    def at(shape):
+        views = cache.get(shape)
+        if views is None:
+            views = cache[shape] = tuple(np.broadcast_to(c, shape) for c in scalars)
+        return views
+
+    return at
+
+
 def _log_utility():
+    zeros = _constants(0.0, 0.0, 0.0)
+
     def cost(t, x, y, z, u):
         return np.log(u)
 
     def cost_grad(t, x, y, z, u):
-        zero = np.zeros(np.shape(np.asarray(u, dtype=float)))
-        return (zero, zero, zero, 1.0 / np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        return zeros(u.shape) + (1.0 / u,)
+
+    return cost, cost_grad
+
+
+def _linear_utility(rate):
+    c = float(rate)
+    partials = _constants(0.0, 0.0, 0.0, c)
+
+    def cost(t, x, y, z, u):
+        return c * np.asarray(u, dtype=float)
+
+    def cost_grad(t, x, y, z, u):
+        return partials(np.shape(u))
 
     return cost, cost_grad
 
 
 def _memory_drift(a0, a1):
+    partials = _constants(a1, 0.0, a0, -1.0)
+
     def drift(t, x, y, z, u):
         return a1 * x + a0 * z - u
 
     def drift_grad(t, x, y, z, u):
-        shape = np.shape(np.asarray(x, dtype=float))
-        return (
-            np.full(shape, a1),
-            np.zeros(shape),
-            np.full(shape, a0),
-            np.full(shape, -1.0),
-        )
+        return partials(np.shape(x))
 
     return drift, drift_grad
 
 
 def _proportional_diffusion(sigma0_fn):
+    zeros = _constants(0.0, 0.0, 0.0)
+
     def diffusion(t, x, y, z, u):
         return sigma0_fn(t) * x
 
     def diffusion_grad(t, x, y, z, u):
-        shape = np.shape(np.asarray(x, dtype=float))
-        return (
-            np.broadcast_to(np.asarray(sigma0_fn(t), dtype=float), shape).copy(),
-            np.zeros(shape),
-            np.zeros(shape),
-            np.zeros(shape),
-        )
+        shape = np.shape(x)
+        return (np.broadcast_to(np.asarray(sigma0_fn(t), dtype=float), shape),) + zeros(shape)
 
     return diffusion, diffusion_grad
 
@@ -174,33 +204,18 @@ def consumption(
         if jump_spec is None:
             raise ValueError("jump_scale needs a jump_spec for the mark law")
         g0 = float(jump_scale)
-        zero4 = lambda t, x, y, z, u: (
-            np.zeros(np.shape(np.asarray(x, dtype=float))),
-        ) * 4
-
-        def slope_grad(t, x, y, z, u):
-            shape = np.shape(np.asarray(x, dtype=float))
-            return (np.full(shape, g0), np.zeros(shape), np.zeros(shape), np.zeros(shape))
-
+        zeros = _constants(0.0, 0.0, 0.0, 0.0)
+        slope_partials = _constants(g0, 0.0, 0.0, 0.0)
         gamma = AffineJumpCoefficient(
-            base=lambda t, x, y, z, u: np.zeros(np.shape(np.asarray(x, dtype=float))),
+            base=lambda t, x, y, z, u: zeros(np.shape(x))[0],
             slope=lambda t, x, y, z, u: g0 * np.asarray(x, dtype=float),
-            base_grad=zero4,
-            slope_grad=slope_grad,
+            base_grad=lambda t, x, y, z, u: zeros(np.shape(x)),
+            slope_grad=lambda t, x, y, z, u: slope_partials(np.shape(x)),
         )
     if running == "log":
         cost, cost_grad = _log_utility()
     elif running == "linear":
-        c = float(linear_rate)
-
-        def cost(t, x, y, z, u):
-            return c * np.asarray(u, dtype=float)
-
-        def cost_grad(t, x, y, z, u):
-            shape = np.shape(np.asarray(u, dtype=float))
-            zero = np.zeros(shape)
-            return (zero, zero, zero, np.full(shape, c))
-
+        cost, cost_grad = _linear_utility(linear_rate)
     else:
         raise ValueError("running must be 'log' or 'linear'")
     model = CoefficientModel(
@@ -271,20 +286,21 @@ def custom_affine(
     or +u^2 / 2 ("convex", a deliberately non-concave payoff for negative
     controls), terminal payoff terminal_slope * x.
     """
+    drift_partials = _constants(bx, by, bz, bu)
+    diffusion_partials = _constants(sx, 0.0, 0.0, 0.0)
+    zeros = _constants(0.0, 0.0, 0.0)
+
     def drift(t, x, y, z, u):
         return b_const + bx * x + by * y + bz * z + bu * u
 
     def drift_grad(t, x, y, z, u):
-        shape = np.shape(np.asarray(x, dtype=float))
-        return (np.full(shape, bx), np.full(shape, by),
-                np.full(shape, bz), np.full(shape, bu))
+        return drift_partials(np.shape(x))
 
     def diffusion(t, x, y, z, u):
         return s_const + sx * x
 
     def diffusion_grad(t, x, y, z, u):
-        shape = np.shape(np.asarray(x, dtype=float))
-        return (np.full(shape, sx), np.zeros(shape), np.zeros(shape), np.zeros(shape))
+        return diffusion_partials(np.shape(x))
 
     c = float(target)
     if running == "quadratic":
@@ -292,25 +308,17 @@ def custom_affine(
             return -0.5 * (u - c) ** 2
 
         def cost_grad(t, x, y, z, u):
-            shape = np.shape(np.asarray(u, dtype=float))
-            zero = np.zeros(shape)
-            return (zero, zero, zero, -(np.asarray(u, dtype=float) - c))
+            u = np.asarray(u, dtype=float)
+            return zeros(u.shape) + (-(u - c),)
     elif running == "linear":
-        def cost(t, x, y, z, u):
-            return c * np.asarray(u, dtype=float)
-
-        def cost_grad(t, x, y, z, u):
-            shape = np.shape(np.asarray(u, dtype=float))
-            zero = np.zeros(shape)
-            return (zero, zero, zero, np.full(shape, c))
+        cost, cost_grad = _linear_utility(c)
     elif running == "convex":
         def cost(t, x, y, z, u):
             return 0.5 * np.asarray(u, dtype=float) ** 2
 
         def cost_grad(t, x, y, z, u):
-            shape = np.shape(np.asarray(u, dtype=float))
-            zero = np.zeros(shape)
-            return (zero, zero, zero, np.asarray(u, dtype=float))
+            u = np.asarray(u, dtype=float)
+            return zeros(u.shape) + (u,)
     else:
         raise ValueError("running must be 'quadratic', 'linear', or 'convex'")
 

@@ -316,6 +316,9 @@ def criterion_5_directional(seed=0, profile="full"):
                 per[nm]["F"].append(
                     mp.finite_difference_derivative(model, ctrl, noise, eta, s=1e-3)[2]
                 )
+            # free this chunk's ensemble, with its time-major companion, and
+            # its state before the next chunk is drawn
+            del noise, state, closed, atr
         j_value = float(np.concatenate(j_parts).mean())
         gaps = {}
         for nm, _ in directions:

@@ -211,6 +211,30 @@ def test_run_rejects_non_finite_and_non_positive_numbers(tmp_path, capsys, name,
     assert not (tmp_path / "out").exists()
 
 
+_BAD_VALUES = "mark values must be finite"
+_BAD_PROBS = "probabilities must be finite and non-negative"
+
+
+@pytest.mark.parametrize("marks,message", [
+    ("nan:1.0", _BAD_VALUES),
+    ("inf:1.0", _BAD_VALUES),
+    ("-0.5:0.5, -inf:0.5", _BAD_VALUES),
+    ("1.0:nan", _BAD_PROBS),
+    ("-0.5:0.5, 1.0:inf", _BAD_PROBS),
+    ("-0.5:-inf, 1.0:0.5", _BAD_PROBS),
+    ("2.0:-0.5, 1.0:1.5", _BAD_PROBS),
+])
+def test_run_rejects_bad_jump_marks(tmp_path, capsys, marks, message):
+    path = _write(tmp_path, "[model]\nname = consumption\njump_marks = %s\n"
+                  "jump_intensity = 1.0\njump_scale = 0.1\n[monte_carlo]\nn_paths = 200\n"
+                  "[output]\ndirectory = %s\n" % (marks, tmp_path / "out"))
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "%s:3: [model] jump_marks: %s" % (path, message) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_exit_codes(tmp_path, capsys):
     ok = _write(tmp_path, FAST_LINEAR.format(out=tmp_path / "out"))
     assert cli.main(["run", ok]) == 0

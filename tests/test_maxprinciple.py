@@ -1,10 +1,19 @@
 """Maximum-principle toolkit: derivatives, condition checks, FOC, spikes."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from noisy_control import scenarios
-from noisy_control.adjoint import AdjointTriple, _r_pair, hamiltonian
+from noisy_control.adjoint import (
+    AdjointTriple,
+    LinearBSDESpec,
+    _r_pair,
+    hamiltonian,
+    solve_linear_closed_form,
+)
 from noisy_control.dynamics import (
     CallableJumpCoefficient,
     CoefficientModel,
@@ -550,3 +559,81 @@ def test_sufficient_concavity_probes_match_per_probe_reference():
     for r in ((0.1, -0.05), (gen.normal(0.0, 0.1, size=shape), gen.normal(0.0, 0.1, size=shape))):
         adjoint = AdjointTriple(GRID, p_rows, q_rows, r, None, {})
         _assert_concavity_matches_reference(ctrl, adjoint, model, state, 8)
+
+
+# sha256 of the per-path outputs of the K, H and finite-difference routes at
+# 200 paths, steps_per_delay=8, noise seed 5, constant control 1.0 and the
+# random probe direction.  The catalog's gradients are read-only broadcast
+# views; these pin the bits that flow through them.  Every reduction here is
+# elementwise, but exp and log come from numpy's own kernels, so the digests
+# hold for one numpy build.
+_ROUTE_DIGESTS = {
+    "consumption-affine-jumps": (
+        "600c270899529c417730caf347ae28c948b81547fc18b807c206da4caf3d8757",
+        "5de495b5119914c18b80e4f241af629129fbad20f51d7cc2b7db315f65ce5f8c",
+        "2269be0735e9740b0744aa39d0c08651472d4125ea2ed2262b44768bbede588f",
+    ),
+    "custom-affine": (
+        "a72f3df02a0962c3d08634fdbf50d50e8b949790e7f095b2251feef32bb83056",
+        "c220097f9b0f1fab1a24a9ef5e1081df5420f20db716d35a7c737c4dcb65b905",
+        "ac2476f7f621576e7afd68db685e31f35617991a7ca08ae8637afdf17e3ea738",
+    ),
+    "linear-noisy-memory": (
+        "f66c1618b26cbd6cbe71154290609380b283488ccf5242c6ddcad9e24fc80e1f",
+        "5b77105189a28712c2f7d1f0a9688f90622ff780dddb98bdefa4353014a700b2",
+        "8facb1085873a66c06dc3984610c0959e14997ba2a986dd9c8c965e303b986bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUTE_DIGESTS))
+def test_route_outputs_are_pinned(case):
+    spec = JumpSpec.none()
+    if case == "linear-noisy-memory":
+        model = scenarios.linear_noisy_memory()
+    elif case == "consumption-affine-jumps":
+        spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
+        model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
+    else:
+        model = scenarios.custom_affine(bx=0.3, by=0.1, bz=0.2, bu=-1.0, s_const=0.1,
+                                        sx=0.2, terminal_slope=1.0)
+    ens = sample_ensemble(GRID, spec, seed=5, n_paths=200)
+    ctrl = ControlPath.constant(GRID, 1.0, control_set=model.control_set)
+    state = simulate_state(model, ctrl, ens)
+    if case == "custom-affine":
+        p = P_EXACT[None, :]
+        adjoint = AdjointTriple(GRID, p, 0.1 * p, None, None, {})
+    else:
+        closed = solve_linear_closed_form(LinearBSDESpec.from_model(model), ens)
+        r = (0.02, 0.01) if model.has_jumps else None  # reads the jump gradients
+        adjoint = AdjointTriple(GRID, closed.p, closed.q, r, closed.mu, {})
+    eta = probe_directions(GRID)[3][1]
+    routes = (
+        directional_derivative_K(model, state, eta)[2],
+        directional_derivative_H(model, state, adjoint, eta)[2],
+        finite_difference_derivative(model, ctrl, ens, eta)[2],
+    )
+    got = tuple(hashlib.sha256(np.ascontiguousarray(per).tobytes()).hexdigest()
+                for per in routes)
+    assert got == _ROUTE_DIGESTS[case]
+
+
+# Traced peak of one H-route call in (n_paths, n+1) float buffers, at 4000
+# paths x 320 horizon steps.  Gradients built as full arrays peaked at 5.0.
+@pytest.mark.parametrize("name", ["linear_noisy_memory", "consumption"])
+def test_hamiltonian_route_traced_peak(name):
+    model = getattr(scenarios, name)()
+    g = make_grid(0.2, 1.0, 64)
+    ens = sample_ensemble(g, JumpSpec.none(), seed=3, n_paths=4000)
+    state = simulate_state(model, ControlPath.constant(g, 3.0, control_set=model.control_set),
+                           ens)
+    closed = solve_linear_closed_form(LinearBSDESpec.from_model(model), ens)
+    eta = probe_directions(g)[3][1]
+    directional_derivative_H(model, state, closed, eta)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        directional_derivative_H(model, state, closed, eta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * ens.n_paths * (g.n_horizon_steps + 1)) <= 2.5

@@ -5,6 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from noisy_control import malliavin, scenarios
+from noisy_control.dynamics import ControlPath, simulate_state
 from noisy_control.errors import NonCommensurate, OffGrid
 from noisy_control.paths import (
     JumpSpec,
@@ -200,6 +202,54 @@ def test_ensemble_shape_contract():
     with pytest.raises(ValueError):
         NoiseEnsemble(g, ens.increments[:, 1:], ens.jump_counts[:, 1:], ens.jump_marks,
                       ens.jump_times, 6)
+
+
+_COMPANIONS = ("increment_rows", "jump_count_rows", "mark_sum_rows")
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+def test_time_major_companions(monkeypatch):
+    """Built on first request, once per ensemble; never by sampling or duality_check."""
+    g = make_grid(0.2, 1.0, 4)
+    ens = sample_ensemble(g, JumpSpec.discrete(2.0, [-0.5, 1.0], [0.5, 0.5]), seed=6,
+                          n_paths=5)
+    assert not any(name in vars(ens) for name in _COMPANIONS)
+    rows = ens.increment_rows
+    assert _bits(rows) == _bits(ens.increments.T)
+    assert _bits(ens.jump_count_rows) == _bits(ens.jump_counts.T)
+    assert ens.jump_count_rows.dtype == ens.jump_counts.dtype
+    assert _bits(ens.mark_sum_rows) == _bits(ens.step_mark_sums().T)
+    for name in _COMPANIONS:
+        arr = getattr(ens, name)
+        assert arr.shape == (g.n_steps, 5) and getattr(ens, name) is arr
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert ens.increments.flags.c_contiguous and ens.increments.shape == (5, g.n_steps)
+
+    # ensembles derived from this one build their own
+    for derived in (ens.path(2), ens.with_bumped_increment(3, 0.5), coarsen(ens, 2)):
+        assert "increment_rows" not in vars(derived)
+        assert _bits(derived.increment_rows) == _bits(derived.increments.T)
+        assert _bits(derived.mark_sum_rows) == _bits(derived.step_mark_sums().T)
+
+    # a sweep asks for it; the path-major duality check does not
+    plain = sample_ensemble(g, JumpSpec.none(), seed=6, n_paths=5)
+    model = scenarios.consumption()
+    simulate_state(model, ControlPath.constant(g, 1.0, control_set=model.control_set), plain)
+    assert "increment_rows" in vars(plain)
+    drawn = []
+
+    def recording_sample(*args, **kwargs):
+        drawn.append(sample_ensemble(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(malliavin, "sample_ensemble", recording_sample)
+    _, f_spec, phi = scenarios.duality_battery(g)[0]
+    malliavin.duality_check(f_spec, phi, n_paths=50, seed=1)
+    assert len(drawn) == 1
+    assert not any(name in vars(drawn[0]) for name in _COMPANIONS)
 
 
 @pytest.mark.parametrize("spec", [
