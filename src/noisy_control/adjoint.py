@@ -389,7 +389,7 @@ def mu_generalized(grid, dHx, dHy, engine, kernel=None):
     m = grid.steps_per_delay
     dHx = np.asarray(dHx, dtype=float)
     out = np.array(dHx, dtype=float, copy=True)
-    if dHy is not None:
+    if dHy is not None and m <= n:  # a delay past the horizon advances nothing
         dHy = np.asarray(dHy, dtype=float)
         adv = np.zeros(dHy.shape[:-1] + (n + 1,))
         adv[..., : n + 1 - m] = dHy[..., m:]
@@ -721,7 +721,8 @@ def lift_2d_from_1d(adjoint, engine, model=None, state=None):
     if model is not None and state is not None:
         ev = hamiltonian(model, *state.horizon_args(), p=p, q=q, r=adjoint.r)
         mu1 = ev.grad[0] + q2
-        mu1[:, : n + 1 - m] += ev.grad[1][:, m:]
+        if m <= n:
+            mu1[:, : n + 1 - m] += ev.grad[1][:, m:]
     else:
         mu1 = np.atleast_2d(adjoint.mu)
 

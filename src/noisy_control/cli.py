@@ -35,6 +35,9 @@ from .paths import JumpSpec, make_grid, sample_ensemble
 
 _CHECK_NAMES = ("closed-form", "regression", "bridge", "max-principle")
 
+# the spike battery starts no spike on the last _SPIKE_TAIL horizon nodes
+_SPIKE_TAIL = 5
+
 # keys each scenario accepts in [model]; everything else is rejected loudly
 _MODEL_KEYS = {
     "linear-noisy-memory": {
@@ -285,6 +288,12 @@ def load_config(path):
     if "regression" in requested and model_cfg.get("kernel") == "ramp":
         _fail(path, lines, "checks", "run",
               "the regression route needs the plain (unweighted) memory window")
+    if "max-principle" in requested:
+        steps = round(cfg["grid"]["steps_per_delay"] * model_cfg["horizon"] / model_cfg["delta"])
+        if steps < _SPIKE_TAIL:
+            _fail(path, lines, "grid", "steps_per_delay",
+                  "the max-principle check needs at least %d steps on [0, horizon], "
+                  "this grid has %d" % (_SPIKE_TAIL, steps))
     min_paths = 10 * adjoint_mod.QuadXZBasis.size
     if "regression" in requested and cfg["monte_carlo"]["n_paths"] < min_paths:
         _fail(path, lines, "monte_carlo", "n_paths",
@@ -449,7 +458,7 @@ def check_max_principle(model, cfg, grid, noise, closed):
     suff = mp.check_sufficient(ustar, triple, model, state, seed=seed)
     lo, hi = model.control_set.lower, model.control_set.upper
     worst, spikes = verification.spike_battery(
-        model, ustar, noise, state, seed, grid.horizon_nodes[:-5], 4 * grid.step,
+        model, ustar, noise, state, seed, grid.horizon_nodes[:-_SPIKE_TAIL], 4 * grid.step,
         (max(lo, 0.1), min(hi, 3.0)), cfg["checks"]["spike_count"],
         cfg["checks"]["se_multiplier"],
     )

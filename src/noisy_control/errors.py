@@ -57,6 +57,11 @@ class GradientMismatch(NoisyControlError):
     """Supplied analytic gradients disagree with finite differences."""
 
 
+class ZeroResidual(NoisyControlError):
+    """A residual whose convergence order was asked for is exactly zero, so
+    the order is undefined."""
+
+
 class ConfigError(NoisyControlError):
     """Scenario configuration is malformed; carries a line number when known."""
 

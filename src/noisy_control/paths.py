@@ -114,7 +114,9 @@ class JumpSpec:
 
     The mark distribution is carried twice: as a sampler (for path generation)
     and as quadrature nodes/weights (for integrals against the jump measure,
-    exact when the marks are discrete).
+    exact when the marks are discrete).  sample_ensemble calls
+    mark_sampler(gen, size) only for a path with at least one jump, so size
+    is always positive; a jump-free path draws no marks.
     """
 
     def __init__(self, intensity, mark_sampler=None, quad_nodes=None, quad_weights=None):
@@ -203,13 +205,9 @@ class JumpSpec:
         )
 
 
-def _draw_jumps(gen, grid, jump_spec):
-    """Jump counts per step, then their marks, then their times (step-major)."""
-    counts = gen.poisson(jump_spec.intensity * grid.step, grid.n_steps)
-    total = int(counts.sum())
-    marks = np.asarray(jump_spec.mark_sampler(gen, total), dtype=float)
-    times = np.repeat(grid.nodes[:-1], counts) + grid.step * gen.random(total)
-    return counts, marks, times
+# The marks and times of every jump-free path: one shared read-only array.
+_NO_JUMPS = np.zeros(0)
+_NO_JUMPS.flags.writeable = False
 
 
 class NoiseEnsemble:
@@ -224,9 +222,12 @@ class NoiseEnsemble:
         grid: the TimeGrid.
         increments: Brownian increments, shape (n_paths, grid.n_steps).
         jump_counts: jumps per path and step, same shape.
-        jump_marks / jump_times: lists of flat arrays, one per path, step-major;
-            jumps are applied at the end of their step by the Euler scheme, the
-            times are kept for reporting only.
+        jump_marks / jump_times: lists of flat read-only arrays, one per path,
+            step-major; jumps are applied at the end of their step by the
+            Euler scheme, the times are kept for reporting only.  Entries may
+            be shared or views: every jump-free path holds the same empty
+            array, and sampled times are views of one ensemble-wide array.
+            The mark sampler runs only for paths with jumps.
         seed: the base seed the paths were drawn under.
 
     The arrays are read-only, path-major and C-contiguous.  The Euler sweeps
@@ -287,14 +288,11 @@ class NoiseEnsemble:
         return out
 
     def step_mark_sums(self):
-        """Sum of marks per path and step (zeros when there are no jumps)."""
-        out = np.zeros((self.n_paths, self.grid.n_steps))
-        cells = np.repeat(np.arange(out.size), self.jump_counts.ravel())
-        np.add.at(out.reshape(-1), cells, np.concatenate(self.jump_marks))
-        return out
-
-    def has_jumps(self):
-        return any(m.size for m in self.jump_marks)
+        """Sum of marks per path and step (zeros when there are no jumps),
+        added in draw order: bincount accumulates its weights in input order."""
+        sums = np.bincount(_jump_cells(self.jump_counts), weights=np.concatenate(self.jump_marks),
+                           minlength=self.jump_counts.size)
+        return sums.reshape(self.jump_counts.shape)
 
     def with_bumped_increment(self, step_index, bump):
         """Copy with the Brownian increment of one step shifted by `bump`
@@ -304,6 +302,14 @@ class NoiseEnsemble:
         return NoiseEnsemble(
             self.grid, incr, self.jump_counts, self.jump_marks, self.jump_times, self.seed
         )
+
+
+def _jump_cells(counts):
+    """Flat (path, step) cell of every jump, path-major then step-major: the
+    order of the concatenated per-path marks and times."""
+    flat = counts.ravel()
+    cells = np.flatnonzero(flat)
+    return np.repeat(cells, flat[cells])
 
 
 def _time_major(arr):
@@ -337,25 +343,54 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
     seed, first_path = int(seed), int(first_path)
     # One Philox re-keyed per path: the state set below (counter 0, empty
     # buffer, no cached uint32) is that of a fresh Philox(key=[seed, path]).
-    bitgen = np.random.Philox(key=np.array([seed, first_path], dtype=np.uint64))
+    # The state is built from plain ints: the setter reads them about twice
+    # as fast as the uint64 arrays the state getter returns.
+    key = [seed, first_path]
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     incr = np.empty((n_paths, grid.n_steps))
     counts = np.zeros((n_paths, grid.n_steps), dtype=np.int64)
-    marks = []
-    times = []
+    marks = [_NO_JUMPS] * n_paths
+    times = [_NO_JUMPS] * n_paths
+    has_jumps = jump_spec.intensity > 0.0
+    jumped = []  # (path, its jump count) for the paths with jumps
+    uniforms = []
+    # The loop makes only the draws of each path's stream.  A path's stream
+    # ends with its time uniforms, so a path that drew no jumps skips the
+    # empty mark and uniform draws without moving any bit.
     for i in range(n_paths):
         key[1] = first_path + i
         bitgen.state = fresh
         gen.standard_normal(out=incr[i])
-        if jump_spec.intensity > 0.0:
-            counts[i], mk_i, tm_i = _draw_jumps(gen, grid, jump_spec)
-        else:
-            mk_i, tm_i = np.zeros(0), np.zeros(0)
-        marks.append(mk_i)
-        times.append(tm_i)
+        if has_jumps:
+            row = gen.poisson(jump_spec.intensity * grid.step, grid.n_steps)
+            counts[i] = row
+            total = int(row.sum())
+            if total:
+                mk = np.asarray(jump_spec.mark_sampler(gen, total), dtype=float)
+                mk.flags.writeable = False
+                marks[i] = mk
+                uniforms.append(gen.random(total))
+                jumped.append((i, total))
     incr *= np.sqrt(grid.step)
+    if jumped:
+        # time = left node of the jump's step + step * uniform, for every jump
+        # of the ensemble at once: the per-path arithmetic, elementwise
+        left = grid.nodes[_jump_cells(counts) % grid.n_steps]
+        flat = left + grid.step * np.concatenate(uniforms)
+        flat.flags.writeable = False
+        start = 0
+        for i, total in jumped:
+            times[i] = flat[start : start + total]
+            start += total
     return NoiseEnsemble(grid, incr, counts, marks, times, seed)
 
 

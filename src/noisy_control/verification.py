@@ -26,7 +26,7 @@ from . import malliavin as malliavin_mod
 from . import maxprinciple as mp
 from . import scenarios
 from .dynamics import ControlPath, MemoryKernel, evaluate_performance, reduce_2d, simulate_state
-from .errors import NonFiniteState
+from .errors import NonFiniteState, ZeroResidual
 from .malliavin import horizon_values
 from .paths import JumpSpec, coarsen, make_grid, sample_ensemble
 
@@ -100,6 +100,10 @@ def residual_order(model, fine_noise, control_value):
     Each level simulates the constant control `control_value` and takes the
     sup of bsde_residual_1d.  Returns ({steps_per_delay: sup}, log2 of the
     coarse sup over the fine one).
+
+    Raises:
+        ZeroResidual: if either sup is exactly 0.0 (e.g. a1 = 0 with a
+            deterministic adjoint, where the scheme is exact).
     """
     sups = {}
     for noise in (coarsen(fine_noise, 2), fine_noise):
@@ -110,6 +114,12 @@ def residual_order(model, fine_noise, control_value):
         engine = window_engine(model, grid, closed)
         sup, _ = adjoint_mod.bsde_residual_1d(closed, state, model, engine)
         sups[grid.steps_per_delay] = float(sup)
+    zero = [k for k, sup in sups.items() if sup == 0.0]
+    if zero:
+        raise ZeroResidual(
+            "the closed-form BSDE residual sup is exactly 0.0 at steps_per_delay %s, "
+            "so its order is undefined" % " and ".join(map(str, zero))
+        )
     m = fine_noise.grid.steps_per_delay
     return sups, float(np.log2(sups[m // 2] / sups[m]))
 

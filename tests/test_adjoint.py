@@ -312,6 +312,24 @@ def test_bridge_and_lift_round_trip():
     assert np.max(np.abs(lifted.mu1 - closed.mu)) <= 1e-10
 
 
+def test_delay_past_the_horizon_advances_nothing():
+    """delta = 2 > T = 1: no t + delta lies on [0, T], so mu and mu1 carry no dH/dy term."""
+    grid = make_grid(2.0, 1.0, 12)  # m = 12 > n = 6
+    model = scenarios.linear_noisy_memory(delta=2.0)
+    ens = sample_ensemble(grid, JumpSpec.none(), seed=9, n_paths=100)
+    closed = _closed(model, ens)
+    engine = _chaos_engine(model, closed, grid)
+    ctrl = ControlPath.constant(grid, 1.0, control_set=model.control_set)
+    state = simulate_state(model, ctrl, ens)
+    triple = AdjointTriple(grid, closed.p, closed.q, None, closed.mu, {})
+    ev = hamiltonian(model, *state.horizon_args(), p=closed.p, q=closed.q, r=None)
+    without_y = mu_generalized(grid, ev.grad[0], None, engine)
+    dhy = np.ones_like(ev.grad[0])
+    assert np.array_equal(mu_generalized(grid, ev.grad[0], dhy, engine), without_y)
+    lifted, _ = lift_2d_from_1d(triple, engine, model=model, state=state)
+    assert np.array_equal(lifted.mu1, ev.grad[0] + lifted.q2)
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()

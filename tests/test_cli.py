@@ -272,6 +272,53 @@ def test_run_exit_codes(tmp_path, capsys):
         assert err.startswith(error + ":") and "Traceback" not in err
 
 
+def _committed_config(tmp_path, name, **changes):
+    """configs/<name>.ini with some [model]/[grid] values replaced, writing to tmp_path."""
+    lines = []
+    for line in (REPO / "configs" / (name + ".ini")).read_text().splitlines():
+        key = line.split("=")[0].strip()
+        if key in changes:
+            line = "%s = %s" % (key, changes[key])
+        elif key == "directory":
+            line = "directory = %s" % (tmp_path / "out")
+        lines.append(line)
+    return _write(tmp_path, "\n".join(lines) + "\n", name + ".ini")
+
+
+@pytest.mark.parametrize("name", ["consumption", "custom-affine", "generalized-memory",
+                                  "linear-noisy-memory"])
+def test_run_with_delay_past_horizon(tmp_path, capsys, name):
+    """delta = 2 > T: the advanced term is empty; too few steps for spikes is a config error."""
+    coarse = _committed_config(tmp_path, name, delta=2)  # 4 steps on [0, 1]
+    code = cli.main(["run", coarse])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if name == "custom-affine":  # no max-principle check
+        assert code == 0
+    else:
+        line = pathlib.Path(coarse).read_text().splitlines().index("steps_per_delay = 8") + 1
+        assert code == 2
+        assert "%s:%d: [grid] steps_per_delay: the max-principle check needs at least 5 " \
+            "steps on [0, horizon], this grid has 4" % (coarse, line) in err
+        assert not (tmp_path / "out").exists()
+    fine = _committed_config(tmp_path, name, delta=2, steps_per_delay=12)  # 6 steps
+    assert cli.main(["run", fine]) in (0, 1)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["grid"]["horizon_steps"] == 6
+
+
+@pytest.mark.parametrize("name", ["consumption", "generalized-memory"])
+def test_run_with_exactly_zero_residual_is_typed(tmp_path, capsys, name):
+    """a1 = 0 makes the closed-form residual exactly 0.0 on both grids: no order."""
+    path = _committed_config(tmp_path, name, a1=0)
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ZeroResidual: the closed-form BSDE residual sup is exactly 0.0 "
+                          "at steps_per_delay 8 and 16")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_render_report_rejects_non_finite_values(value):
     report = {"performance": {"estimate": 1.0, "standard_error": value}}

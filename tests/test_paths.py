@@ -1,6 +1,7 @@
 """Grid arithmetic, noise sampling, and stochastic-integral plumbing."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,8 +256,9 @@ def test_time_major_companions(monkeypatch):
 @pytest.mark.parametrize("spec", [
     JumpSpec.discrete(3.0, [-0.5, 1.0, 2.5], [0.2, 0.5, 0.3]),
     JumpSpec.gaussian(4.0, loc=0.1, scale=0.7),
+    JumpSpec.gaussian(30.0, loc=0.1, scale=0.7),
     JumpSpec.none(),
-], ids=["discrete", "gaussian", "none"])
+], ids=["discrete", "gaussian", "gaussian-dense", "none"])
 def test_step_mark_sums_matches_per_path_definition(spec):
     """Bit for bit the per-path sum of each step's marks, added in draw order."""
     g = make_grid(0.2, 1.0, 8)
@@ -389,3 +391,52 @@ def test_discrete_sampler_is_generator_choice(values, probs):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("spec", [
+    JumpSpec.discrete(1.5, [-0.5, 1.0, 2.5], [0.2, 0.5, 0.3]),
+    JumpSpec.none(),
+], ids=["discrete", "none"])
+def test_jump_lists_are_read_only(spec):
+    g = make_grid(0.2, 1.0, 8)
+    ens = sample_ensemble(g, spec, seed=3, n_paths=50)
+    assert len(ens.jump_marks) == len(ens.jump_times) == 50
+    for marks, times in zip(ens.jump_marks, ens.jump_times):
+        assert not marks.flags.writeable and not times.flags.writeable
+        with pytest.raises(ValueError):
+            times[:] = 0.0
+
+
+def test_mark_sampler_runs_only_for_paths_with_jumps():
+    """A path with no jumps draws no marks; the others draw exactly their count."""
+    g = make_grid(0.2, 1.0, 8)
+    reference = JumpSpec.discrete(0.5, [-0.5, 1.0], [0.5, 0.5])
+    sizes = []
+
+    def counting(gen, size):
+        sizes.append(size)
+        return reference.mark_sampler(gen, size)
+
+    spec = JumpSpec(0.5, counting, reference.quad_nodes, reference.quad_weights)
+    ens = sample_ensemble(g, spec, seed=2, n_paths=40)
+    per_path = ens.jump_counts.sum(axis=1)
+    assert 0 < np.count_nonzero(per_path) < 40  # both kinds of path occur
+    assert sizes == [int(c) for c in per_path if c]
+    plain = sample_ensemble(g, reference, seed=2, n_paths=40)
+    for a, b in zip(ens.jump_marks + ens.jump_times, plain.jump_marks + plain.jump_times):
+        assert np.array_equal(a, b)
+
+
+def test_jump_free_ensemble_holds_only_its_arrays():
+    """No per-path arrays: at most 1.5 MB beyond the increments and counts."""
+    g = make_grid(0.2, 1.0, 8)
+    sample_ensemble(g, JumpSpec.none(), seed=0, n_paths=2)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ens = sample_ensemble(g, JumpSpec.none(), seed=0, n_paths=10_000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = ens.increments.nbytes + ens.jump_counts.nbytes
+    assert held <= arrays + 1.5e6, (held, arrays)
