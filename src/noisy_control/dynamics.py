@@ -216,8 +216,9 @@ class AffineJumpCoefficient:
     """Jump coefficient gamma(t,x,y,z,u,zeta) = base(...) + slope(...) * zeta.
 
     The affine structure keeps every jump-measure integral closed form: sums
-    over realized marks need only per-step counts and mark sums, and pairings
-    with an affine integrand reduce to the first two moments of the measure.
+    over realized marks need only per-step counts and mark sums (the
+    ensemble's jump_count_rows and mark_sum_rows), and pairings with an
+    affine integrand reduce to the first two moments of the measure.
     """
 
     def __init__(self, base, slope, base_grad=None, slope_grad=None):
@@ -229,8 +230,14 @@ class AffineJumpCoefficient:
     def evaluate(self, t, x, y, z, u, zeta):
         return self.base(t, x, y, z, u) + self.slope(t, x, y, z, u) * zeta
 
-    def step_sum(self, t, x, y, z, u, counts, mark_sums):
-        return self.base(t, x, y, z, u) * counts + self.slope(t, x, y, z, u) * mark_sums
+    def _partials(self, t, x, y, z, u):
+        return (_grad4(self.base, self.base_grad, t, x, y, z, u),
+                _grad4(self.slope, self.slope_grad, t, x, y, z, u))
+
+    def step_sum(self, t, x, y, z, u, noise, k):
+        """Per-path sum of gamma over the jumps of step k of `noise`."""
+        return (self.base(t, x, y, z, u) * noise.jump_count_rows[k]
+                + self.slope(t, x, y, z, u) * noise.mark_sum_rows[k])
 
     def nu_integral(self, t, x, y, z, u, jump_spec):
         return (
@@ -249,28 +256,23 @@ class AffineJumpCoefficient:
         )
 
     def grad(self, t, x, y, z, u, zeta):
-        gb = _grad4(self.base, self.base_grad, t, x, y, z, u)
-        gs = _grad4(self.slope, self.slope_grad, t, x, y, z, u)
+        gb, gs = self._partials(t, x, y, z, u)
         return tuple(b + s * zeta for b, s in zip(gb, gs))
 
-    def grad_dot_step_sum(self, t, x, y, z, u, vec4, counts, mark_sums):
-        gb = _grad4(self.base, self.base_grad, t, x, y, z, u)
-        gs = _grad4(self.slope, self.slope_grad, t, x, y, z, u)
-        dot_b = sum(g * v for g, v in zip(gb, vec4))
-        dot_s = sum(g * v for g, v in zip(gs, vec4))
-        return dot_b * counts + dot_s * mark_sums
+    def grad_dot_step_sum(self, t, x, y, z, u, vec4, noise, k):
+        """Per-path sum over the jumps of step k of grad gamma . vec4."""
+        dot_b, dot_s = (sum(g * v for g, v in zip(gr, vec4))
+                        for gr in self._partials(t, x, y, z, u))
+        return dot_b * noise.jump_count_rows[k] + dot_s * noise.mark_sum_rows[k]
 
     def grad_dot_nu_integral(self, t, x, y, z, u, vec4, jump_spec):
-        gb = _grad4(self.base, self.base_grad, t, x, y, z, u)
-        gs = _grad4(self.slope, self.slope_grad, t, x, y, z, u)
-        dot_b = sum(g * v for g, v in zip(gb, vec4))
-        dot_s = sum(g * v for g, v in zip(gs, vec4))
+        dot_b, dot_s = (sum(g * v for g, v in zip(gr, vec4))
+                        for gr in self._partials(t, x, y, z, u))
         return dot_b * jump_spec.levy_moment(0) + dot_s * jump_spec.levy_moment(1)
 
     def pair_grad_nu_integral(self, t, x, y, z, u, r0, r1, jump_spec):
         """4-tuple of integrals of (d gamma / d arg)(zeta) * (r0 + r1 zeta)."""
-        gb = _grad4(self.base, self.base_grad, t, x, y, z, u)
-        gs = _grad4(self.slope, self.slope_grad, t, x, y, z, u)
+        gb, gs = self._partials(t, x, y, z, u)
         lm0, lm1, lm2 = (jump_spec.levy_moment(k) for k in (0, 1, 2))
         return tuple(
             b * r0 * lm0 + (b * r1 + s * r0) * lm1 + s * r1 * lm2
@@ -281,8 +283,9 @@ class AffineJumpCoefficient:
 class CallableJumpCoefficient:
     """General gamma(t,x,y,z,u,zeta); measure integrals via mark quadrature.
 
-    Mark sums are evaluated mark by mark, so this is meant for low-intensity
-    checks rather than bulk runs; prefer AffineJumpCoefficient where it applies.
+    A step's jump sums call fn (or the gradient) once on every jump of the
+    step, with x, y, z, u read on each jump's path, and add the values per
+    path in jump order (NoiseEnsemble.step_jumps).
     """
 
     def __init__(self, fn, grad_fns=None):
@@ -292,15 +295,10 @@ class CallableJumpCoefficient:
     def evaluate(self, t, x, y, z, u, zeta):
         return self.fn(t, x, y, z, u, zeta)
 
-    def step_sum_from_marks(self, t, x, y, z, u, mark_lists):
-        """mark_lists: sequence (one entry per path) of mark arrays."""
-        out = np.zeros(len(mark_lists))
-        for i, marks in enumerate(mark_lists):
-            for zeta in marks:
-                out[i] += self.fn(
-                    t, _row(x, i), _row(y, i), _row(z, i), _row(u, i), zeta
-                )
-        return out
+    def step_sum(self, t, x, y, z, u, noise, k):
+        """Per-path sum of gamma over the jumps of step k of `noise`."""
+        path, marks, args = _at_jumps(noise, k, (x, y, z, u))
+        return _sum_per_path(self.fn(t, *args, marks), path, noise.n_paths)
 
     def nu_integral(self, t, x, y, z, u, jump_spec):
         return jump_spec.nu_expectation(lambda zeta: self.fn(t, x, y, z, u, zeta))
@@ -311,14 +309,14 @@ class CallableJumpCoefficient:
         )
 
     def grad(self, t, x, y, z, u, zeta):
-        if self.grad_fns is not None:
-            return tuple(
-                np.asarray(g, dtype=float) for g in self.grad_fns(t, x, y, z, u, zeta)
-            )
-        return tuple(
-            _central_fd(lambda tt, *a: self.fn(tt, *a, zeta), t, x, y, z, u, i)
-            for i in range(4)
-        )
+        grad_fns = None if self.grad_fns is None else (lambda *a: self.grad_fns(*a, zeta))
+        return _grad4(lambda *a: self.fn(*a, zeta), grad_fns, t, x, y, z, u)
+
+    def grad_dot_step_sum(self, t, x, y, z, u, vec4, noise, k):
+        """Per-path sum over the jumps of step k of grad gamma . vec4."""
+        path, marks, args = _at_jumps(noise, k, (x, y, z, u, *vec4))
+        dot = sum(g * v for g, v in zip(self.grad(t, *args[:4], marks), args[4:]))
+        return _sum_per_path(dot, path, noise.n_paths)
 
     def grad_dot_nu_integral(self, t, x, y, z, u, vec4, jump_spec):
         def dotted(zeta):
@@ -336,12 +334,18 @@ class CallableJumpCoefficient:
         )
 
 
-def _row(arr, i):
-    arr = np.asarray(arr)
-    if not arr.ndim:
-        return arr
-    # a singleton axis broadcasts across paths, same as in the affine route
-    return arr[i] if arr.shape[0] > 1 else arr[0]
+def _at_jumps(noise, k, arrays):
+    """Path index and mark of every jump of step k, and each of `arrays` (one
+    value per path, a singleton row or a scalar) read on the jump's path."""
+    bounds, path, marks = noise.step_jumps
+    jumps = slice(bounds[k], bounds[k + 1])
+    path = path[jumps]
+    return path, marks[jumps], [np.broadcast_to(a, (noise.n_paths,))[path] for a in arrays]
+
+
+def _sum_per_path(values, path, n_paths):
+    # bincount adds its weights in input order from 0.0: per path, in draw order
+    return np.bincount(path, weights=np.broadcast_to(values, path.shape), minlength=n_paths)
 
 
 class CoefficientModel:
@@ -357,7 +361,9 @@ class CoefficientModel:
     supplied, return the 4-tuple of partials in the order (x, y, z, u);
     missing gradients fall back to central finite differences with bump
     1e-5 * (1 + |value|).  A partial may be a read-only broadcast view (the
-    catalog's constant partials are), so no caller writes into one.
+    catalog's constant partials are), so no caller writes into one.  A
+    CallableJumpCoefficient's fn and grad_fns take an array of marks zeta
+    with matching arrays of x, y, z and u, one entry per jump of a step.
 
     Args:
         drift, diffusion, running_cost: coefficient callables.
@@ -519,36 +525,23 @@ class StateBundle:
                 self.memory_arg, self.control.rows())
 
 
-def _step_marks_by_step(grid, counts, marks):
-    """Regroup per-path flat marks into per-step lists of per-path arrays."""
-    n_paths = counts.shape[0]
-    offsets = np.zeros((n_paths, grid.n_steps + 1), dtype=np.int64)
-    np.cumsum(counts, axis=1, out=offsets[:, 1:])
-    by_step = []
-    for k in range(grid.n_steps):
-        by_step.append([marks[i][offsets[i, k]:offsets[i, k + 1]] for i in range(n_paths)])
-    return by_step
-
-
-def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, ring=False,
-           what="state"):
+def _sweep(noise, start, step, kernel=None, keep_prefix=False, ring=False, what="state"):
     """Time-major left-point Euler sweep of a process V fed by its own memory window.
 
     V equals `start` on the initial segment (zero when None) and leaves node
-    k >= m by V[k+1] = V[k] + b h + s dB[k] (+ jump - h * comp when `jumps`),
-    where step(k, V[k], V[k-m], window[k], *jump_rows) returns (b, s) or
-    (b, s, jump, comp) and the jump rows are the step's per-path jump counts
-    and mark sums.  The window integrates V dB over the trailing delay,
+    k >= m by V[k+1] = V[k] + b h + s dB[k] (+ jump - h * comp), where
+    step(k, V[k], V[k-m], window[k]) returns (b, s), or (b, s, jump, comp)
+    with jump the step's per-path jump sum, read from the noise by the jump
+    coefficient.  The window integrates V dB over the trailing delay,
     kernel-weighted for a non-identity kernel.
 
     The work buffers are (node, path) rows, so each step touches contiguous
-    memory, and the noise is read forward from the ensemble's time-major
-    companions (NoiseEnsemble.increment_rows and, with jumps, jump_count_rows
-    and mark_sum_rows).  The plain window is the difference of two entries
-    of the running prefix of V dB, kept in a ring of m + 1 rows unless
-    `keep_prefix` asks for all of it.  The weighted window keeps the
-    path-major term matrix and its matrix-vector product, whose BLAS
-    summation order fixes its bits.
+    memory, and the increments are read forward from the ensemble's
+    time-major companion NoiseEnsemble.increment_rows.  The plain window is
+    the difference of two entries of the running prefix of V dB, kept in a
+    ring of m + 1 rows unless `keep_prefix` asks for all of it.  The
+    weighted window keeps the path-major term matrix and its matrix-vector
+    product, whose BLAS summation order fixes its bits.
     With `ring`, V is kept in a ring of m + 2 rows, so the row being written
     is never V[k-m], and each window in one row: for callers that read the
     process only inside `step`.
@@ -567,8 +560,6 @@ def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, ring
     n_paths = noise.n_paths
     use_kernel = kernel is not None and not kernel.is_identity
     incr = noise.increment_rows
-    if jumps:
-        counts, mark_sums = noise.jump_count_rows, noise.mark_sum_rows
 
     v_rows = m + 2 if ring else grid.n_nodes
     v = np.zeros((v_rows, n_paths))
@@ -593,15 +584,13 @@ def _sweep(noise, start, step, jumps=False, kernel=None, keep_prefix=False, ring
                 break
         incr_k = incr[k]
         if k >= m:
-            rows = (counts[k], mark_sums[k]) if jumps else ()
-            coef = step(k, vk, v[(k - m) % v_rows], (weighted if use_kernel else window)[w],
-                        *rows)
+            coef = step(k, vk, v[(k - m) % v_rows], (weighted if use_kernel else window)[w])
             # v[k] + b h + s dB (+ jump - h comp), evaluated in that order
             v_next = v[(k + 1) % v_rows]
             np.multiply(coef[0], h, out=v_next)
             np.add(vk, v_next, out=v_next)
             v_next += coef[1] * incr_k
-            if jumps:
+            if len(coef) > 2:
                 v_next += coef[2]
                 v_next -= h * coef[3]
             if not np.isfinite(v_next).all():
@@ -643,30 +632,23 @@ def _state_sweep(model, control, noise, keep_prefix=False, cost=None):
     if control.grid != grid:
         raise GridMismatch("control grid %r vs noise grid %r" % (control.grid, grid))
     m = grid.steps_per_delay
-    affine_jumps = isinstance(model.gamma, AffineJumpCoefficient)
-    if model.has_jumps and not affine_jumps:
-        marks_by_step = _step_marks_by_step(grid, noise.jump_counts, noise.jump_marks)
     u_rows = control.rows()
 
-    def step(k, xk, yk, zk, *jump_rows):
+    def step(k, xk, yk, zk):
         t_k = grid.nodes[k]
         uk = u_rows[:, k - m]
         if cost is not None:
             u_cost = uk if u_rows.shape[0] > 1 else u_rows[0, k - m]
             np.add(cost, model.running_cost(t_k, xk, yk, zk, u_cost), out=cost)
         coef = (model.drift(t_k, xk, yk, zk, uk), model.diffusion(t_k, xk, yk, zk, uk))
-        if not jump_rows:
+        if not model.has_jumps:
             return coef
-        if affine_jumps:
-            jump = model.gamma.step_sum(t_k, xk, yk, zk, uk, *jump_rows)
-        else:
-            jump = model.gamma.step_sum_from_marks(t_k, xk, yk, zk, uk, marks_by_step[k])
-        return coef + (jump, model.gamma.nu_integral(t_k, xk, yk, zk, uk, model.jump_spec))
+        return coef + (model.gamma.step_sum(t_k, xk, yk, zk, uk, noise, k),
+                       model.gamma.nu_integral(t_k, xk, yk, zk, uk, model.jump_spec))
 
     return _sweep(
         noise, model.initial_segment(grid.nodes[: m + 1]), step,
-        jumps=model.has_jumps, kernel=model.kernel, keep_prefix=keep_prefix,
-        ring=cost is not None,
+        kernel=model.kernel, keep_prefix=keep_prefix, ring=cost is not None,
     )
 
 

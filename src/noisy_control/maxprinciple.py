@@ -12,14 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import _r_pair, hamiltonian
-from .dynamics import (
-    AffineJumpCoefficient,
-    ControlPath,
-    _sweep,
-    evaluate_performance,
-    simulate_state,
-)
-from .errors import NonMonotone, OffGrid, OutOfControlSet
+from .dynamics import ControlPath, _sweep, evaluate_performance, simulate_state
+from .errors import GridMismatch, NonMonotone, OffGrid, OutOfControlSet
 
 
 @dataclass
@@ -50,11 +44,15 @@ class MPReport:
         )
 
 
-def _eta_rows(eta, n_paths):
+def _eta_rows(eta, n_paths, grid):
+    """The direction eta as (n_paths, n+1) rows; GridMismatch unless eta has
+    one value per horizon node of grid and 1 or n_paths rows."""
     eta = np.asarray(eta, dtype=float)
-    if eta.ndim == 1:
-        return np.broadcast_to(eta, (n_paths, eta.shape[0]))
-    return eta
+    shape = (n_paths, grid.n_horizon_steps + 1)
+    if eta.shape[-1:] != shape[1:] or eta.shape[:-1] not in ((), (1,), shape[:1]):
+        raise GridMismatch("direction of shape %r on %r; need %d values per row and 1 or %d "
+                           "rows" % (eta.shape, grid, shape[1], n_paths))
+    return np.broadcast_to(eta, shape)
 
 
 def derivative_process(model, state, eta):
@@ -66,37 +64,32 @@ def derivative_process(model, state, eta):
     state's was.
 
     Returns a KBundle whose arrays are transposed views of the sweep's
-    (node, path) buffers; raises NotImplementedError for models with
-    non-affine jump coefficients (the per-mark gradient contraction is only
-    implemented for the affine family).
+    (node, path) buffers; raises GridMismatch for an eta off the horizon
+    nodes (see _eta_rows).
     """
     grid = state.grid
     m = grid.steps_per_delay
     u_rows = state.control.rows()
-    eta_r = _eta_rows(eta, state.n_paths)
+    eta_r = _eta_rows(eta, state.n_paths, grid)
     memory = state.memory_arg
-    if model.has_jumps and not isinstance(model.gamma, AffineJumpCoefficient):
-        raise NotImplementedError(
-            "derivative_process supports affine jump coefficients only"
-        )
+    noise = state.noise
 
-    def step(j, kj, k_lag, kz, *jump_rows):
+    def step(j, kj, k_lag, kz):
         i = j - m
         point = (grid.nodes[j], state.x[:, j], state.y[:, i], memory[:, i], u_rows[:, i])
         vec = (kj, k_lag, kz, eta_r[:, i])
         bg = model.drift_grad(*point)
         sg = model.diffusion_grad(*point)
         coef = (sum(bg[w] * vec[w] for w in range(4)), sum(sg[w] * vec[w] for w in range(4)))
-        if not jump_rows:
+        if not model.has_jumps:
             return coef
         return coef + (
-            model.gamma.grad_dot_step_sum(*point, vec, *jump_rows),
+            model.gamma.grad_dot_step_sum(*point, vec, noise, j),
             model.gamma.grad_dot_nu_integral(*point, vec, model.jump_spec),
         )
 
     k_path, kz, kz_weighted, _ = _sweep(
-        state.noise, None, step, jumps=model.has_jumps, kernel=model.kernel,
-        what="derivative process",
+        noise, None, step, kernel=model.kernel, what="derivative process",
     )
     return KBundle(k_path.T, (kz if kz_weighted is None else kz_weighted).T, grid)
 
@@ -121,7 +114,7 @@ def directional_derivative_K(model, state, eta):
     h = grid.step
     iz = grid.index_zero
     kb = derivative_process(model, state, eta)
-    eta_r = _eta_rows(eta, state.n_paths)
+    eta_r = _eta_rows(eta, state.n_paths, grid)
 
     shape = (state.n_paths, n + 1)
     fg = [np.broadcast_to(g, shape) for g in model.cost_grad(*state.horizon_args())]
@@ -166,7 +159,7 @@ def directional_derivative_H(model, state, adjoint, eta):
     grid = state.grid
     n = grid.n_horizon_steps
     dhu = control_partial_paths(model, state, adjoint)
-    eta_r = _eta_rows(eta, dhu.shape[0])
+    eta_r = _eta_rows(eta, dhu.shape[0], grid)
     per_path = grid.step * (dhu[:, :n] * eta_r[:, :n]).sum(axis=1)
     value, se = _mean_se(per_path)
     return value, se, per_path
@@ -177,8 +170,10 @@ def finite_difference_derivative(model, control, noise, eta, s=1e-3):
 
     Falls back to a one-sided difference when the shifted control leaves the
     admissible set on one side; raises OutOfControlSet if it leaves on both.
-    Returns (value, se, per_path).
+    Returns (value, se, per_path); raises GridMismatch for an eta off the
+    horizon nodes (see _eta_rows).
     """
+    _eta_rows(eta, noise.n_paths, noise.grid)
     plus = minus = None
     try:
         plus = control.shifted_by(eta, s)

@@ -234,8 +234,9 @@ class NoiseEnsemble:
     read the noise one step at a time, so the first sweep to ask builds
     read-only time-major companions, shape (n_steps, n_paths):
     increment_rows, and for the jump part jump_count_rows and mark_sum_rows.
-    Each is built once per ensemble and kept with it; sampling and the
-    path-major readers (brownian, duality_check, ...) never build them.
+    A general jump coefficient reads step_jumps instead, every jump laid out
+    step by step.  Each is built once per ensemble and kept with it; sampling
+    and the path-major readers (brownian, duality_check, ...) never build them.
     """
 
     def __init__(self, grid, increments, jump_counts, jump_marks, jump_times, seed):
@@ -268,6 +269,20 @@ class NoiseEnsemble:
     def mark_sum_rows(self):
         """step_mark_sums(), time-major."""
         return _time_major(self.step_mark_sums())
+
+    @cached_property
+    def step_jumps(self):
+        """(bounds, path, marks) of every jump, step-major: the jumps of step k
+        are entries bounds[k]:bounds[k+1] of the path index and mark arrays, in
+        path order and, within a path, in draw order."""
+        n_steps = self.grid.n_steps
+        cells = _jump_cells(self.jump_counts)
+        order = np.argsort(cells % n_steps, kind="stable")
+        bounds = np.concatenate(([0], self.jump_counts.sum(axis=0).cumsum()))
+        out = (bounds, cells[order] // n_steps, np.concatenate(self.jump_marks)[order])
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     def path(self, i):
         """Path i as a one-path ensemble (a view of row i)."""

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisy_control import adjoint, cli, dynamics, maxprinciple, scenarios, verification
 from noisy_control.dynamics import (
@@ -289,6 +291,59 @@ def test_affine_and_callable_jump_coefficients_agree():
     assert np.allclose(
         affine.evaluate(*args, 0.7), general.evaluate(*args, 0.7), atol=0.0
     )
+
+
+def _gamma_nonaffine(t, x, y, z, u, zeta):
+    return (0.1 * x + 0.3 * y * z) * zeta + 0.05 * u * zeta * zeta - 0.2 * t * x
+
+
+def _step_sums_by_path_loop(gamma, t, x, y, z, u, vec4, noise, k):
+    """The per-path, per-mark reference: gamma and grad gamma . vec4 added
+    mark by mark in draw order, each path's arguments read from its own row."""
+    def row(a, i):
+        a = np.asarray(a)
+        return a if not a.ndim else (a[i] if a.shape[0] > 1 else a[0])
+
+    out = np.zeros(noise.n_paths)
+    out_dot = np.zeros(noise.n_paths)
+    for i in range(noise.n_paths):
+        first = int(noise.jump_counts[i, :k].sum())
+        args = [row(a, i) for a in (x, y, z, u)]
+        for zeta in noise.jump_marks[i][first : first + noise.jump_counts[i, k]]:
+            out[i] += gamma.fn(t, *args, zeta)
+            grads = gamma.grad(t, *args, zeta)
+            out_dot[i] += sum(g * row(v, i) for g, v in zip(grads, vec4))
+    return out, out_dot
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    intensity=st.sampled_from([1.0, 40.0, 200.0]),
+    n_paths=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    shared_u=st.booleans(),
+    factor=st.sampled_from([1, 2, 4]),
+)
+# about 40 jumps per path in a coarse step, with per-path and shared u
+@example(intensity=200.0, n_paths=6, seed=1, shared_u=False, factor=4)
+@example(intensity=200.0, n_paths=6, seed=2, shared_u=True, factor=2)
+def test_callable_step_sum_equals_the_per_path_loop_bitwise(intensity, n_paths, seed,
+                                                            shared_u, factor):
+    """One fn call per step, summed per path, gives the mark-by-mark loop's bits."""
+    g = make_grid(0.2, 0.4, 4)
+    spec = JumpSpec.gaussian(intensity, 0.3, 1.0)
+    noise = coarsen(sample_ensemble(g, spec, seed, n_paths), factor)
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    x, y, z, kz = gen.normal(size=(4, n_paths))
+    u = gen.uniform(0.5, 2.0, size=1 if shared_u else n_paths)
+    vec4 = (x - 1.0, 0.5, kz, u[:1] if shared_u else u)
+    gamma = CallableJumpCoefficient(_gamma_nonaffine)
+    for k in range(noise.grid.n_steps):
+        t = noise.grid.nodes[k]
+        want, want_dot = _step_sums_by_path_loop(gamma, t, x, y, z, u, vec4, noise, k)
+        assert gamma.step_sum(t, x, y, z, u, noise, k).tobytes() == want.tobytes()
+        got_dot = gamma.grad_dot_step_sum(t, x, y, z, u, vec4, noise, k)
+        assert got_dot.tobytes() == want_dot.tobytes()
 
 
 def test_jump_moment_identities_close_under_affine_pairing():

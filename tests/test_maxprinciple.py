@@ -19,9 +19,10 @@ from noisy_control.dynamics import (
     CoefficientModel,
     ControlPath,
     DeterministicTerminal,
+    evaluate_performance,
     simulate_state,
 )
-from noisy_control.errors import NonMonotone, OffGrid, OutOfControlSet
+from noisy_control.errors import GridMismatch, NonMonotone, OffGrid, OutOfControlSet
 from noisy_control.maxprinciple import (
     _sample_points,
     check_necessary_I,
@@ -80,15 +81,42 @@ def test_derivative_process_starts_from_rest():
     assert np.any(kb.k[:, -1] != 0.0)
 
 
-def test_derivative_process_rejects_nonaffine_jumps():
-    spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
+def test_sensitivity_route_handles_a_general_jump_coefficient():
+    """K route through a non-affine callable gamma matches CRN finite differences
+    within criterion 5's rule, max(4 sigma, 1e-3 |J|)."""
+    spec = JumpSpec.discrete(2.0, [-0.5, 1.0], [0.5, 0.5])
     model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
     model.gamma = CallableJumpCoefficient(
-        lambda t, x, y, z, u, zeta: 0.1 * x * zeta
+        lambda t, x, y, z, u, zeta: 0.1 * np.tanh(x) * zeta + 0.05 * x * zeta * zeta
     )
-    state, _, _ = _state(model, n_paths=20)
-    with pytest.raises(NotImplementedError):
-        derivative_process(model, state, np.ones(GRID.n_horizon_steps + 1))
+    state, ctrl, ens = _state(model, n_paths=400, seed=5)
+    assert ens.jump_counts.sum() > 0
+    j_value = evaluate_performance(model, ctrl, ens, state=state)[0]
+    for _, eta in probe_directions(GRID)[:3]:
+        val_k, se_k, _ = directional_derivative_K(model, state, eta)
+        val_f, se_f, _ = finite_difference_derivative(model, ctrl, ens, eta)
+        assert abs(val_k - val_f) <= max(4.0 * np.hypot(se_k, se_f), 1e-3 * abs(j_value))
+
+
+def test_directions_off_the_horizon_nodes_are_rejected():
+    """eta needs n+1 values per row and 1 or n_paths rows, for every route."""
+    model = scenarios.consumption()
+    state, ctrl, ens = _state(model, n_paths=50)
+    adjoint = _flat_adjoint(P_EXACT)
+    n = GRID.n_horizon_steps
+    routes = (
+        lambda eta: derivative_process(model, state, eta),
+        lambda eta: directional_derivative_K(model, state, eta),
+        lambda eta: directional_derivative_H(model, state, adjoint, eta),
+        lambda eta: finite_difference_derivative(model, ctrl, ens, eta),
+    )
+    for eta in (np.ones(n), np.ones(n + 5), np.ones((7, n + 1)), np.ones((50, n)), 1.0):
+        for route in routes:
+            with pytest.raises(GridMismatch, match=r"shape \(.*\).*1 or 50 rows"):
+                route(eta)
+    for eta in (np.ones(n + 1), np.ones((1, n + 1)), np.ones((50, n + 1))):
+        for route in routes:
+            route(eta)
 
 
 def test_sensitivity_route_matches_finite_differences():
