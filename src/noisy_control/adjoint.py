@@ -177,10 +177,8 @@ def _window_growth(alpha, h, i, end):
     if end <= i:
         return w
     w[0] = 1.0
-    acc = 0.0
-    for s in range(i + 1, end):
-        acc += alpha[s] * h
-        w[s - i] = np.exp(acc)
+    # cumsum adds left to right, so each weight keeps the running sum's order
+    w[1:] = np.exp(np.cumsum(alpha[i + 1 : end] * h))
     return w
 
 

@@ -38,48 +38,68 @@ _CHECK_NAMES = ("closed-form", "regression", "bridge", "max-principle")
 # the spike battery starts no spike on the last _SPIKE_TAIL horizon nodes
 _SPIKE_TAIL = 5
 
-# keys each scenario accepts in [model]; everything else is rejected loudly
-_MODEL_KEYS = {
-    "linear-noisy-memory": {
-        "a0", "a1", "sigma0", "psi", "delta", "horizon", "xi0",
-        "control_lower", "control_upper",
-    },
-    "consumption": {
-        "a0", "a1", "sigma0", "delta", "horizon", "xi0",
-        "control_lower", "control_upper", "kernel", "running", "linear_rate",
-        "jump_intensity", "jump_marks", "jump_scale",
-    },
-    "generalized-memory": {
-        "a1", "sigma0", "delta", "horizon", "xi0",
-        "control_lower", "control_upper",
-    },
-    "custom-affine": {
-        "bx", "by", "bz", "bu", "b_const", "s_const", "sx", "running",
-        "target", "terminal_slope", "delta", "horizon", "xi0",
-        "control_lower", "control_upper",
-    },
+# The cost names of a scenario's `running` parameter, and the memory kernels
+# by name (a kernel is built from the delay)
+_RUNNING = {
+    "consumption": ("log", "linear"),
+    "custom-affine": ("quadratic", "linear", "convex"),
+}
+_KERNELS = {
+    "none": lambda delta: None,
+    "identity": lambda delta: MemoryKernel.identity(),
+    "ramp": MemoryKernel.ramp,
 }
 
-_FLOAT_MODEL_KEYS = {
-    "a0", "a1", "sigma0", "psi", "delta", "horizon", "xi0",
-    "control_lower", "control_upper", "linear_rate", "jump_intensity",
-    "jump_scale", "bx", "by", "bz", "bu", "b_const", "s_const", "sx",
-    "target", "terminal_slope",
+# A scenario's [model] keys are its catalog factory's keyword parameters: a
+# float parameter is a float key of the same name and default.  The others
+# map parameter -> (keys(scenario, parameter default) -> {key: (default,
+# choices or None)}, argument(resolved [model], marks) -> factory argument).
+_MODEL_PARAMS = {
+    "control_set": (
+        lambda name, bounds: {"control_lower": (float(bounds[0]), None),
+                              "control_upper": (float(bounds[1]), None)},
+        lambda mc, marks: (mc["control_lower"], mc["control_upper"]),
+    ),
+    "jump_spec": (
+        lambda name, spec: {"jump_intensity": (0.0, None), "jump_marks": ("", None)},
+        lambda mc, marks: (None if marks is None
+                           else JumpSpec.discrete(mc["jump_intensity"], *marks)),
+    ),
+    "kernel": (
+        lambda name, kernel: {"kernel": ("none", tuple(_KERNELS))},
+        lambda mc, marks: _KERNELS[mc["kernel"]](mc["delta"]),
+    ),
+    "running": (
+        lambda name, running: {"running": (running, _RUNNING[name])},
+        lambda mc, marks: mc["running"],
+    ),
 }
 
-_SECTION_KEYS = {
-    "model": set().union(*_MODEL_KEYS.values()) | {"name"},
-    "grid": {"steps_per_delay"},
-    "monte_carlo": {"n_paths", "seed"},
-    "control": {"kind", "value"},
-    "solver": {"basis", "ridge"},
+# Every other section: key -> default, whose type is the key's type
+_SECTIONS = {
+    "grid": {"steps_per_delay": 8},
+    "monte_carlo": {"n_paths": 2000, "seed": 0},
+    "control": {"kind": "constant", "value": 1.0},
+    "solver": {"basis": "quad-xz", "ridge": 1e-8},
     "checks": {
-        "run", "bridge_tol", "regression_rel_tol", "zero_abs_tol",
-        "terminal_tol", "order_band_low", "order_band_high",
-        "se_multiplier", "spike_count", "condition_limit",
+        "bridge_tol": 1e-10, "regression_rel_tol": 0.05, "zero_abs_tol": 0.02,
+        "terminal_tol": 1e-12, "order_band_low": 0.7, "order_band_high": 1.3,
+        "se_multiplier": 3.0, "spike_count": 5, "condition_limit": 1e13, "run": "",
     },
-    "output": {"directory", "write_paths", "write_adjoint"},
+    "output": {"directory": "out", "write_paths": True, "write_adjoint": True},
 }
+
+
+def model_keys(name):
+    """[model] key -> (default, choices or None) for scenario `name`."""
+    keys = {}
+    for param in inspect.signature(scenarios.CATALOG[name]["factory"]).parameters.values():
+        if param.name in _MODEL_PARAMS:
+            keys.update(_MODEL_PARAMS[param.name][0](name, param.default))
+        else:
+            keys[param.name] = (param.default, None)
+    return keys
+
 
 # checks that make sense per scenario (missing oracle => loud config error)
 _APPLICABLE = {
@@ -136,75 +156,53 @@ def load_config(path):
         raise ConfigError("config file not readable: %s" % path)
     lines = _key_lines(path)
 
+    allowed = {"model": {"name"}.union(*map(model_keys, scenarios.CATALOG)), **_SECTIONS}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in allowed:
             _fail(path, lines, section, None, "unknown section")
         for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in allowed[section]:
                 _fail(path, lines, section, key, "unknown key")
 
-    def get(section, key, default, conv=str):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                value = conv(raw)
-            except (TypeError, ValueError):
-                _fail(path, lines, section, key,
-                      "cannot parse %r as %s" % (raw, conv.__name__))
-            if conv is float and not np.isfinite(value):
-                _fail(path, lines, section, key, "expected a finite number, got %r" % raw)
-            return value
-        return default
-
-    def get_bool(section, key, default):
-        if parser.has_option(section, key):
+    def get(section, key, default):
+        """The key's value, of its default's type, or the default if unset."""
+        if not parser.has_option(section, key):
+            return default
+        if isinstance(default, bool):
             try:
                 return parser.getboolean(section, key)
             except ValueError:
                 _fail(path, lines, section, key, "expected a boolean")
-        return default
+        conv = type(default)
+        raw = parser.get(section, key)
+        try:
+            value = conv(raw)
+        except (TypeError, ValueError):
+            _fail(path, lines, section, key,
+                  "cannot parse %r as %s" % (raw, conv.__name__))
+        if conv is float and not np.isfinite(value):
+            _fail(path, lines, section, key, "expected a finite number, got %r" % raw)
+        return value
 
-    name = get("model", "name", None)
+    name = parser.get("model", "name", fallback=None)
     if name is None:
         _fail(path, lines, "model", "name", "required key is missing")
     if name not in scenarios.CATALOG:
         _fail(path, lines, "model", "name",
               "unknown scenario (run `noisy-control list` for the catalog)")
-    allowed = _MODEL_KEYS[name]
+    schema = model_keys(name)
     for key in parser["model"] if parser.has_section("model") else ():
-        if key != "name" and key not in allowed:
+        if key != "name" and key not in schema:
             _fail(path, lines, "model", key,
                   "not a parameter of scenario %r" % name)
 
-    factory = scenarios.CATALOG[name]["factory"]
-    sig = inspect.signature(factory).parameters
     model_cfg = {"name": name}
-    for key in sorted(allowed):
-        if key in ("control_lower", "control_upper"):
-            lo, hi = sig["control_set"].default
-            default = lo if key == "control_lower" else hi
-            model_cfg[key] = get("model", key, float(default), float)
-        elif key == "kernel":
-            value = get("model", key, "none")
-            if value not in ("none", "identity", "ramp"):
-                _fail(path, lines, "model", key,
-                      "expected one of: none, identity, ramp")
-            model_cfg[key] = value
-        elif key == "jump_marks":
-            model_cfg[key] = get("model", key, "")
-        elif key == "running":
-            value = get("model", key, sig["running"].default)
-            choices = (("log", "linear") if name == "consumption"
-                       else ("quadratic", "linear", "convex"))
-            if value not in choices:
-                _fail(path, lines, "model", key,
-                      "expected one of: %s" % ", ".join(choices))
-            model_cfg[key] = value
-        elif key in _FLOAT_MODEL_KEYS:
-            default = sig[key].default if key in sig else 0.0
-            model_cfg[key] = get("model", key, float(default), float)
-        else:  # pragma: no cover - schema and this loop must stay in sync
-            raise AssertionError(key)
+    for key in sorted(schema):
+        default, choices = schema[key]
+        value = get("model", key, default)
+        if choices is not None and value not in choices:
+            _fail(path, lines, "model", key, "expected one of: %s" % ", ".join(choices))
+        model_cfg[key] = value
 
     for key in ("delta", "horizon"):
         if not model_cfg[key] > 0:
@@ -221,38 +219,9 @@ def load_config(path):
         _fail(path, lines, "model", "jump_scale",
               "nonzero jump_scale needs jump_intensity and jump_marks")
 
-    cfg = {
-        "model": model_cfg,
-        "grid": {"steps_per_delay": get("grid", "steps_per_delay", 8, int)},
-        "monte_carlo": {
-            "n_paths": get("monte_carlo", "n_paths", 2000, int),
-            "seed": get("monte_carlo", "seed", 0, int),
-        },
-        "control": {
-            "kind": get("control", "kind", "constant"),
-            "value": get("control", "value", 1.0, float),
-        },
-        "solver": {
-            "basis": get("solver", "basis", "quad-xz"),
-            "ridge": get("solver", "ridge", 1e-8, float),
-        },
-        "checks": {
-            "bridge_tol": get("checks", "bridge_tol", 1e-10, float),
-            "regression_rel_tol": get("checks", "regression_rel_tol", 0.05, float),
-            "zero_abs_tol": get("checks", "zero_abs_tol", 0.02, float),
-            "terminal_tol": get("checks", "terminal_tol", 1e-12, float),
-            "order_band_low": get("checks", "order_band_low", 0.7, float),
-            "order_band_high": get("checks", "order_band_high", 1.3, float),
-            "se_multiplier": get("checks", "se_multiplier", 3.0, float),
-            "spike_count": get("checks", "spike_count", 5, int),
-            "condition_limit": get("checks", "condition_limit", 1e13, float),
-        },
-        "output": {
-            "directory": get("output", "directory", "out"),
-            "write_paths": get_bool("output", "write_paths", True),
-            "write_adjoint": get_bool("output", "write_adjoint", True),
-        },
-    }
+    cfg = {"model": model_cfg}
+    for section, defaults in _SECTIONS.items():
+        cfg[section] = {key: get(section, key, default) for key, default in defaults.items()}
 
     if cfg["control"]["kind"] not in ("constant", "foc"):
         _fail(path, lines, "control", "kind", "expected 'constant' or 'foc'")
@@ -269,11 +238,10 @@ def load_config(path):
         _fail(path, lines, "monte_carlo", "seed", "must be nonnegative")
 
     applicable = _APPLICABLE[name]
-    raw_checks = get("checks", "run", None)
-    if raw_checks is None:
+    if not parser.has_option("checks", "run"):
         requested = sorted(applicable, key=_CHECK_NAMES.index)
     else:
-        requested = [c.strip() for c in raw_checks.split(",") if c.strip()]
+        requested = [c.strip() for c in cfg["checks"]["run"].split(",") if c.strip()]
         for check in requested:
             if check not in _CHECK_NAMES:
                 _fail(path, lines, "checks", "run",
@@ -298,6 +266,13 @@ def load_config(path):
     if "regression" in requested and cfg["monte_carlo"]["n_paths"] < min_paths:
         _fail(path, lines, "monte_carlo", "n_paths",
               "the regression check needs at least %d paths" % min_paths)
+    if not model_cfg["control_lower"] <= model_cfg["control_upper"]:
+        key = "control_upper" if parser.has_option("model", "control_upper") else "control_lower"
+        _fail(path, lines, "model", key, "control_lower must not exceed control_upper")
+    if marks is not None and model_cfg["jump_intensity"] < 0:
+        _fail(path, lines, "model", "jump_intensity", "must be >= 0")
+    if not cfg["output"]["directory"]:
+        _fail(path, lines, "output", "directory", "must not be empty")
     cfg["_marks"] = marks
     return cfg
 
@@ -327,26 +302,15 @@ def _parse_marks(text, path, lines):
 
 def build_scenario(cfg):
     """Instantiate (model, jump_spec) from a resolved config."""
-    mc = dict(cfg["model"])
-    name = mc.pop("name")
-    control_set = (mc.pop("control_lower"), mc.pop("control_upper"))
-    kwargs = {"control_set": control_set}
-    if name == "consumption":
-        kernel_name = mc.pop("kernel")
-        if kernel_name == "identity":
-            kwargs["kernel"] = MemoryKernel.identity()
-        elif kernel_name == "ramp":
-            kwargs["kernel"] = MemoryKernel.ramp(mc["delta"])
-        intensity = mc.pop("jump_intensity")
-        mc.pop("jump_marks")
-        marks = cfg["_marks"]
-        if marks is not None:
-            kwargs["jump_spec"] = JumpSpec.discrete(intensity, marks[0], marks[1])
-            kwargs["jump_scale"] = mc.pop("jump_scale")
+    mc = cfg["model"]
+    factory = scenarios.CATALOG[mc["name"]]["factory"]
+    kwargs = {}
+    for param in inspect.signature(factory).parameters:
+        if param in _MODEL_PARAMS:
+            kwargs[param] = _MODEL_PARAMS[param][1](mc, cfg["_marks"])
         else:
-            mc.pop("jump_scale")
-    kwargs.update(mc)
-    model = scenarios.CATALOG[name]["factory"](**kwargs)
+            kwargs[param] = mc[param]
+    model = factory(**kwargs)
     jump_spec = model.jump_spec if model.has_jumps else JumpSpec.none()
     return model, jump_spec
 

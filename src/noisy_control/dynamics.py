@@ -40,9 +40,6 @@ class ControlSet:
         v = np.asarray(v)
         return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
 
-    def clip(self, v):
-        return np.clip(v, self.lower, self.upper)
-
     @property
     def midpoint(self):
         return 0.5 * (self.lower + self.upper)
@@ -50,11 +47,6 @@ class ControlSet:
     @property
     def is_singleton(self):
         return self.lower == self.upper
-
-    def sample(self, gen, size=None):
-        if not np.isfinite(self.lower) or not np.isfinite(self.upper):
-            raise ValueError("can only sample from a bounded control set")
-        return gen.uniform(self.lower, self.upper, size=size)
 
     def __repr__(self):
         return "ControlSet(%g, %g)" % (self.lower, self.upper)
@@ -255,10 +247,6 @@ class AffineJumpCoefficient:
             + s * r1 * jump_spec.levy_moment(2)
         )
 
-    def grad(self, t, x, y, z, u, zeta):
-        gb, gs = self._partials(t, x, y, z, u)
-        return tuple(b + s * zeta for b, s in zip(gb, gs))
-
     def grad_dot_step_sum(self, t, x, y, z, u, vec4, noise, k):
         """Per-path sum over the jumps of step k of grad gamma . vec4."""
         dot_b, dot_s = (sum(g * v for g, v in zip(gr, vec4))
@@ -325,13 +313,19 @@ class CallableJumpCoefficient:
         return jump_spec.nu_expectation(dotted)
 
     def pair_grad_nu_integral(self, t, x, y, z, u, r0, r1, jump_spec):
-        """4-tuple of integrals of (d gamma / d arg)(zeta) * (r0 + r1 zeta)."""
-        return tuple(
-            jump_spec.nu_expectation(
-                lambda zeta, i=i: self.grad(t, x, y, z, u, zeta)[i] * (r0 + r1 * zeta)
-            )
-            for i in range(4)
-        )
+        """4-tuple of integrals of (d gamma / d arg)(zeta) * (r0 + r1 zeta).
+
+        One gradient per quadrature node; each component is summed like
+        JumpSpec.nu_expectation sums it.
+        """
+        if jump_spec.intensity == 0.0:
+            return (0.0,) * 4
+        totals = (0.0,) * 4
+        for zeta, w in zip(jump_spec.quad_nodes, jump_spec.quad_weights):
+            pair = r0 + r1 * zeta
+            grads = self.grad(t, x, y, z, u, zeta)
+            totals = tuple(total + w * (g * pair) for total, g in zip(totals, grads))
+        return tuple(jump_spec.intensity * total for total in totals)
 
 
 def _at_jumps(noise, k, arrays):

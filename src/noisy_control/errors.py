@@ -9,6 +9,10 @@ class NonCommensurate(NoisyControlError):
     """Horizon is not an integer number of delay-subdivision steps."""
 
 
+class GridTooLarge(NoisyControlError):
+    """The grid has more nodes than numpy can allocate."""
+
+
 class OffGrid(NoisyControlError):
     """A time was requested that does not coincide with a grid node."""
 

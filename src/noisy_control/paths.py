@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonCommensurate, OffGrid
+from .errors import GridTooLarge, NonCommensurate, OffGrid
 
 _COMMENSURATE_RTOL = 1e-9
 
@@ -51,7 +51,11 @@ class TimeGrid:
         self.n_nodes = m + n + 1
         self.index_zero = m
         self.index_horizon = m + n
-        nodes = (np.arange(self.n_nodes) - m) * h
+        try:
+            nodes = (np.arange(self.n_nodes) - m) * h
+        except (ValueError, MemoryError):
+            raise GridTooLarge("numpy cannot allocate the %.3g nodes of this grid "
+                               "(horizon=%r, h=%r)" % (self.n_nodes, horizon, h)) from None
         nodes.flags.writeable = False
         self.nodes = nodes
 
@@ -105,6 +109,7 @@ def make_grid(delta, horizon, steps_per_delay):
 
     Raises:
         NonCommensurate: if the horizon is not commensurate with the step.
+        GridTooLarge: if numpy refuses to allocate the nodes.
     """
     return TimeGrid(delta, horizon, steps_per_delay)
 

@@ -1,14 +1,21 @@
 """Command-line front end: config parsing, runs, reports, reproducibility."""
 
+import configparser
+import contextlib
+import inspect
+import io
 import json
 import os
 import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from noisy_control import cli, verification
+from noisy_control import cli, scenarios, verification
 from noisy_control.errors import ConfigError, NonFiniteState
 from noisy_control.paths import JumpSpec, make_grid, sample_ensemble
 
@@ -201,6 +208,9 @@ def test_load_config_rejects_regression_under_weighted_memory(tmp_path):
     ("consumption", "delta", "0"),
     ("consumption", "delta", "-0.2"),
     ("linear-noisy-memory", "horizon", "0"),
+    ("consumption", "control_upper", "0"),
+    pytest.param("consumption", "jump_intensity", "-1\njump_marks = 1:1",
+                 id="consumption-jump_intensity--1-with-marks"),
 ])
 def test_run_rejects_non_finite_and_non_positive_numbers(tmp_path, capsys, name, key, value):
     path = _write(tmp_path, "[model]\nname = %s\n%s = %s\n[output]\ndirectory = %s\n"
@@ -208,6 +218,17 @@ def test_run_rejects_non_finite_and_non_positive_numbers(tmp_path, capsys, name,
     assert cli.main(["run", path]) == 2
     err = capsys.readouterr().err
     assert "%s:3: [model] %s: " % (path, key) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("horizon", ["1e15", "1e300"])
+def test_run_rejects_grids_numpy_cannot_allocate(tmp_path, capsys, horizon):
+    """numpy refuses these grids at once; the refusal is a typed error, exit 2."""
+    path = _write(tmp_path, "[model]\nname = linear-noisy-memory\nhorizon = %s\n"
+                  "[output]\ndirectory = %s\n" % (horizon, tmp_path / "out"))
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("GridTooLarge: numpy cannot allocate the ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -384,6 +405,97 @@ def test_sample_noise_is_sample_ensemble():
     assert len(ran.jump_marks) == len(whole.jump_marks) == 5000
     assert all(np.array_equal(a, b) for a, b in zip(whole.jump_marks, ran.jump_marks))
     assert all(np.array_equal(a, b) for a, b in zip(whole.jump_times, ran.jump_times))
+
+
+# Every [model] key each scenario accepts, with its default
+_MODEL_DEFAULTS = {
+    "linear-noisy-memory": {
+        "a0": 0.5, "a1": 0.3, "sigma0": 0.2, "psi": 0.1, "delta": 0.2, "horizon": 1.0,
+        "xi0": 1.0, "control_lower": 0.05, "control_upper": 20.0,
+    },
+    "consumption": {
+        "a0": 0.5, "a1": 0.3, "sigma0": 0.2, "delta": 0.2, "horizon": 1.0, "xi0": 1.0,
+        "kernel": "none", "control_lower": 0.05, "control_upper": 20.0, "running": "log",
+        "linear_rate": 1.0, "jump_scale": 0.0, "jump_intensity": 0.0, "jump_marks": "",
+    },
+    "generalized-memory": {
+        "a1": 0.3, "sigma0": 0.2, "delta": 0.2, "horizon": 1.0, "xi0": 1.0,
+        "control_lower": 0.05, "control_upper": 20.0,
+    },
+    "custom-affine": {
+        "bx": 0.0, "by": 0.0, "bz": 0.0, "bu": 0.0, "b_const": 0.0, "s_const": 0.0,
+        "sx": 0.0, "running": "quadratic", "target": 1.0, "terminal_slope": 0.0,
+        "delta": 0.2, "horizon": 1.0, "xi0": 1.0, "control_lower": -5.0, "control_upper": 5.0,
+    },
+}
+
+
+def test_model_keys_are_the_catalog_factory_parameters(tmp_path):
+    """Each factory parameter is a float key of its own name and default, or one
+    of the four parameters the CLI reads through its own keys."""
+    assert set(cli._MODEL_PARAMS) == {"kernel", "running", "control_set", "jump_spec"}
+    assert sorted(_MODEL_DEFAULTS) == sorted(scenarios.CATALOG)
+    for name, entry in scenarios.CATALOG.items():
+        keys = cli.model_keys(name)
+        for param in inspect.signature(entry["factory"]).parameters.values():
+            if param.name not in cli._MODEL_PARAMS:
+                assert type(param.default) is float, (name, param.name)
+                assert keys[param.name] == (param.default, None)
+        defaults = {key: default for key, (default, _) in keys.items()}
+        assert defaults == _MODEL_DEFAULTS[name]
+        assert all(type(default) is type(_MODEL_DEFAULTS[name][key])
+                   for key, default in defaults.items())
+        # an empty [model] resolves to exactly these defaults
+        cfg = cli.load_config(_write(tmp_path, "[model]\nname = %s\n" % name))
+        assert cfg["model"] == {"name": name, **_MODEL_DEFAULTS[name]}
+        cli.build_scenario(cfg)
+
+
+# Values the fuzzer sets a config key to.  A value that sizes a run either
+# grows a committed run at most 2-fold or is refused before any large
+# allocation: by the config checks, or by numpy for the grid of horizon = 1e15
+# or 1e300.
+_FUZZ_VALUES = ["0", "-1", "-0.5", "0.5", "1", "2", "1e15", "1e300", "-1e300", "nan", "inf",
+                "-inf", "", "junk", "1:1", "-0.5:0.5, 1.0:0.5", "true", "false"]
+
+# (scenario, section, key) for every key each committed config's scenario accepts
+_FUZZ_KEYS = [
+    (name, section, key)
+    for name in sorted(scenarios.CATALOG)
+    for section, keys in [("model", ["name", *cli.model_keys(name)]), *cli._SECTIONS.items()]
+    for key in keys
+]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=st.sampled_from(_FUZZ_KEYS), value=st.sampled_from(_FUZZ_VALUES))
+@example(case=("consumption", "model", "control_upper"), value="0")
+@example(case=("generalized-memory", "model", "horizon"), value="1e300")
+@example(case=("custom-affine", "output", "directory"), value="")
+def test_run_on_a_mutated_committed_config_never_crashes(case, value):
+    """One key of a committed config, run on 100 paths, set to a hostile value:
+    the run ends in exit 0, 1 or 2 and never in a traceback."""
+    name, section, key = case
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(REPO / "configs" / (name + ".ini"))
+    parser["monte_carlo"]["n_paths"] = "100"
+    parser["output"]["directory"] = "out"
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    cwd = os.getcwd()
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # a relative output directory lands here
+        try:
+            with open("case.ini", "w") as fh:
+                parser.write(fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["run", "case.ini"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_templates_parse_cleanly():

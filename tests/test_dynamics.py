@@ -293,6 +293,29 @@ def test_affine_and_callable_jump_coefficients_agree():
     )
 
 
+def test_callable_pair_grad_takes_one_gradient_per_quadrature_node():
+    """Eight fn calls per node (central differences, four partials), and each
+    partial summed bit for bit as nu_expectation sums it alone."""
+    calls = []
+
+    def fn(t, x, y, z, u, zeta):
+        calls.append(zeta)
+        return _gamma_nonaffine(t, x, y, z, u, zeta)
+
+    gamma = CallableJumpCoefficient(fn)
+    spec = JumpSpec.gaussian(1.5, 0.2, 0.4)
+    assert len(spec.quad_nodes) == 21
+    x = np.array([1.0, -0.4, 2.5])
+    args = (0.3, x, 0.5 * x, np.array([0.2, 0.1, -0.3]), np.array([1.0, 0.5, 2.0]))
+    r0, r1 = np.array([0.7, -0.1, 0.3]), -0.2
+    got = gamma.pair_grad_nu_integral(*args, r0, r1, spec)
+    assert len(calls) == 168
+    for i, component in enumerate(got):
+        want = spec.nu_expectation(lambda zeta: gamma.grad(*args, zeta)[i] * (r0 + r1 * zeta))
+        assert np.array_equal(component, want)
+    assert gamma.pair_grad_nu_integral(*args, r0, r1, JumpSpec.none()) == (0.0,) * 4
+
+
 def _gamma_nonaffine(t, x, y, z, u, zeta):
     return (0.1 * x + 0.3 * y * z) * zeta + 0.05 * u * zeta * zeta - 0.2 * t * x
 
