@@ -29,9 +29,9 @@ from . import adjoint as adjoint_mod
 from . import maxprinciple as mp
 from . import scenarios, verification
 from .dynamics import ControlPath, MemoryKernel, evaluate_performance, reduce_2d, simulate_state
-from .errors import ConfigError, NoisyControlError
+from .errors import ConfigError, GridTooLarge, NoisyControlError
 from .malliavin import horizon_values
-from .paths import JumpSpec, make_grid, sample_ensemble
+from .paths import _UNCOUNTABLE, JumpSpec, make_grid, sample_ensemble
 
 _CHECK_NAMES = ("closed-form", "regression", "bridge", "max-principle")
 
@@ -257,7 +257,11 @@ def load_config(path):
         _fail(path, lines, "checks", "run",
               "the regression route needs the plain (unweighted) memory window")
     if "max-principle" in requested:
-        steps = round(cfg["grid"]["steps_per_delay"] * model_cfg["horizon"] / model_cfg["delta"])
+        try:
+            steps = round(cfg["grid"]["steps_per_delay"] * model_cfg["horizon"]
+                          / model_cfg["delta"])
+        except OverflowError:
+            raise GridTooLarge(_UNCOUNTABLE) from None
         if steps < _SPIKE_TAIL:
             _fail(path, lines, "grid", "steps_per_delay",
                   "the max-principle check needs at least %d steps on [0, horizon], "
@@ -273,6 +277,11 @@ def load_config(path):
         _fail(path, lines, "model", "jump_intensity", "must be >= 0")
     if not cfg["output"]["directory"]:
         _fail(path, lines, "output", "directory", "must not be empty")
+    existing = os.path.abspath(cfg["output"]["directory"])
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        _fail(path, lines, "output", "directory", "%s is not a directory" % existing)
     cfg["_marks"] = marks
     return cfg
 
@@ -559,8 +568,8 @@ def write_outputs(cfg, report, artifacts):
 def _cmd_run(args):
     cfg = load_config(args.config)
     # an overflowing state or regression design ends in a typed error; numpy's
-    # overflow warnings on the way there would only quote package source lines
-    with np.errstate(over="ignore", invalid="ignore"):
+    # warnings on the way there would only quote package source lines
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         report, passed, artifacts = run_scenario(cfg)
         written = write_outputs(cfg, report, artifacts)
     for check, result in report["checks"].items():

@@ -736,6 +736,12 @@ def evaluate_performance(model, control, noise, state=None):
         x_terminal = state.terminal_x
     per_path = grid.step * cost + model.terminal.value(x_terminal, noise)
     per_path = np.broadcast_to(per_path, (n_paths,)).astype(float)
-    j_hat = float(per_path.mean())
-    se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return j_hat, se, per_path
+    return (*_mean_se(per_path), per_path)
+
+
+def _mean_se(per_path):
+    """Monte Carlo mean of per-path samples and its standard error (0 for one path)."""
+    n = len(per_path)
+    value = float(per_path.mean())
+    se = float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return value, se

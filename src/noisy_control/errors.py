@@ -10,7 +10,8 @@ class NonCommensurate(NoisyControlError):
 
 
 class GridTooLarge(NoisyControlError):
-    """The grid has more nodes than numpy can allocate."""
+    """The grid has more nodes than numpy can allocate, or more steps than a
+    float can count."""
 
 
 class OffGrid(NoisyControlError):

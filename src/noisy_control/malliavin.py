@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _mean_se
 from .errors import OffGrid
 from .paths import JumpSpec, sample_ensemble
 
@@ -207,14 +208,10 @@ def duality_check(f_spec, phi, n_paths, seed):
         rhs_samples += cond * phi_vals[:, k]
     rhs_samples *= h
 
-    def mean_se(x):
-        return float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x)))
-
-    lhs, lhs_se = mean_se(lhs_samples)
-    rhs, rhs_se = mean_se(rhs_samples)
-    diff = lhs_samples - rhs_samples
-    sd = diff.std(ddof=1)
-    z = 0.0 if sd == 0.0 else float(diff.mean() / (sd / np.sqrt(len(diff))))
+    lhs, lhs_se = _mean_se(lhs_samples)
+    rhs, rhs_se = _mean_se(rhs_samples)
+    diff_mean, diff_se = _mean_se(lhs_samples - rhs_samples)
+    z = 0.0 if diff_se == 0.0 else diff_mean / diff_se
     return DualityResult(lhs, lhs_se, rhs, rhs_se, z)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import _r_pair, hamiltonian
-from .dynamics import ControlPath, _sweep, evaluate_performance, simulate_state
+from .dynamics import ControlPath, _mean_se, _sweep, evaluate_performance, simulate_state
 from .errors import GridMismatch, NonMonotone, OffGrid, OutOfControlSet
 
 
@@ -92,13 +92,6 @@ def derivative_process(model, state, eta):
         noise, None, step, kernel=model.kernel, what="derivative process",
     )
     return KBundle(k_path.T, (kz if kz_weighted is None else kz_weighted).T, grid)
-
-
-def _mean_se(per_path):
-    n = len(per_path)
-    value = float(per_path.mean())
-    se = float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return value, se
 
 
 def directional_derivative_K(model, state, eta):

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import GridTooLarge, NonCommensurate, OffGrid
 
 _COMMENSURATE_RTOL = 1e-9
+_UNCOUNTABLE = "the grid's step count horizon * steps_per_delay / delta is past the float range"
 
 
 class TimeGrid:
@@ -35,8 +36,11 @@ class TimeGrid:
         m = int(steps_per_delay)
         if m < 1 or m != steps_per_delay:
             raise ValueError("steps_per_delay must be a positive integer")
-        h = delta / m
-        n = int(round(horizon / h))
+        try:
+            h = delta / m
+            n = int(round(horizon / h))
+        except (OverflowError, ZeroDivisionError):
+            raise GridTooLarge(_UNCOUNTABLE) from None
         if n < 1 or abs(n * h - horizon) > _COMMENSURATE_RTOL * h:
             raise NonCommensurate(
                 "horizon %r is not an integer number of steps h=%r "
@@ -210,13 +214,8 @@ class JumpSpec:
         )
 
 
-# The marks and times of every jump-free path: one shared read-only array.
-_NO_JUMPS = np.zeros(0)
-_NO_JUMPS.flags.writeable = False
-
-
 class NoiseEnsemble:
-    """A batch of independent noise paths sharing one grid and seed.
+    """A batch of independent noise paths sharing one grid.
 
     Row i is bit-identical to sample_ensemble(grid, jump_spec, seed, 1,
     first_path=i): the ensemble is just the stacked per-key draws, so results
@@ -227,13 +226,10 @@ class NoiseEnsemble:
         grid: the TimeGrid.
         increments: Brownian increments, shape (n_paths, grid.n_steps).
         jump_counts: jumps per path and step, same shape.
-        jump_marks / jump_times: lists of flat read-only arrays, one per path,
-            step-major; jumps are applied at the end of their step by the
-            Euler scheme, the times are kept for reporting only.  Entries may
-            be shared or views: every jump-free path holds the same empty
-            array, and sampled times are views of one ensemble-wide array.
-            The mark sampler runs only for paths with jumps.
-        seed: the base seed the paths were drawn under.
+        jump_marks: the mark of every jump, one flat array of length
+            jump_counts.sum(), in path order and, within a path, in step and
+            draw order.  The Euler scheme applies a jump at the end of its
+            step, so a step's count and marks are all it reads.
 
     The arrays are read-only, path-major and C-contiguous.  The Euler sweeps
     read the noise one step at a time, so the first sweep to ask builds
@@ -244,21 +240,21 @@ class NoiseEnsemble:
     and the path-major readers (brownian, duality_check, ...) never build them.
     """
 
-    def __init__(self, grid, increments, jump_counts, jump_marks, jump_times, seed):
+    def __init__(self, grid, increments, jump_counts, jump_marks):
         self.grid = grid
         self.increments = np.ascontiguousarray(increments, dtype=float)
         self.jump_counts = np.ascontiguousarray(jump_counts, dtype=np.int64)
+        self.jump_marks = np.ascontiguousarray(jump_marks, dtype=float)
         shape = self.increments.shape
         if len(shape) != 2 or shape[1] != grid.n_steps or self.jump_counts.shape != shape:
             raise ValueError(
                 "increments and jump counts must both have shape (n_paths, %d)" % grid.n_steps
             )
+        if self.jump_marks.shape != (self.jump_counts.sum(),):
+            raise ValueError("jump marks must be one flat array of one mark per jump")
         self.n_paths = shape[0]
-        self.jump_marks = jump_marks
-        self.jump_times = jump_times
-        self.seed = seed
-        self.increments.flags.writeable = False
-        self.jump_counts.flags.writeable = False
+        for arr in (self.increments, self.jump_counts, self.jump_marks):
+            arr.flags.writeable = False
 
     @cached_property
     def increment_rows(self):
@@ -284,7 +280,7 @@ class NoiseEnsemble:
         cells = _jump_cells(self.jump_counts)
         order = np.argsort(cells % n_steps, kind="stable")
         bounds = np.concatenate(([0], self.jump_counts.sum(axis=0).cumsum()))
-        out = (bounds, cells[order] // n_steps, np.concatenate(self.jump_marks)[order])
+        out = (bounds, cells[order] // n_steps, self.jump_marks[order])
         for arr in out:
             arr.flags.writeable = False
         return out
@@ -292,14 +288,12 @@ class NoiseEnsemble:
     def path(self, i):
         """Path i as a one-path ensemble (a view of row i)."""
         i = range(self.n_paths)[i]  # negative indices count from the end
-        return NoiseEnsemble(
-            self.grid,
-            self.increments[i : i + 1],
-            self.jump_counts[i : i + 1],
-            self.jump_marks[i : i + 1],
-            self.jump_times[i : i + 1],
-            self.seed,
-        )
+        counts = self.jump_counts[i : i + 1]
+        marks = self.jump_marks
+        if marks.size:  # a jump-free ensemble skips the offset sum
+            start = int(self.jump_counts[:i].sum())
+            marks = marks[start : start + int(counts.sum())]
+        return NoiseEnsemble(self.grid, self.increments[i : i + 1], counts, marks)
 
     def brownian(self):
         """Cumulative Brownian paths on the nodes, pinned to 0 at the first."""
@@ -310,7 +304,7 @@ class NoiseEnsemble:
     def step_mark_sums(self):
         """Sum of marks per path and step (zeros when there are no jumps),
         added in draw order: bincount accumulates its weights in input order."""
-        sums = np.bincount(_jump_cells(self.jump_counts), weights=np.concatenate(self.jump_marks),
+        sums = np.bincount(_jump_cells(self.jump_counts), weights=self.jump_marks,
                            minlength=self.jump_counts.size)
         return sums.reshape(self.jump_counts.shape)
 
@@ -319,14 +313,12 @@ class NoiseEnsemble:
         (a scalar or one value per path)."""
         incr = self.increments.copy()
         incr[:, step_index] += bump
-        return NoiseEnsemble(
-            self.grid, incr, self.jump_counts, self.jump_marks, self.jump_times, self.seed
-        )
+        return NoiseEnsemble(self.grid, incr, self.jump_counts, self.jump_marks)
 
 
 def _jump_cells(counts):
     """Flat (path, step) cell of every jump, path-major then step-major: the
-    order of the concatenated per-path marks and times."""
+    order of jump_marks."""
     flat = counts.ravel()
     cells = np.flatnonzero(flat)
     return np.repeat(cells, flat[cells])
@@ -349,7 +341,7 @@ def _time_major(arr):
 def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
     """Draw n_paths independent noise paths keyed (seed, first_path + i).
 
-    Each path draws, in order, its normals, jump counts, marks and times.
+    Each path draws, in order, its normals, jump counts and marks.
     The per-path keying makes chunked sampling reproducible: the concatenation
     of ensembles with first_path 0, c, 2c, ... equals the monolithic ensemble
     bit for bit, whatever the chunk size.
@@ -378,14 +370,11 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
     }
     incr = np.empty((n_paths, grid.n_steps))
     counts = np.zeros((n_paths, grid.n_steps), dtype=np.int64)
-    marks = [_NO_JUMPS] * n_paths
-    times = [_NO_JUMPS] * n_paths
+    marks = []  # the marks of the paths with jumps, in path order
     has_jumps = jump_spec.intensity > 0.0
-    jumped = []  # (path, its jump count) for the paths with jumps
-    uniforms = []
     # The loop makes only the draws of each path's stream.  A path's stream
-    # ends with its time uniforms, so a path that drew no jumps skips the
-    # empty mark and uniform draws without moving any bit.
+    # ends with its marks, so a path that drew no jumps skips the empty mark
+    # draw without moving any bit.
     for i in range(n_paths):
         key[1] = first_path + i
         bitgen.state = fresh
@@ -395,30 +384,17 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
             counts[i] = row
             total = int(row.sum())
             if total:
-                mk = np.asarray(jump_spec.mark_sampler(gen, total), dtype=float)
-                mk.flags.writeable = False
-                marks[i] = mk
-                uniforms.append(gen.random(total))
-                jumped.append((i, total))
+                marks.append(jump_spec.mark_sampler(gen, total))
     incr *= np.sqrt(grid.step)
-    if jumped:
-        # time = left node of the jump's step + step * uniform, for every jump
-        # of the ensemble at once: the per-path arithmetic, elementwise
-        left = grid.nodes[_jump_cells(counts) % grid.n_steps]
-        flat = left + grid.step * np.concatenate(uniforms)
-        flat.flags.writeable = False
-        start = 0
-        for i, total in jumped:
-            times[i] = flat[start : start + total]
-            start += total
-    return NoiseEnsemble(grid, incr, counts, marks, times, seed)
+    marks = np.concatenate(marks, dtype=float) if marks else np.zeros(0)
+    return NoiseEnsemble(grid, incr, counts, marks)
 
 
 def coarsen(noise, factor):
     """Aggregate a noise ensemble onto a grid `factor` times coarser.
 
     Brownian increments over merged steps add; jumps keep their marks and
-    times and land in the coarse step containing their fine step.  Used for
+    land in the coarse step containing their fine step.  Used for
     strong-order checks against a common refinement.
     """
     grid = noise.grid
@@ -427,11 +403,5 @@ def coarsen(noise, factor):
         raise ValueError("factor must divide steps_per_delay")
     coarse = make_grid(grid.delta, grid.horizon, grid.steps_per_delay // factor)
     shape = (noise.n_paths, coarse.n_steps, factor)
-    return NoiseEnsemble(
-        coarse,
-        noise.increments.reshape(shape).sum(axis=-1),
-        noise.jump_counts.reshape(shape).sum(axis=-1),
-        noise.jump_marks,
-        noise.jump_times,
-        noise.seed,
-    )
+    return NoiseEnsemble(coarse, noise.increments.reshape(shape).sum(axis=-1),
+                         noise.jump_counts.reshape(shape).sum(axis=-1), noise.jump_marks)

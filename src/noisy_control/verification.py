@@ -25,7 +25,9 @@ from . import adjoint as adjoint_mod
 from . import malliavin as malliavin_mod
 from . import maxprinciple as mp
 from . import scenarios
-from .dynamics import ControlPath, MemoryKernel, evaluate_performance, reduce_2d, simulate_state
+from .dynamics import (
+    ControlPath, MemoryKernel, _mean_se, evaluate_performance, reduce_2d, simulate_state,
+)
 from .errors import NonFiniteState, ZeroResidual
 from .malliavin import horizon_values
 from .paths import JumpSpec, coarsen, make_grid, sample_ensemble
@@ -164,7 +166,7 @@ def spike_battery(model, base, noise, state, seed, t0_nodes, width, values, coun
         v = float(gen.uniform(*values))
         spike = mp.spike_perturbation(base, t0, width, v)
         _, _, per1 = evaluate_performance(model, spike, noise)
-        gain, se = mp._mean_se(per1 - per0)
+        gain, se = _mean_se(per1 - per0)
         worst = max(worst, gain - se_mult * se)
         spikes.append({"t0": t0, "value": v, "gain": gain, "se": se})
     return worst, spikes
@@ -334,7 +336,7 @@ def criterion_5_directional(seed=0, profile="full"):
         for nm, _ in directions:
             stats = {}
             for route, parts in per[nm].items():
-                stats[route] = mp._mean_se(np.concatenate(parts))
+                stats[route] = _mean_se(np.concatenate(parts))
             for a, b in (("K", "H"), ("K", "F"), ("H", "F")):
                 gap = abs(stats[a][0] - stats[b][0])
                 tol = max(

@@ -330,9 +330,9 @@ def _step_sums_by_path_loop(gamma, t, x, y, z, u, vec4, noise, k):
     out = np.zeros(noise.n_paths)
     out_dot = np.zeros(noise.n_paths)
     for i in range(noise.n_paths):
-        first = int(noise.jump_counts[i, :k].sum())
+        first = int(noise.jump_counts[:i].sum() + noise.jump_counts[i, :k].sum())
         args = [row(a, i) for a in (x, y, z, u)]
-        for zeta in noise.jump_marks[i][first : first + noise.jump_counts[i, k]]:
+        for zeta in noise.jump_marks[first : first + noise.jump_counts[i, k]]:
             out[i] += gamma.fn(t, *args, zeta)
             grads = gamma.grad(t, *args, zeta)
             out_dot[i] += sum(g * row(v, i) for g, v in zip(grads, vec4))

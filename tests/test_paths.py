@@ -67,6 +67,12 @@ def test_nodes_are_frozen():
         g.nodes[0] = 99.0
 
 
+def _marks_of(ens, i):
+    """Path i's marks: its slice of the ensemble's flat mark array."""
+    start = int(ens.jump_counts[:i].sum())
+    return ens.jump_marks[start : start + int(ens.jump_counts[i].sum())]
+
+
 def test_sampling_is_deterministic_and_keyed_per_path():
     """The ensemble must be the stack of per-index single draws, bit for bit."""
     g = make_grid(0.2, 1.0, 8)
@@ -79,8 +85,7 @@ def test_sampling_is_deterministic_and_keyed_per_path():
             assert single.n_paths == 1
             assert np.array_equal(ens.increments[i : i + 1], single.increments)
             assert np.array_equal(ens.jump_counts[i : i + 1], single.jump_counts)
-            assert np.array_equal(ens.jump_marks[i], single.jump_marks[0])
-            assert np.array_equal(ens.jump_times[i], single.jump_times[0])
+            assert np.array_equal(_marks_of(ens, i), single.jump_marks)
     # a different seed or index must actually change the draw
     other = sample_ensemble(g, spec, seed=8, n_paths=1)
     assert not np.array_equal(other.increments[0], ens.increments[0])
@@ -111,7 +116,7 @@ def test_jump_counts_match_intensity():
     se = per_path.std(ddof=1) / np.sqrt(len(per_path))
     assert abs(per_path.mean() - expected) < 4 * se
     for i in (0, 1, 2):
-        assert len(ens.jump_marks[i]) == per_path[i]
+        assert len(_marks_of(ens, i)) == per_path[i]
 
 
 def test_coarsen_sums_increments_and_keeps_jumps():
@@ -195,14 +200,15 @@ def test_ensemble_shape_contract():
     with pytest.raises(IndexError):
         ens.path(3)
     with pytest.raises(ValueError):
-        NoiseEnsemble(g, ens.increments[0], ens.jump_counts[0], ens.jump_marks[:1],
-                      ens.jump_times[:1], 6)  # one path still needs a path axis
+        NoiseEnsemble(g, ens.increments[0], ens.jump_counts[0],
+                      _marks_of(ens, 0))  # one path still needs a path axis
     with pytest.raises(ValueError):
-        NoiseEnsemble(g, ens.increments, ens.jump_counts[:, 1:], ens.jump_marks,
-                      ens.jump_times, 6)
+        NoiseEnsemble(g, ens.increments, ens.jump_counts[:, 1:], ens.jump_marks)
     with pytest.raises(ValueError):
-        NoiseEnsemble(g, ens.increments[:, 1:], ens.jump_counts[:, 1:], ens.jump_marks,
-                      ens.jump_times, 6)
+        NoiseEnsemble(g, ens.increments[:, 1:], ens.jump_counts[:, 1:], ens.jump_marks)
+    assert ens.jump_marks.size  # every jump needs its mark
+    with pytest.raises(ValueError):
+        NoiseEnsemble(g, ens.increments, ens.jump_counts, ens.jump_marks[:-1])
 
 
 _COMPANIONS = ("increment_rows", "jump_count_rows", "mark_sum_rows")
@@ -266,17 +272,16 @@ def test_step_mark_sums_matches_per_path_definition(spec):
     expected = np.zeros((ens.n_paths, g.n_steps))
     for i in range(ens.n_paths):
         steps = np.repeat(np.arange(g.n_steps), ens.jump_counts[i])
-        np.add.at(expected[i], steps, ens.jump_marks[i])
+        np.add.at(expected[i], steps, _marks_of(ens, i))
     got = ens.step_mark_sums()
     assert got.shape == (300, g.n_steps)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 # sha256 of the sampler's output at seed 7 on the 48-step grid, 40 paths from
-# first_path 0 and from first_path 1000: (increments, jump_counts, jump_marks,
-# jump_times), marks and times concatenated in path order.  The bits depend
-# on numpy's Generator algorithms (standard_normal, poisson, random), so they
-# hold for one numpy release line.
+# first_path 0 and from first_path 1000: (increments, jump_counts, jump_marks),
+# the marks in path order.  The bits depend on numpy's Generator algorithms
+# (standard_normal, poisson, random), so they hold for one numpy release line.
 _SAMPLER_SPECS = {
     "none": JumpSpec.none(),
     "discrete": JumpSpec.discrete(1.5, [-0.5, 1.0, 2.5], [0.2, 0.5, 0.3]),
@@ -287,36 +292,30 @@ _SAMPLER_DIGESTS = {
         "7dbd6a286bb4f9e0e9829ca15b5792f4859141a60fd5070026b3889cbeda3e5e",
         "c1eaca6a66b8d5329bbd33df4371ad2c39ebd55b8d244ee10eb7356a41bd658c",
         "40814c89735509b44d49b36f5dfffc225a33602d412cb7452a82ee06db5af5fc",
-        "2f9f6249b0475b955700e2c176303366be890aa09365510b0daa487077d1c3a9",
     ),
     ("discrete", 1000): (
         "6fe4f699c05f767634069f910fe84559e2c3ec602910e20eeb08db0a71ce1780",
         "8eb6905c17237a188f748ee8ecd20619e22ee3116ff62cf76e3f021ba663938f",
         "d69d08a61416ecf8d16871144582c2ce47533340a3892cfc65915337164cf140",
-        "322c4847e79c7ab0717112f7033606e2e62dff6589fde8e1fbf32a83a32d0c61",
     ),
     ("gaussian", 0): (
         "7dbd6a286bb4f9e0e9829ca15b5792f4859141a60fd5070026b3889cbeda3e5e",
         "4645425d806ae40a5effa5ef35ed30fa49c8e0ebd17c0b663977ff5861161e3d",
         "236941c32d032a7ee31bf02deff8925b3ca9db9619d77e1eccdc5a27cb26e23e",
-        "8106f4fb325d1ca900ebd3ac2ce973c07115e1410659872040621f687876aa3a",
     ),
     ("gaussian", 1000): (
         "6fe4f699c05f767634069f910fe84559e2c3ec602910e20eeb08db0a71ce1780",
         "a6eb14b467b86807f58f46efa982b0b906c341d589de239fa3fbd9885173ce45",
         "a14a19af15780427ebe99a2d8788be80d8c8ee5799e3e08039d69d1bc34070f8",
-        "59d7bb22f76fc07ecc024b2087783661e42e901b42f3d5ee1d31afa24a5ad35d",
     ),
     ("none", 0): (
         "7dbd6a286bb4f9e0e9829ca15b5792f4859141a60fd5070026b3889cbeda3e5e",
         "0299f757a85a1aad6cbe1ad2b0eda925d8df667cd04e646af8917f65cbf24537",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     ("none", 1000): (
         "6fe4f699c05f767634069f910fe84559e2c3ec602910e20eeb08db0a71ce1780",
         "0299f757a85a1aad6cbe1ad2b0eda925d8df667cd04e646af8917f65cbf24537",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
@@ -331,16 +330,13 @@ def _digest(*arrays):
 
 def _reference_row(grid, spec, marks_of, seed, index):
     """Path `index` drawn from a fresh Philox keyed (seed, index), in the
-    documented order: normals, jump counts, marks, times."""
+    documented order: normals, jump counts, marks."""
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
     incr = np.sqrt(grid.step) * gen.standard_normal(grid.n_steps)
     if spec.intensity == 0.0:
-        return incr, np.zeros(grid.n_steps, dtype=np.int64), np.zeros(0), np.zeros(0)
+        return incr, np.zeros(grid.n_steps, dtype=np.int64), np.zeros(0)
     counts = gen.poisson(spec.intensity * grid.step, grid.n_steps)
-    total = int(counts.sum())
-    marks = marks_of(gen, total)
-    times = np.repeat(grid.nodes[:-1], counts) + grid.step * gen.random(total)
-    return incr, counts, marks, times
+    return incr, counts, marks_of(gen, int(counts.sum()))
 
 
 _REFERENCE_MARKS = {
@@ -359,18 +355,16 @@ def test_sampler_bits_are_pinned_and_keyed_per_path(name, first_path):
     got = (
         _digest(ens.increments),
         _digest(ens.jump_counts),
-        _digest(np.concatenate(ens.jump_marks)),
-        _digest(np.concatenate(ens.jump_times)),
+        _digest(ens.jump_marks),
     )
     assert got == _SAMPLER_DIGESTS[name, first_path]
     for i in range(ens.n_paths):
-        incr, counts, marks, times = _reference_row(
+        incr, counts, marks = _reference_row(
             g, spec, _REFERENCE_MARKS[name], 7, first_path + i
         )
         assert np.array_equal(ens.increments[i], incr)
         assert np.array_equal(ens.jump_counts[i], counts)
-        assert np.array_equal(ens.jump_marks[i], marks)
-        assert np.array_equal(ens.jump_times[i], times)
+        assert np.array_equal(_marks_of(ens, i), marks)
 
 
 @pytest.mark.parametrize("values,probs", [
@@ -400,11 +394,10 @@ def test_discrete_sampler_is_generator_choice(values, probs):
 def test_jump_lists_are_read_only(spec):
     g = make_grid(0.2, 1.0, 8)
     ens = sample_ensemble(g, spec, seed=3, n_paths=50)
-    assert len(ens.jump_marks) == len(ens.jump_times) == 50
-    for marks, times in zip(ens.jump_marks, ens.jump_times):
-        assert not marks.flags.writeable and not times.flags.writeable
-        with pytest.raises(ValueError):
-            times[:] = 0.0
+    assert ens.jump_marks.shape == (ens.jump_counts.sum(),)
+    assert not ens.jump_marks.flags.writeable
+    with pytest.raises(ValueError):
+        ens.jump_marks[:] = 0.0
 
 
 def test_mark_sampler_runs_only_for_paths_with_jumps():
@@ -423,8 +416,7 @@ def test_mark_sampler_runs_only_for_paths_with_jumps():
     assert 0 < np.count_nonzero(per_path) < 40  # both kinds of path occur
     assert sizes == [int(c) for c in per_path if c]
     plain = sample_ensemble(g, reference, seed=2, n_paths=40)
-    for a, b in zip(ens.jump_marks + ens.jump_times, plain.jump_marks + plain.jump_times):
-        assert np.array_equal(a, b)
+    assert np.array_equal(ens.jump_marks, plain.jump_marks)
 
 
 def test_jump_free_ensemble_holds_only_its_arrays():
