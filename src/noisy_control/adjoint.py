@@ -125,13 +125,15 @@ class LinearBSDESpec:
 
     @classmethod
     def from_model(cls, model):
-        meta = getattr(model, "meta", None)
-        if not meta or "a0" not in meta:
+        """The model's linear_spec; ValueError for a model outside the family."""
+        if model.linear_spec is None:
             raise ValueError("model does not carry linear-family metadata")
-        return cls(
-            a0=meta["a0"], a1=meta["a1"], sigma0=meta["sigma0"], psi=meta["psi"],
-            delta=meta["delta"], horizon=meta["horizon"],
-        )
+        return model.linear_spec
+
+    def psi_vanishes(self, grid):
+        """True when psi is zero on every horizon node of grid: the terminal
+        weight is then 1 and the adjoint deterministic."""
+        return not np.any(horizon_values(grid, self.psi))
 
 
 @dataclass

@@ -30,7 +30,6 @@ from . import maxprinciple as mp
 from . import scenarios, verification
 from .dynamics import ControlPath, MemoryKernel, evaluate_performance, reduce_2d, simulate_state
 from .errors import ConfigError, GridTooLarge, NoisyControlError
-from .malliavin import horizon_values
 from .paths import _UNCOUNTABLE, JumpSpec, make_grid, sample_ensemble
 
 _CHECK_NAMES = ("closed-form", "regression", "bridge", "max-principle")
@@ -250,7 +249,7 @@ def load_config(path):
                 _fail(path, lines, "checks", "run",
                       "check %r has no reference for scenario %r" % (check, name))
     cfg["checks"]["run"] = requested
-    if cfg["control"]["kind"] == "foc" and name == "custom-affine":
+    if cfg["control"]["kind"] == "foc" and "closed-form" not in applicable:
         _fail(path, lines, "control", "kind",
               "kind = foc needs a scenario with a reference adjoint")
     if "regression" in requested and model_cfg.get("kernel") == "ramp":
@@ -266,6 +265,9 @@ def load_config(path):
             _fail(path, lines, "grid", "steps_per_delay",
                   "the max-principle check needs at least %d steps on [0, horizon], "
                   "this grid has %d" % (_SPIKE_TAIL, steps))
+        if cfg["checks"]["spike_count"] < 1:
+            _fail(path, lines, "checks", "spike_count",
+                  "the max-principle check needs at least one spike")
     min_paths = 10 * adjoint_mod.QuadXZBasis.size
     if "regression" in requested and cfg["monte_carlo"]["n_paths"] < min_paths:
         _fail(path, lines, "monte_carlo", "n_paths",
@@ -346,7 +348,7 @@ def check_closed_form(model, cfg, grid, noise, closed):
     band = (cfg["checks"]["order_band_low"], cfg["checks"]["order_band_high"])
     # a stochastic adjoint pays an O(h) window-quadrature defect per step; a
     # deterministic one (psi = 0) leaves only the O(h^2) local truncation
-    shift = 0.0 if np.any(horizon_values(grid, model.meta["psi"])) else 1.0
+    shift = 1.0 if model.linear_spec.psi_vanishes(grid) else 0.0
     passed = terminal_residual <= tol and band[0] <= order - shift <= band[1]
     return {
         "passed": bool(passed),
@@ -404,7 +406,7 @@ def check_regression(model, cfg, grid, state, closed):
         result["p_rel_rms"] = rel
         result["p_rel_tol"] = cfg["checks"]["regression_rel_tol"]
         passed = passed and rel <= cfg["checks"]["regression_rel_tol"]
-        if not np.any(horizon_values(grid, model.meta["psi"])):
+        if model.linear_spec.psi_vanishes(grid):
             zero_tol = cfg["checks"]["zero_abs_tol"]
             zeros = {"q2": verification.rms(sol.q2)}
             if sol.r1 is not None:
@@ -426,9 +428,8 @@ def check_max_principle(model, cfg, grid, noise, closed):
     seed = cfg["monte_carlo"]["seed"]
     ustar = mp.solve_foc(model, closed.p, grid)
     state = simulate_state(model, ustar, noise)
-    triple = adjoint_mod.AdjointTriple(grid, closed.p, closed.q, None, closed.mu, {})
-    nec = mp.check_necessary_I(ustar, triple, model, state)
-    suff = mp.check_sufficient(ustar, triple, model, state, seed=seed)
+    nec = mp.check_necessary_I(ustar, closed, model, state)
+    suff = mp.check_sufficient(ustar, closed, model, state, seed=seed)
     lo, hi = model.control_set.lower, model.control_set.upper
     worst, spikes = verification.spike_battery(
         model, ustar, noise, state, seed, grid.horizon_nodes[:-_SPIKE_TAIL], 4 * grid.step,
@@ -458,7 +459,7 @@ def run_scenario(cfg):
                          cfg["monte_carlo"]["n_paths"])
 
     closed = None
-    if cfg["model"]["name"] != "custom-affine":
+    if model.linear_spec is not None:
         closed = verification.closed_form(model, noise)
 
     if cfg["control"]["kind"] == "foc":

@@ -94,8 +94,6 @@ class MemoryKernel:
         the future times whose memory window still contains t_k.  Indices are
         full-grid node indices; `end` must not exceed the last node.
         """
-        if self.is_identity:
-            return np.ones(end - k)
         s = np.arange(k, end)
         return np.asarray(self.fn(grid.nodes[s], grid.nodes[k]), dtype=float)
 
@@ -369,6 +367,10 @@ class CoefficientModel:
         kernel: optional MemoryKernel reweighting the memory window Z.  Every
             simulation, derivative and residual of the model reads it from
             here; the identity kernel reuses the plain window bit for bit.
+        linear_spec: the adjoint.LinearBSDESpec of a member of the paper's
+            linear noisy-memory family, whose adjoint solves in closed form;
+            None for every other model.  The closed-form route, the regression
+            cross-check and the bridge checks read their parameters from it.
     """
 
     def __init__(
@@ -386,6 +388,7 @@ class CoefficientModel:
         cost_grad=None,
         name="",
         kernel=None,
+        linear_spec=None,
     ):
         if jump_coefficient is not None and jump_spec is None:
             raise ValueError("a jump coefficient needs a jump spec")
@@ -402,6 +405,7 @@ class CoefficientModel:
         self._cost_grad = cost_grad
         self.name = name
         self.kernel = kernel
+        self.linear_spec = linear_spec
 
     @property
     def has_jumps(self):

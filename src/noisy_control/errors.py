@@ -11,7 +11,13 @@ class NonCommensurate(NoisyControlError):
 
 class GridTooLarge(NoisyControlError):
     """The grid has more nodes than numpy can allocate, or more steps than a
-    float can count."""
+    float can count, or a noise ensemble's (n_paths, n_steps) arrays are more
+    than numpy can allocate."""
+
+
+class SeedOutOfRange(NoisyControlError, ValueError):
+    """A noise path's Philox key (seed, path index) leaves the range
+    [0, 2**64 - 1] of its two 64-bit words."""
 
 
 class OffGrid(NoisyControlError):
@@ -68,10 +74,5 @@ class ZeroResidual(NoisyControlError):
 
 
 class ConfigError(NoisyControlError):
-    """Scenario configuration is malformed; carries a line number when known."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
-        self.line = line
+    """Scenario configuration is malformed; the message names the file and,
+    when known, the line."""

@@ -152,22 +152,10 @@ def _phi_matrix(grid, phi, noise):
     """phi as per-path step values on the horizon, shape (n_paths, n)."""
     n = grid.n_horizon_steps
     if callable(phi):
-        try:
-            vals = np.asarray(phi(grid.horizon_nodes[:n]), dtype=float)
-        except TypeError:
-            vals = np.asarray(phi(noise), dtype=float)
+        vals = np.asarray(phi(noise), dtype=float)[..., :n]
     else:
-        vals = np.asarray(phi, dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(n, float(vals))
-    if vals.ndim == 1:
-        if vals.shape[0] == n + 1:
-            vals = vals[:n]
-        vals = np.broadcast_to(vals, (noise.n_paths, n))
-    else:
-        if vals.shape[1] == n + 1:
-            vals = vals[:, :n]
-    return vals
+        vals = horizon_values(grid, phi)[:n]
+    return np.broadcast_to(vals, (noise.n_paths, n))
 
 
 def duality_check(f_spec, phi, n_paths, seed):
@@ -180,9 +168,11 @@ def duality_check(f_spec, phi, n_paths, seed):
 
     Args:
         f_spec: Chaos1Exponential or BrownianTerminal.
-        phi: deterministic weight (array over horizon nodes or callable of t)
-            or an adapted rule (callable taking the noise, returning per-path
-            step values).
+        phi: a deterministic weight, as a scalar or an array over the
+            horizon nodes, or an adapted rule: a callable taking the noise
+            ensemble and returning per-path step values, (n_paths, n) or
+            (n_paths, n+1) with the last node ignored.  A callable is always
+            called with the ensemble, never with times.
         n_paths, seed: ensemble size and base seed.
 
     Returns:

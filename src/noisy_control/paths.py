@@ -9,10 +9,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridTooLarge, NonCommensurate, OffGrid
+from .errors import GridTooLarge, NonCommensurate, OffGrid, SeedOutOfRange
 
 _COMMENSURATE_RTOL = 1e-9
 _UNCOUNTABLE = "the grid's step count horizon * steps_per_delay / delta is past the float range"
+_KEY_MAX = 2**64 - 1  # a Philox key word is 64 bits
 
 
 class TimeGrid:
@@ -345,14 +346,24 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
     The per-path keying makes chunked sampling reproducible: the concatenation
     of ensembles with first_path 0, c, 2c, ... equals the monolithic ensemble
     bit for bit, whatever the chunk size.
+
+    Raises:
+        SeedOutOfRange: seed is negative, or a key (seed, first_path + i)
+            is past 2**64 - 1.
+        GridTooLarge: numpy refuses the (n_paths, n_steps) arrays.
     """
-    if seed < 0 or int(seed) != seed:
-        raise ValueError("seed must be a nonnegative integer")
+    if int(seed) != seed:
+        raise ValueError("seed must be an integer")
+    if not 0 <= seed <= _KEY_MAX:
+        raise SeedOutOfRange("seed %d is outside [0, 2**64 - 1]" % seed)
     if n_paths < 1:
         raise ValueError("need at least one path")
     if first_path < 0 or int(first_path) != first_path:
         raise ValueError("first_path must be a nonnegative integer")
     seed, first_path = int(seed), int(first_path)
+    if first_path + n_paths - 1 > _KEY_MAX:
+        raise SeedOutOfRange("the path keys (seed, first_path + i) for i < n_paths "
+                             "run past 2**64 - 1")
     # One Philox re-keyed per path: the state set below (counter 0, empty
     # buffer, no cached uint32) is that of a fresh Philox(key=[seed, path]).
     # The state is built from plain ints: the setter reads them about twice
@@ -368,8 +379,12 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    incr = np.empty((n_paths, grid.n_steps))
-    counts = np.zeros((n_paths, grid.n_steps), dtype=np.int64)
+    try:
+        incr = np.empty((n_paths, grid.n_steps))
+        counts = np.zeros((n_paths, grid.n_steps), dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise GridTooLarge("numpy cannot allocate the (%.3g, %d) noise arrays of this "
+                           "ensemble" % (n_paths, grid.n_steps)) from None
     marks = []  # the marks of the paths with jumps, in path order
     has_jumps = jump_spec.intensity > 0.0
     # The loop makes only the draws of each path's stream.  A path's stream

@@ -1,13 +1,15 @@
 """Built-in model catalog: ready-made control problems used by tests and the CLI.
 
-Each factory returns a CoefficientModel with analytic gradients and a `.meta`
-dict recording the raw parameters (so solvers that exploit the linear
-structure — the closed-form adjoint, the regression cross-check — can recover
-them without re-parsing coefficients).
+Each factory returns a CoefficientModel with analytic gradients.  The members
+of the paper's linear noisy-memory family (linear_noisy_memory, consumption
+and generalized_memory) also carry their adjoint.LinearBSDESpec as
+model.linear_spec, from which the closed-form adjoint, the regression
+cross-check and the bridge checks read the parameters; custom_affine has none.
 """
 
 import numpy as np
 
+from .adjoint import LinearBSDESpec
 from .dynamics import (
     AffineJumpCoefficient,
     ControlSet,
@@ -139,7 +141,7 @@ def linear_noisy_memory(
     drift, drift_grad = _memory_drift(a0, a1)
     diffusion, diffusion_grad = _proportional_diffusion(sigma0_fn)
     cost, cost_grad = _log_utility()
-    model = CoefficientModel(
+    return CoefficientModel(
         drift=drift,
         diffusion=diffusion,
         running_cost=cost,
@@ -150,17 +152,8 @@ def linear_noisy_memory(
         diffusion_grad=diffusion_grad,
         cost_grad=cost_grad,
         name="linear-noisy-memory",
+        linear_spec=LinearBSDESpec(a0, a1, sigma0_fn, psi_fn, delta, horizon),
     )
-    model.meta = {
-        "a0": a0,
-        "a1": a1,
-        "sigma0": sigma0_fn,
-        "psi": psi_fn,
-        "delta": delta,
-        "horizon": horizon,
-        "xi0": xi0,
-    }
-    return model
 
 
 def consumption(
@@ -218,7 +211,7 @@ def consumption(
         cost, cost_grad = _linear_utility(linear_rate)
     else:
         raise ValueError("running must be 'log' or 'linear'")
-    model = CoefficientModel(
+    return CoefficientModel(
         drift=drift,
         diffusion=diffusion,
         running_cost=cost,
@@ -232,20 +225,8 @@ def consumption(
         cost_grad=cost_grad,
         name="consumption",
         kernel=kernel,
+        linear_spec=LinearBSDESpec(a0, a1, sigma0_fn, _as_time_fn(0.0), delta, horizon),
     )
-    model.meta = {
-        "a0": a0,
-        "a1": a1,
-        "sigma0": sigma0_fn,
-        "psi": _as_time_fn(0.0),
-        "delta": delta,
-        "horizon": horizon,
-        "xi0": xi0,
-        "running": running,
-        "linear_rate": linear_rate,
-        "jump_scale": jump_scale,
-    }
-    return model
 
 
 def generalized_memory(a1=0.3, sigma0=0.2, delta=0.2, horizon=1.0, xi0=1.0,
@@ -323,7 +304,7 @@ def custom_affine(
         raise ValueError("running must be 'quadratic', 'linear', or 'convex'")
 
     k = float(terminal_slope)
-    model = CoefficientModel(
+    return CoefficientModel(
         drift=drift,
         diffusion=diffusion,
         running_cost=cost,
@@ -335,22 +316,15 @@ def custom_affine(
         cost_grad=cost_grad,
         name="custom-affine",
     )
-    model.meta = {
-        "delta": delta,
-        "horizon": horizon,
-        "xi0": xi0,
-        "running": running,
-        "target": target,
-    }
-    return model
 
 
 def duality_battery(grid, include_brownian=True):
     """Fixture battery for the duality checker: 3 volatility loadings x 2 weights.
 
-    Returns a list of (name, functional, phi) triples.  All entries are
-    deterministic-coefficient members of the closed-form family, so both
-    sides of the duality identity also have analytic values.
+    Returns a list of (name, functional, phi) triples, each phi an array over
+    grid's horizon nodes.  All entries are deterministic-coefficient members
+    of the closed-form family, so both sides of the duality identity also
+    have analytic values.
     """
     def psi_flat(t):
         return np.full(np.shape(np.asarray(t, dtype=float)), 0.1)
@@ -361,12 +335,8 @@ def duality_battery(grid, include_brownian=True):
     def psi_wave(t):
         return 0.2 * (1.0 - 0.5 * np.asarray(t, dtype=float))
 
-    def phi_one(t):
-        return np.ones(np.shape(np.asarray(t, dtype=float)))
-
-    def phi_ramp(t):
-        return 0.5 + np.asarray(t, dtype=float)
-
+    phi_one = np.ones(grid.n_horizon_steps + 1)
+    phi_ramp = 0.5 + grid.horizon_nodes
     battery = []
     for psi_name, psi in (("flat", psi_flat), ("zero", psi_zero), ("wave", psi_wave)):
         mart = lambda t, p=psi: -0.5 * np.asarray(p(t), dtype=float) ** 2

@@ -79,21 +79,22 @@ def closed_form(model, noise):
 
 def window_engine(model, grid, closed):
     """dH/dz window engine matching the scenario's volatility loading."""
-    psi = horizon_values(grid, model.meta["psi"])
-    a0 = float(model.meta["a0"])
-    if np.any(psi != 0.0):
-        return adjoint_mod.Chaos1WindowEngine(
-            grid, psi, closed.diagnostics["alpha"],
-            coeff=np.full(psi.shape, a0), f_paths=closed.p,
-        )
-    return adjoint_mod.DeterministicWindowEngine(grid, a0 * closed.p[0])
+    spec = model.linear_spec
+    a0 = float(spec.a0)
+    if spec.psi_vanishes(grid):
+        return adjoint_mod.DeterministicWindowEngine(grid, a0 * closed.p[0])
+    psi = closed.diagnostics["beta"]  # psi on the horizon nodes of grid
+    return adjoint_mod.Chaos1WindowEngine(
+        grid, psi, closed.diagnostics["alpha"],
+        coeff=np.full(psi.shape, a0), f_paths=closed.p,
+    )
 
 
 def dhx(model, grid, closed):
     """dH/dx on the closed-form adjoint: a1 p + sigma0 q."""
-    a1 = float(model.meta["a1"])
-    sigma0 = horizon_values(grid, model.meta["sigma0"])
-    return a1 * closed.p + sigma0[None, :] * closed.q
+    spec = model.linear_spec
+    sigma0 = horizon_values(grid, spec.sigma0)
+    return float(spec.a1) * closed.p + sigma0[None, :] * closed.q
 
 
 def residual_order(model, fine_noise, control_value):
@@ -129,7 +130,7 @@ def residual_order(model, fine_noise, control_value):
 def bridge_deviations(model, grid, closed):
     """1D <-> 2D bridge: (q2 window reconstruction dev, mu assembly dev)."""
     engine = window_engine(model, grid, closed)
-    a1 = float(model.meta["a1"])
+    a1 = float(model.linear_spec.a1)
     q2_closed = (closed.diagnostics["A"] - a1)[None, :] * closed.p
     recon = adjoint_mod.horizon_windows(engine.malliavin_window, grid, q2_closed.shape[0])
     q2_dev = float(np.max(np.abs(q2_closed - recon)))
@@ -213,7 +214,7 @@ def criterion_2_residual_order(seed=0, profile="full"):
         scenarios.linear_noisy_memory(a0=0.0),
     ):
         tr = closed_form(m_limit, limit_noise)
-        if m_limit.meta["psi"](0.0) == 0.0:
+        if m_limit.linear_spec.psi_vanishes(grid8):
             limit_dev = max(limit_dev, float(np.max(np.abs(tr.p - p_flat[None, :]))))
         else:
             # a0 = 0 keeps the lognormal factor; check A(t) collapses to a1
@@ -317,11 +318,10 @@ def criterion_5_directional(seed=0, profile="full"):
             noise = _ens(grid, chunk, seed + 500 + c)
             state = simulate_state(model, ctrl, noise)
             closed = closed_form(model, noise)
-            atr = adjoint_mod.AdjointTriple(grid, closed.p, closed.q, None, closed.mu, {})
             j_parts.append(evaluate_performance(model, ctrl, noise, state=state)[2])
             for nm, eta in directions:
                 per[nm]["K"].append(mp.directional_derivative_K(model, state, eta)[2])
-                h_per = mp.directional_derivative_H(model, state, atr, eta)[2]
+                h_per = mp.directional_derivative_H(model, state, closed, eta)[2]
                 if h_per.shape[0] == 1:
                     h_per = np.repeat(h_per, chunk)
                 per[nm]["H"].append(h_per)
@@ -330,7 +330,7 @@ def criterion_5_directional(seed=0, profile="full"):
                 )
             # free this chunk's ensemble, with its time-major companion, and
             # its state before the next chunk is drawn
-            del noise, state, closed, atr
+            del noise, state, closed
         j_value = float(np.concatenate(j_parts).mean())
         gaps = {}
         for nm, _ in directions:

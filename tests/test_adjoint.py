@@ -39,11 +39,11 @@ def _closed(model, noise):
 def _chaos_engine(model, closed, grid=GRID):
     n1 = grid.n_horizon_steps + 1
     psi = np.broadcast_to(
-        np.asarray(model.meta["psi"](grid.horizon_nodes), dtype=float), (n1,)
+        np.asarray(model.linear_spec.psi(grid.horizon_nodes), dtype=float), (n1,)
     )
     return Chaos1WindowEngine(
         grid, psi, closed.diagnostics["alpha"],
-        coeff=np.full(n1, model.meta["a0"]), f_paths=closed.p,
+        coeff=np.full(n1, model.linear_spec.a0), f_paths=closed.p,
     )
 
 
@@ -347,7 +347,7 @@ def test_jump_adjoint_partials_match_per_node_hamiltonian(monkeypatch):
     ens = sample_ensemble(GRID, spec, seed=14, n_paths=600)
     ctrl = ControlPath.constant(GRID, 1.0, control_set=model.control_set)
     state = reduce_2d(model, ctrl, ens)
-    engine = DeterministicWindowEngine(GRID, model.meta["a0"] * np.exp(0.3 * (1.0 - NODES)))
+    engine = DeterministicWindowEngine(GRID, model.linear_spec.a0 * np.exp(0.3 * (1.0 - NODES)))
     triple, _ = bridge_1d_from_2d(solve_absde_2d(model, state), engine)
     r0, r1 = triple.r
     assert r0.shape == (600, GRID.n_horizon_steps + 1)

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisy_control import cli, scenarios, verification
+from noisy_control.adjoint import LinearBSDESpec
 from noisy_control.errors import ConfigError, NonFiniteState
 from noisy_control.paths import JumpSpec, make_grid, sample_ensemble
 
@@ -223,6 +224,7 @@ def test_run_rejects_non_finite_and_non_positive_numbers(tmp_path, capsys, name,
 
 _NO_FLOAT_STEP = "GridTooLarge: the grid's step count horizon * steps_per_delay / delta is past"
 _STEPS_1E400 = "[grid]\nsteps_per_delay = 1%s\n" % ("0" * 400)
+_PAST_KEYS = "SeedOutOfRange: the path keys (seed, first_path + i) for i < n_paths run past "
 
 
 @pytest.mark.parametrize("extra,message", [
@@ -232,15 +234,41 @@ _STEPS_1E400 = "[grid]\nsteps_per_delay = 1%s\n" % ("0" * 400)
     pytest.param(_STEPS_1E400, _NO_FLOAT_STEP, id="steps_per_delay-1e400"),
     pytest.param(_STEPS_1E400 + "[checks]\nrun = bridge\n", _NO_FLOAT_STEP,
                  id="steps_per_delay-1e400-bridge"),
+    pytest.param("[monte_carlo]\nn_paths = %d\n" % 10**15,
+                 "GridTooLarge: numpy cannot allocate the (1e+15, 48) noise arrays of this "
+                 "ensemble\n", id="n_paths-1e15"),
+    # past 2**64 paths, the path keys run out before numpy is asked
+    pytest.param("[monte_carlo]\nn_paths = %d\n" % 10**400, _PAST_KEYS, id="n_paths-1e400"),
 ])
 def test_run_rejects_grids_numpy_cannot_allocate(tmp_path, capsys, extra, message):
-    """numpy refuses these grids at once, or a float cannot count their steps;
-    the refusal is a typed error, exit 2."""
+    """numpy refuses these grids or ensembles at once, or a float cannot count
+    their steps; the refusal is a typed error, exit 2."""
     path = _write(tmp_path, "[model]\nname = linear-noisy-memory\n%s"
                   "[output]\ndirectory = %s\n" % (extra, tmp_path / "out"))
     assert cli.main(["run", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["run", "[monte_carlo]\nseed = %d\n" % 10**400],
+                 "SeedOutOfRange: seed %d is outside [0, 2**64 - 1]\n" % 10**400, id="run-1e400"),
+    pytest.param(["verify", "--quick", "--seed", "-1"],
+                 "SeedOutOfRange: seed -1 is outside [0, 2**64 - 1]\n", id="verify--1"),
+    # criterion 1 draws at seed, seed + 1, ...
+    pytest.param(["verify", "--quick", "--seed", str(2**64 - 1)],
+                 "SeedOutOfRange: seed %d is outside [0, 2**64 - 1]\n" % 2**64,
+                 id="verify-2**64-1"),
+])
+def test_seeds_past_the_philox_key_are_typed(tmp_path, capsys, argv, message):
+    """A path's Philox key is (seed, path index), two 64-bit words."""
+    if argv[0] == "run":
+        argv = ["run", _write(tmp_path, "[model]\nname = linear-noisy-memory\n%s"
+                              "[output]\ndirectory = %s\n" % (argv[1], tmp_path / "out"))]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -351,6 +379,21 @@ def test_run_with_delay_past_horizon(tmp_path, capsys, name):
     assert report["grid"]["horizon_steps"] == 6
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_max_principle_needs_a_spike(tmp_path, capsys, count):
+    """An empty spike battery has no margin; the check asks for one spike or more."""
+    text = ("[model]\nname = consumption\n[monte_carlo]\nn_paths = 100\n[checks]\n"
+            "spike_count = %s\nrun = %%s\n[output]\ndirectory = %s\n" % (count, tmp_path / "out"))
+    path = _write(tmp_path, text % "max-principle")
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err == (
+        "config error: %s:6: [checks] spike_count: the max-principle check needs at least "
+        "one spike\n" % path)
+    assert not (tmp_path / "out").exists()
+    # without the max-principle check no spike is drawn
+    assert cli.main(["run", _write(tmp_path, text % "closed-form", "closed.ini")]) == 0
+
+
 @pytest.mark.parametrize("name", ["consumption", "generalized-memory"])
 def test_run_with_exactly_zero_residual_is_typed(tmp_path, capsys, name):
     """a1 = 0 makes the closed-form residual exactly 0.0 on both grids: no order."""
@@ -449,6 +492,18 @@ _MODEL_DEFAULTS = {
         "delta": 0.2, "horizon": 1.0, "xi0": 1.0, "control_lower": -5.0, "control_upper": 5.0,
     },
 }
+
+
+def test_closed_form_runs_exactly_where_the_model_has_a_linear_spec():
+    """The closed-form route, its oracle and kind = foc all key on model.linear_spec."""
+    assert sorted(cli._APPLICABLE) == sorted(scenarios.CATALOG)
+    for name, checks in cli._APPLICABLE.items():
+        model = scenarios.CATALOG[name]["factory"]()
+        assert ("closed-form" in checks) == (model.linear_spec is not None), name
+        if model.linear_spec is not None:
+            assert LinearBSDESpec.from_model(model) is model.linear_spec
+    with pytest.raises(ValueError, match="linear-family"):
+        LinearBSDESpec.from_model(scenarios.custom_affine())
 
 
 def test_model_keys_are_the_catalog_factory_parameters(tmp_path):

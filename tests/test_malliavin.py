@@ -128,8 +128,6 @@ def test_duality_accepts_adapted_weights():
 
     def phi(noise):
         # piecewise weight that flips sign with the first increment's sign
-        if not hasattr(noise, "increments"):
-            raise TypeError("adapted rule needs the noise object")
         lead = np.sign(noise.increments[:, g.index_zero])[:, None]
         flat = np.full((noise.n_paths, g.n_horizon_steps), 0.05)
         flat[:, g.n_horizon_steps // 2 :] *= lead
@@ -137,6 +135,19 @@ def test_duality_accepts_adapted_weights():
 
     res = duality_check(f, phi, n_paths=20000, seed=7)
     assert abs(res.z_score) <= 4.0
+
+
+def test_duality_calls_a_callable_weight_with_the_ensemble():
+    """A callable phi is an adapted rule, called with the noise ensemble only."""
+    g = _grid()
+    iz = g.index_zero
+    f = Chaos1Exponential(g, 0.1, -0.5 * 0.1**2)
+    # phi on step k is 1 after a rise of B over step k - 1, else 0.5
+    res = duality_check(f, lambda noise: np.where(noise.increments[:, iz - 1:-1] > 0, 1.0, 0.5),
+                        n_paths=20000, seed=7)
+    assert abs(res.z_score) <= 4.0
+    # rhs is about psi * T * E[phi] = 0.1 * 0.75
+    assert res.rhs == pytest.approx(0.075, rel=0.02)
 
 
 def test_clark_ocone_zero_loading_reconstructs_exactly():

@@ -8,7 +8,7 @@ import pytest
 
 from noisy_control import malliavin, scenarios
 from noisy_control.dynamics import ControlPath, simulate_state
-from noisy_control.errors import NonCommensurate, OffGrid
+from noisy_control.errors import NonCommensurate, OffGrid, SeedOutOfRange
 from noisy_control.paths import (
     JumpSpec,
     NoiseEnsemble,
@@ -209,6 +209,16 @@ def test_ensemble_shape_contract():
     assert ens.jump_marks.size  # every jump needs its mark
     with pytest.raises(ValueError):
         NoiseEnsemble(g, ens.increments, ens.jump_counts, ens.jump_marks[:-1])
+
+
+def test_path_keys_stay_in_the_philox_range():
+    """Keys (seed, first_path + i) are two 64-bit words; the last one is drawn."""
+    g = make_grid(0.2, 1.0, 4)
+    assert sample_ensemble(g, JumpSpec.none(), 2**64 - 1, 1, first_path=2**64 - 1).n_paths == 1
+    for seed, n_paths, first_path in ((-1, 1, 0), (2**64, 1, 0), (0, 2, 2**64 - 1)):
+        with pytest.raises(SeedOutOfRange) as err:
+            sample_ensemble(g, JumpSpec.none(), seed, n_paths, first_path=first_path)
+        assert isinstance(err.value, ValueError)
 
 
 _COMPANIONS = ("increment_rows", "jump_count_rows", "mark_sum_rows")
