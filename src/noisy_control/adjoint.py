@@ -12,6 +12,13 @@ against each other:
 The bridge between the two (reconstructing the second martingale component
 q2 from a Malliavin window integral, and conversely lifting a 1D solution to
 the 2D system) is provided in both directions.
+
+Both routes and the bridge read the driver's noisy-memory window through one
+Chaos1WindowEngine, in blocks over the whole horizon: each engine method
+returns (rows, n+1), with the row count of the engine's f_paths (one row for
+a deterministic path), and the window blocks' terminal column is +0.0.  The
+engine carries its grid; every reader checks it against its other inputs and
+raises GridMismatch naming both.
 """
 
 from dataclasses import dataclass, field
@@ -184,6 +191,21 @@ def _window_growth(alpha, h, i, end):
     return w
 
 
+def _window_sum(alpha, h, k, end, coeff=None, weights=None):
+    """h * sum over s in [k, end) of coeff(s) * growth(k, s) * weights(s).
+
+    This is the deterministic part of the driver window at node k, the one
+    quadrature behind the closed-form A sweep (coeff and weights 1) and every
+    engine window; growth is _window_growth's.  An empty window sums to +0.0.
+    """
+    terms = _window_growth(alpha, h, k, end)
+    if coeff is not None:
+        terms = coeff[k:end] * terms
+    if weights is not None:
+        terms = terms * weights
+    return h * terms.sum()
+
+
 def solve_linear_closed_form(spec, noise):
     """Closed-form adjoint for the linear fixture, evaluated on given paths.
 
@@ -199,8 +221,8 @@ def solve_linear_closed_form(spec, noise):
     C = exp(-int_0^T c ds) pinning p(T) to the terminal weight exp(int psi dB).
 
     Returns:
-        AdjointTriple with diagnostics A, alpha, beta, c, C, Q, the chaos
-        representation of p, and the terminal mismatch max |p(T) - weight|.
+        AdjointTriple with diagnostics A, alpha, beta, c, C and the terminal
+        mismatch max |p(T) - weight|.
 
     Raises:
         FixedPointDiverged: a non-finite value appeared in the backward sweep
@@ -222,11 +244,9 @@ def solve_linear_closed_form(spec, noise):
     a_path = np.empty(n + 1)
     alpha = np.empty(n + 1)
     c_path = np.empty(n + 1)
-    q_window = np.empty(n + 1)
     for i in range(n, -1, -1):
-        end = min(i + m, n)
-        q_window[i] = h * _window_growth(alpha, h, i, end).sum()
-        a_path[i] = spec.a1 + spec.a0 * psi[i] * q_window[i]
+        q_window = _window_sum(alpha, h, i, min(i + m, n))
+        a_path[i] = spec.a1 + spec.a0 * psi[i] * q_window
         c_path[i] = 0.5 * sigma0[i] ** 2 - 0.5 * (sigma0[i] + psi[i]) ** 2 - a_path[i]
         alpha[i] = c_path[i] + 0.5 * psi[i] ** 2
         if not (np.isfinite(a_path[i]) and np.isfinite(alpha[i])):
@@ -236,8 +256,7 @@ def solve_linear_closed_form(spec, noise):
             )
 
     scale = float(np.exp(-h * c_path[:n].sum()))
-    chaos = Chaos1Exponential(grid, psi, c_path, scale=scale)
-    p = chaos.paths(noise)
+    p = Chaos1Exponential(grid, psi, c_path, scale=scale).paths(noise)
     q = psi[None, :] * p
     mu = (a_path + sigma0 * psi)[None, :] * p
 
@@ -250,30 +269,32 @@ def solve_linear_closed_form(spec, noise):
         "beta": psi,
         "c": c_path,
         "C": scale,
-        "Q": q_window,
-        "chaos": chaos,
         "terminal_residual": terminal_residual,
     }
     return AdjointTriple(grid, p, q, None, mu, diagnostics)
 
 
 # ---------------------------------------------------------------------------
-# Window engines: the adjoint driver's conditional and Malliavin integrals
+# The window engine: the adjoint driver's conditional and Malliavin integrals
 
 
 class Chaos1WindowEngine:
     """Window integrals for dH/dz(s) = coeff(s) * F(s) with F first-chaos.
 
-    Conditional expectations use the same right-point growth weights as the
-    closed-form A sweep (shared helper), so reconstruction identities hold to
-    rounding rather than to discretization error.
+    Every method answers for the whole horizon: it returns a (rows, n+1)
+    block, one row per row of f_paths, whose column k is the quantity at t_k.
+    The window at T is empty, so the terminal column of a window block is
+    +0.0.  Per node the deterministic window sum is computed once, with the
+    same right-point growth weights as the closed-form A sweep (_window_sum),
+    so reconstruction identities hold to rounding rather than to
+    discretization error.
 
     Args:
         grid: TimeGrid.
         psi, alpha, coeff: deterministic horizon-node arrays — the volatility
             loading of F, its conditional growth rate, and the deterministic
             factor in dH/dz.
-        f_paths: (n_paths, n+1) values of F on the horizon nodes.
+        f_paths: (rows, n+1) values of F on the horizon nodes.
     """
 
     def __init__(self, grid, psi, alpha, coeff, f_paths):
@@ -283,111 +304,97 @@ class Chaos1WindowEngine:
         self.coeff = np.asarray(coeff, dtype=float)
         self.f_paths = f_paths
 
-    def value(self, k):
-        """dH/dz at node k, per path."""
-        return self.coeff[k] * self.f_paths[:, k]
+    @classmethod
+    def deterministic(cls, grid, values):
+        """The engine of a deterministic dH/dz path: the one-row F = 1 with
+        zero loading and zero growth, so its Malliavin windows are zero."""
+        values = np.asarray(values, dtype=float)
+        zero = np.zeros(values.shape)
+        return cls(grid, zero, zero, values, np.ones((1, values.shape[0])))
 
-    def _window_sum(self, k, weights):
+    def values(self):
+        """dH/dz on every node."""
+        return self.coeff * self.f_paths
+
+    def conditional_windows(self, kernel=None):
+        """int_t^{(t+delta) ^ T} E[dH/dz(s) | F_t] phi(s, t) ds on every node.
+
+        phi is the kernel's forward weight, the weight that the memory window
+        ending at s gives to t; None or the identity kernel is phi = 1.
+        """
+        grid = self.grid
+        n = grid.n_horizon_steps
+        iz = grid.index_zero
+        plain = kernel is None or kernel.is_identity
+        sums = np.empty(n)
+        for k in range(n):
+            end = min(k + grid.steps_per_delay, n)
+            weights = None if plain else kernel.forward_weights(grid, iz + k, iz + end)
+            sums[k] = _window_sum(self.alpha, grid.step, k, end, self.coeff, weights)
+        out = np.zeros(self.f_paths.shape)
+        out[:, :n] = self.f_paths[:, :n] * sums
+        return out
+
+    def malliavin_windows(self, kernel=None):
+        """Same windows over E[D_t dH/dz(s) | F_t] — the q2 reconstruction."""
         n = self.grid.n_horizon_steps
-        end = min(k + self.grid.steps_per_delay, n)
-        if end <= k:
-            return 0.0
-        terms = self.coeff[k:end] * _window_growth(self.alpha, self.grid.step, k, end)
-        if weights is not None:
-            terms = terms * weights[: end - k]
-        return self.grid.step * terms.sum()
+        out = self.conditional_windows(kernel)
+        out[:, :n] *= self.psi[:n]
+        return out
 
-    def conditional_window(self, k, weights=None):
-        """int_t^{(t+delta) ^ T} E[dH/dz(s) | F_t] ds at t = t_k, per path."""
-        return self.f_paths[:, k] * self._window_sum(k, weights)
-
-    def malliavin_window(self, k, weights=None):
-        """Same window over E[D_t dH/dz(s) | F_t] — the q2 reconstruction."""
-        return self.psi[k] * self.conditional_window(k, weights)
-
-    def advanced_conditional(self, k):
-        """E[dH/dz(t_k + delta) | F_{t_k}] per path (caller checks k+m <= n)."""
-        k_adv = k + self.grid.steps_per_delay
-        growth = _window_growth(self.alpha, self.grid.step, k, k_adv + 1)[-1]
-        return self.coeff[k_adv] * growth * self.f_paths[:, k]
-
-
-class DeterministicWindowEngine:
-    """Window integrals for a deterministic dH/dz path (Malliavin part zero)."""
-
-    def __init__(self, grid, values):
-        self.grid = grid
-        self.values = np.asarray(values, dtype=float)
-
-    def value(self, k):
-        return self.values[k]
-
-    def conditional_window(self, k, weights=None):
-        n = self.grid.n_horizon_steps
-        end = min(k + self.grid.steps_per_delay, n)
-        if end <= k:
-            return 0.0
-        terms = self.values[k:end]
-        if weights is not None:
-            terms = terms * weights[: end - k]
-        return self.grid.step * terms.sum()
-
-    def malliavin_window(self, k, weights=None):
-        return 0.0
-
-    def advanced_conditional(self, k):
-        return self.values[k + self.grid.steps_per_delay]
+    def advanced_conditionals(self):
+        """E[dH/dz(t_k + delta) | F_{t_k}] on the nodes with t_k + delta <= T;
+        the later columns are +0.0."""
+        grid = self.grid
+        m = grid.steps_per_delay
+        count = max(grid.n_horizon_steps + 1 - m, 0)
+        growth = np.array([_window_growth(self.alpha, grid.step, k, k + m + 1)[-1]
+                           for k in range(count)])
+        out = np.zeros(self.f_paths.shape)
+        out[:, :count] = self.coeff[m:] * growth * self.f_paths[:, :count]
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Driver assembly and the 1D residual checker
 
 
-def _plain(kernel):
-    """True for the unweighted window: no kernel or the identity kernel."""
-    return kernel is None or kernel.is_identity
+def _require_grid(grid, **named):
+    """Raise GridMismatch unless every named input lives on grid.
 
-
-def _kernel_mu_weights(kernel, grid, k_horizon, end_horizon):
-    """Forward kernel weights for the driver window, or None for identity."""
-    if _plain(kernel):
-        return None
-    iz = grid.index_zero
-    return kernel.forward_weights(grid, iz + k_horizon, iz + end_horizon)
-
-
-def horizon_windows(window, grid, rows, kernel=None):
-    """An engine's window integral on every node of [0, T], as (rows, n+1).
-
-    window(k, weights) is an engine's conditional_window or malliavin_window;
-    weights are the kernel's driver weights over [t_k, (t_k + delta) ^ T]
-    (None for the plain window).  The window at T is empty and its column
-    is zero.
+    A value is an object with a .grid, which must equal grid, or an array,
+    which must be (rows, n+1) on grid's horizon nodes.  The message names
+    both grids or both shapes.
     """
-    n = grid.n_horizon_steps
-    out = np.zeros((rows, n + 1))
-    for k in range(n):
-        end = min(k + grid.steps_per_delay, n)
-        out[:, k] = window(k, _kernel_mu_weights(kernel, grid, k, end))
-    return out
+    width = grid.n_horizon_steps + 1
+    for name, item in named.items():
+        if isinstance(item, np.ndarray):
+            if item.ndim != 2 or item.shape[1] != width:
+                raise GridMismatch("%s of shape %r, but %r needs (rows, %d)"
+                                   % (name, item.shape, grid, width))
+        elif item.grid != grid:
+            raise GridMismatch("%s on %r, but expected %r" % (name, item.grid, grid))
 
 
-def mu_generalized(grid, dHx, dHy, engine, kernel=None):
-    """Conditional driver E[mu(t) | F_t] on every horizon node.
+def mu_generalized(dHx, dHy, engine, kernel=None):
+    """Conditional driver E[mu(t) | F_t] on every horizon node of engine.grid.
 
     mu(t) = dH/dx(t) + dH/dy(t+delta) 1_{t+delta <= T}
           + int_t^{t+delta} E[D_t dH/dz(s) | F_t] phi(s, t) 1_{s <= T} ds,
 
     where phi is the memory kernel's weight as seen from the future window
-    (identity when kernel is None).  dHx is (n_paths, n+1); dHy is None (no
+    (identity when kernel is None).  dHx is (rows, n+1); dHy is None (no
     y-dependence), a deterministic (n+1,) path, or per-path values whose
     t+delta slice is already F_t-measurable.
 
-    Returns an array shaped like dHx.
+    Returns an array shaped like dHx.  Raises GridMismatch when dHx is not
+    (rows, n+1) on the engine's grid.
     """
+    grid = engine.grid
     n = grid.n_horizon_steps
     m = grid.steps_per_delay
     dHx = np.asarray(dHx, dtype=float)
+    _require_grid(grid, dHx=dHx)
     out = np.array(dHx, dtype=float, copy=True)
     if dHy is not None and m <= n:  # a delay past the horizon advances nothing
         dHy = np.asarray(dHy, dtype=float)
@@ -395,7 +402,7 @@ def mu_generalized(grid, dHx, dHy, engine, kernel=None):
         adv[..., : n + 1 - m] = dHy[..., m:]
         out += adv
     # the terminal window is empty; adding its zero would flip a -0.0 there
-    out[:, :n] += horizon_windows(engine.malliavin_window, grid, out.shape[0], kernel)[:, :n]
+    out[:, :n] += engine.malliavin_windows(kernel)[:, :n]
     return out
 
 
@@ -418,14 +425,16 @@ def bsde_residual_1d(adjoint, state, model, engine):
     residual_k = p_{k+1} - p_k + E[mu | F]_k h - q_k dB_k - jump pairing,
     assembled with the model's Hamiltonian partials at the simulated state and
     the engine's window integrals, weighted by the model's kernel.  Returns
-    (sup, rms) over paths and steps.
+    (sup, rms) over paths and steps; GridMismatch when the adjoint or the
+    engine is on another grid than the state.
     """
     grid = state.grid
+    _require_grid(grid, adjoint=adjoint, engine=engine)
     h = grid.step
     p = np.atleast_2d(adjoint.p)
     q = np.atleast_2d(adjoint.q)
     ev = hamiltonian(model, *state.horizon_args(), p=p, q=q, r=adjoint.r)
-    mu = mu_generalized(grid, ev.grad[0], ev.grad[1], engine, kernel=model.kernel)
+    mu = mu_generalized(ev.grad[0], ev.grad[1], engine, kernel=model.kernel)
 
     incr = state.noise.increments[:, grid.index_zero:]
     residual = p[:, 1:] - p[:, :-1] + mu[:, :-1] * h - q[:, :-1] * incr
@@ -678,9 +687,11 @@ def bridge_1d_from_2d(adjoint2d, engine, kernel=None):
     Returns (AdjointTriple, max_reconstruction_deviation).  The triple reuses
     the (p1, q1, r1, mu1) arrays; the deviation is max over nodes and paths
     of |q2 - window reconstruction| and is the bridge-consistency statistic.
+    Raises GridMismatch when the engine is on another grid.
     """
     grid = adjoint2d.grid
-    recon = horizon_windows(engine.malliavin_window, grid, adjoint2d.q2.shape[0], kernel)
+    _require_grid(grid, engine=engine)
+    recon = engine.malliavin_windows(kernel)
     deviation = float(np.max(np.abs(adjoint2d.q2 - recon)))
     triple = AdjointTriple(
         grid, adjoint2d.p1, adjoint2d.q1, adjoint2d.r1, adjoint2d.mu1,
@@ -689,50 +700,42 @@ def bridge_1d_from_2d(adjoint2d, engine, kernel=None):
     return triple, deviation
 
 
-def lift_2d_from_1d(adjoint, engine, model=None, state=None):
+def lift_2d_from_1d(adjoint, engine, model, state):
     """Extend a 1D triple to the 2D system via the window integrals.
 
-    p2(t) = window conditional of dH/dz; q2(t) = its Malliavin window; r2 = 0;
-    (p1, q1, r1) are the input arrays unchanged (so bridging back returns
-    them bitwise).  mu1/mu2 are assembled from the engine; when model and
-    state are given, dH/dx and dH/dy are recomputed from the model partials,
-    otherwise adjoint.mu is carried over as mu1.  The windows are weighted by
-    model.kernel when a model is given, and are the plain windows otherwise.
+    p2(t) = window conditional of dH/dz; q2(t) = its Malliavin window;
+    mu2(t) = dH/dz(t) - E[dH/dz(t + delta) | F_t] 1_{t+delta <= T}; r2 = 0.
+    The windows are weighted by model.kernel, and mu1 = dH/dx + dH/dy(t +
+    delta) + q2 is assembled from the model partials at the state.  (p1, q1,
+    r1) are the input arrays unchanged, so bridging back returns them
+    bitwise; p2, q2 and mu2 have the adjoint's rows.
 
     Returns (Adjoint2D, p2_equation_residual_sup) where the residual is the
-    Euler defect of the p2 equation dp2 = -mu2 dt + q2 dB.
+    Euler defect of the p2 equation dp2 = -mu2 dt + q2 dB.  Raises
+    GridMismatch when the engine or the state is on another grid.
     """
-    kernel = model.kernel if model is not None else None
     grid = adjoint.grid
+    _require_grid(grid, engine=engine, state=state)
     n = grid.n_horizon_steps
     m = grid.steps_per_delay
     p = np.atleast_2d(adjoint.p)
     q = np.atleast_2d(adjoint.q)
-    n_paths = p.shape[0]
 
-    p2 = horizon_windows(engine.conditional_window, grid, n_paths, kernel)
-    q2 = horizon_windows(engine.malliavin_window, grid, n_paths, kernel)
-    mu2 = np.zeros((n_paths, n + 1))
-    for k in range(n + 1):
-        mu2[:, k] = engine.value(k)
-        if k + m <= n:
-            mu2[:, k] = mu2[:, k] - engine.advanced_conditional(k)
+    def rows(block):
+        return np.broadcast_to(block, p.shape).copy()
 
-    if model is not None and state is not None:
-        ev = hamiltonian(model, *state.horizon_args(), p=p, q=q, r=adjoint.r)
-        mu1 = ev.grad[0] + q2
-        if m <= n:
-            mu1[:, : n + 1 - m] += ev.grad[1][:, m:]
-    else:
-        mu1 = np.atleast_2d(adjoint.mu)
+    p2 = rows(engine.conditional_windows(model.kernel))
+    q2 = rows(engine.malliavin_windows(model.kernel))
+    mu2 = rows(engine.values() - engine.advanced_conditionals())
 
-    noise = state.noise if state is not None else None
-    if noise is not None:
-        incr = noise.increments[:, grid.index_zero:]
-        defect = p2[:, 1:] - p2[:, :-1] + mu2[:, :-1] * grid.step - q2[:, :-1] * incr
-        p2_residual = float(np.max(np.abs(defect)))
-    else:
-        p2_residual = float("nan")
+    ev = hamiltonian(model, *state.horizon_args(), p=p, q=q, r=adjoint.r)
+    mu1 = ev.grad[0] + q2
+    if m <= n:
+        mu1[:, : n + 1 - m] += ev.grad[1][:, m:]
+
+    incr = state.noise.increments[:, grid.index_zero:]
+    defect = p2[:, 1:] - p2[:, :-1] + mu2[:, :-1] * grid.step - q2[:, :-1] * incr
+    p2_residual = float(np.max(np.abs(defect)))
     lifted = Adjoint2D(
         grid=grid, p1=adjoint.p, p2=p2, q1=adjoint.q, q2=q2,
         r1=adjoint.r, r2=None, mu1=mu1, mu2=mu2,

@@ -249,6 +249,10 @@ def load_config(path):
                 _fail(path, lines, "checks", "run",
                       "check %r has no reference for scenario %r" % (check, name))
     cfg["checks"]["run"] = requested
+    if "closed-form" in requested and cfg["monte_carlo"]["seed"] > 2**64 - 2:
+        _fail(path, lines, "monte_carlo", "seed",
+              "the closed-form check draws its fine ensemble at seed + 1, so seed must be "
+              "at most 2**64 - 2")
     if cfg["control"]["kind"] == "foc" and "closed-form" not in applicable:
         _fail(path, lines, "control", "kind",
               "kind = foc needs a scenario with a reference adjoint")

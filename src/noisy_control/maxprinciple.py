@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import _r_pair, hamiltonian
+from .adjoint import _r_pair, _require_grid, hamiltonian
 from .dynamics import ControlPath, _mean_se, _sweep, evaluate_performance, simulate_state
 from .errors import GridMismatch, NonMonotone, OffGrid, OutOfControlSet
 
@@ -126,9 +126,11 @@ def control_partial_paths(model, state, adjoint):
     One evaluation over the whole horizon block (StateBundle.horizon_args),
     so the coefficient gradients must accept the row of horizon times.  p and
     q are (rows, n+1); each component of adjoint.r is a scalar or a
-    node-indexed (rows, n+1) array.  Returns (max(paths, rows), n+1).
+    node-indexed (rows, n+1) array.  Returns (max(paths, rows), n+1); raises
+    GridMismatch when the adjoint is on another grid than the state.
     """
     grid = state.grid
+    _require_grid(grid, adjoint=adjoint)
     p = np.atleast_2d(adjoint.p)
     q = np.atleast_2d(adjoint.q)
     args = state.horizon_args()
@@ -322,10 +324,12 @@ def check_sufficient(control, adjoint, model, state, probe_count=64, seed=0, tol
     (a) For random point pairs and mixing weights, checks midpoint concavity
     of (x, y, z, u) -> H at frozen adjoint values, and of the terminal payoff;
     (b) re-runs the variational inequality at 3 standard errors.  Certifies
-    optimality only when both parts pass.
+    optimality only when both parts pass.  Raises GridMismatch when the
+    adjoint is on another grid than the state.
     """
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     grid = state.grid
+    _require_grid(grid, adjoint=adjoint)
     n = grid.n_horizon_steps
     p = np.atleast_2d(adjoint.p)
     q = np.atleast_2d(adjoint.q)

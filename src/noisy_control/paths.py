@@ -348,14 +348,15 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
     bit for bit, whatever the chunk size.
 
     Raises:
-        SeedOutOfRange: seed is negative, or a key (seed, first_path + i)
-            is past 2**64 - 1.
+        SeedOutOfRange: seed is negative or not finite, or a key (seed,
+            first_path + i) is past 2**64 - 1.
         GridTooLarge: numpy refuses the (n_paths, n_steps) arrays.
     """
+    # the range check comes first: it is also what refuses nan and inf
+    if not 0 <= seed <= _KEY_MAX:
+        raise SeedOutOfRange("seed %s is outside [0, 2**64 - 1]" % seed)
     if int(seed) != seed:
         raise ValueError("seed must be an integer")
-    if not 0 <= seed <= _KEY_MAX:
-        raise SeedOutOfRange("seed %d is outside [0, 2**64 - 1]" % seed)
     if n_paths < 1:
         raise ValueError("need at least one path")
     if first_path < 0 or int(first_path) != first_path:

@@ -82,7 +82,7 @@ def window_engine(model, grid, closed):
     spec = model.linear_spec
     a0 = float(spec.a0)
     if spec.psi_vanishes(grid):
-        return adjoint_mod.DeterministicWindowEngine(grid, a0 * closed.p[0])
+        return adjoint_mod.Chaos1WindowEngine.deterministic(grid, a0 * closed.p[0])
     psi = closed.diagnostics["beta"]  # psi on the horizon nodes of grid
     return adjoint_mod.Chaos1WindowEngine(
         grid, psi, closed.diagnostics["alpha"],
@@ -132,9 +132,8 @@ def bridge_deviations(model, grid, closed):
     engine = window_engine(model, grid, closed)
     a1 = float(model.linear_spec.a1)
     q2_closed = (closed.diagnostics["A"] - a1)[None, :] * closed.p
-    recon = adjoint_mod.horizon_windows(engine.malliavin_window, grid, q2_closed.shape[0])
-    q2_dev = float(np.max(np.abs(q2_closed - recon)))
-    mu_bridge = adjoint_mod.mu_generalized(grid, dhx(model, grid, closed), None, engine)
+    q2_dev = float(np.max(np.abs(q2_closed - engine.malliavin_windows())))
+    mu_bridge = adjoint_mod.mu_generalized(dhx(model, grid, closed), None, engine)
     mu_dev = float(np.max(np.abs(mu_bridge - closed.mu)))
     return q2_dev, mu_dev
 
@@ -238,17 +237,15 @@ def criterion_3_bridge(seed=0, profile="full"):
     q2_dev, mu_dev = bridge_deviations(model, grid, closed_form(model, noise))
 
     # psi = 0 limit: the window correction vanishes identically on both routes
-    # (a Chaos1 engine with zero loading, where window_engine would pick the
-    # deterministic one)
+    # (an engine with zero loading on the per-path F = p, where window_engine
+    # would pick the deterministic one-row F = 1)
     m_flat = scenarios.linear_noisy_memory(psi=0.0)
     tr_flat = closed_form(m_flat, noise)
     eng_flat = adjoint_mod.Chaos1WindowEngine(
         grid, np.zeros(n + 1), tr_flat.diagnostics["alpha"], 0.5 * np.ones(n + 1), tr_flat.p
     )
     q2_flat = float(np.max(np.abs((tr_flat.diagnostics["A"] - 0.3)[None, :] * tr_flat.p)))
-    recon_flat = float(np.max(np.abs(
-        adjoint_mod.horizon_windows(eng_flat.malliavin_window, grid, n_paths)
-    )))
+    recon_flat = float(np.max(np.abs(eng_flat.malliavin_windows())))
     statistic = max(q2_dev, mu_dev)
     passed = statistic <= 1e-10 and q2_flat == 0.0 and recon_flat == 0.0
     return CriterionResult(
@@ -444,11 +441,9 @@ def criterion_8_generalized_kernel(seed=0, profile="full"):
         lambda t, s: np.ones_like(np.asarray(t, dtype=float) * np.asarray(s, dtype=float)),
         bound=1.0,
     )
-    mu_plain = adjoint_mod.mu_generalized(grid, dh_dx, None, engine, kernel=None)
-    mu_flagged = adjoint_mod.mu_generalized(
-        grid, dh_dx, None, engine, kernel=MemoryKernel.identity()
-    )
-    mu_flat = adjoint_mod.mu_generalized(grid, dh_dx, None, engine, kernel=flat)
+    mu_plain = adjoint_mod.mu_generalized(dh_dx, None, engine, kernel=None)
+    mu_flagged = adjoint_mod.mu_generalized(dh_dx, None, engine, kernel=MemoryKernel.identity())
+    mu_flat = adjoint_mod.mu_generalized(dh_dx, None, engine, kernel=flat)
     bitwise = np.array_equal(mu_plain, mu_flagged) and np.array_equal(mu_plain, mu_flat)
 
     def residuals(m_steps, n_paths):
@@ -461,7 +456,7 @@ def criterion_8_generalized_kernel(seed=0, profile="full"):
         triple = adjoint_mod.AdjointTriple(
             g, pe[None, :], np.zeros((1, g.n_horizon_steps + 1)), None, None, {}
         )
-        eng = adjoint_mod.DeterministicWindowEngine(g, pe)
+        eng = adjoint_mod.Chaos1WindowEngine.deterministic(g, pe)
         return adjoint_mod.bsde_residual_1d(triple, st, model, eng)
 
     n_paths = 500 if profile == "full" else 100

@@ -16,8 +16,9 @@ SEED = 0
 
 # sha256 of render_report(verify_all(seed=0, profile="quick")), so a refactor
 # that moves any report byte fails here.  Criterion 4's regressions sum through
-# BLAS, so the digest holds on the BLAS build and thread count it was recorded
-# with (OpenBLAS 0.3.31, 2 threads; ROADMAP item 5).
+# BLAS, so the digest holds per OpenBLAS build and CPU kernel: it was recorded
+# with OpenBLAS 0.3.31 on its SkylakeX kernel, where 1 and 2 threads give the
+# same bytes and OPENBLAS_CORETYPE=Haswell gives 49520acc... (ROADMAP item 5).
 QUICK_REPORT_SHA256 = "defd9ca73071c15987526c4cc0a8631246babc43e21dc493f2aa7b786f569b85"
 
 

@@ -2,16 +2,16 @@
 
 import hashlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from noisy_control import adjoint as adjoint_mod
-from noisy_control import scenarios
+from noisy_control import scenarios, verification
 from noisy_control.adjoint import (
     AdjointTriple,
     Chaos1WindowEngine,
-    DeterministicWindowEngine,
     LinearBSDESpec,
     QuadXZBasis,
     bridge_1d_from_2d,
@@ -25,7 +25,13 @@ from noisy_control.adjoint import (
 )
 from noisy_control.dynamics import ControlPath, MemoryKernel, reduce_2d, simulate_state
 from noisy_control.errors import FixedPointDiverged, GridMismatch, RankDeficientBasis
-from noisy_control.maxprinciple import check_necessary_I, control_partial_paths
+from noisy_control.maxprinciple import (
+    check_necessary_I,
+    check_necessary_II,
+    check_sufficient,
+    control_partial_paths,
+    directional_derivative_H,
+)
 from noisy_control.paths import JumpSpec, make_grid, sample_ensemble
 
 GRID = make_grid(0.2, 1.0, 8)
@@ -123,10 +129,7 @@ def test_window_reconstruction_identity():
     closed = _closed(model, ens)
     engine = _chaos_engine(model, closed)
     q2_closed = (closed.diagnostics["A"] - 0.3)[None, :] * closed.p
-    recon = np.column_stack(
-        [engine.malliavin_window(k) for k in range(GRID.n_horizon_steps + 1)]
-    )
-    assert np.max(np.abs(q2_closed - recon)) <= 1e-10
+    assert np.max(np.abs(q2_closed - engine.malliavin_windows())) <= 1e-10
 
 
 def test_mu_assembly_matches_closed_form():
@@ -135,14 +138,14 @@ def test_mu_assembly_matches_closed_form():
     closed = _closed(model, ens)
     engine = _chaos_engine(model, closed)
     dhx = 0.3 * closed.p + 0.2 * closed.q
-    mu = mu_generalized(GRID, dhx, None, engine)
+    mu = mu_generalized(dhx, None, engine)
     assert np.max(np.abs(mu - closed.mu)) <= 1e-10
     # the flagged identity kernel takes the same code path, bit for bit
-    mu_flagged = mu_generalized(GRID, dhx, None, engine, kernel=MemoryKernel.identity())
+    mu_flagged = mu_generalized(dhx, None, engine, kernel=MemoryKernel.identity())
     assert np.array_equal(mu, mu_flagged)
     # an unflagged phi = 1 kernel multiplies by exactly 1.0, also bitwise
     flat = MemoryKernel(lambda t, s: np.ones_like(np.asarray(s, dtype=float) * t), 1.0)
-    assert np.array_equal(mu, mu_generalized(GRID, dhx, None, engine, kernel=flat))
+    assert np.array_equal(mu, mu_generalized(dhx, None, engine, kernel=flat))
 
 
 def test_bsde_residual_shrinks_on_the_closed_form():
@@ -245,8 +248,8 @@ def _absde_case(case, m, n_paths, seed):
 
 
 # sha256 of p1, p2, q1, q2, mu1, mu2, r1 and max_condition at 300 paths,
-# seed 21.  The regressions sum through BLAS, so the digests hold on this
-# machine's BLAS build and thread count (ROADMAP item 5).
+# seed 21.  The regressions sum through BLAS, so the digests hold per OpenBLAS
+# build and CPU kernel; the thread count does not move them (ROADMAP item 5).
 _ABSDE_DIGESTS = {
     # n = 20: the backward reads span a full and a partial 16-node block
     "linear-m4": ("linear", 4,
@@ -274,6 +277,81 @@ def test_absde_outputs_are_pinned_and_path_major(label):
     # verification.rms and friends reduce with np.mean, whose order follows layout
     for a in arrays:
         assert a.flags.c_contiguous and a.shape == (300, state.grid.n_horizon_steps + 1)
+
+
+# sha256 of mu_generalized at the model's Hamiltonian partials and of the
+# lift's p2, q2, mu2, mu1 and p2 residual, at 40 paths, seed 23, on the engine
+# verification.window_engine picks: chaos for psi = 0.1, deterministic for
+# psi = 0.  Recorded with the per-node engines these block methods replaced.
+_ENGINE_DIGESTS = {
+    "chaos-plain": "27ac1e056aca600e9d55a314717eb347923bced004bbd56b255c2c602ec4ba07",
+    "chaos-ramp": "083c7f55ad86a1fa91a01d0e8b4366f97f0a6a6541da9b7959299576769cf9b5",
+    "deterministic-plain": "8edabee19b087c9b07de1c4b75af1985d6a8e59d7fe78ceaa07d15920e304389",
+    "deterministic-ramp": "9e57061be46583c7880cef613b3d479e5dd62c675a6aca0fc009f52470ab36f8",
+}
+
+
+@pytest.mark.parametrize("label", sorted(_ENGINE_DIGESTS))
+def test_window_engine_outputs_are_pinned(label):
+    if label.startswith("chaos"):
+        model = scenarios.linear_noisy_memory()
+        if label.endswith("ramp"):
+            model.kernel = MemoryKernel.ramp(0.2)
+    else:
+        model = scenarios.generalized_memory() if label.endswith("ramp") else scenarios.consumption()
+    ens = sample_ensemble(GRID, JumpSpec.none(), seed=23, n_paths=40)
+    closed = verification.closed_form(model, ens)
+    engine = verification.window_engine(model, GRID, closed)
+    assert engine.f_paths.shape[0] == (40 if label.startswith("chaos") else 1)
+    ctrl = ControlPath.constant(GRID, 1.0, control_set=model.control_set)
+    state = simulate_state(model, ctrl, ens)
+    ev = hamiltonian(model, *state.horizon_args(), p=closed.p, q=closed.q, r=None)
+    mu = mu_generalized(ev.grad[0], ev.grad[1], engine, kernel=model.kernel)
+    lifted, residual = lift_2d_from_1d(closed, engine, model, state)
+    h = hashlib.sha256()
+    for a in (mu, lifted.p2, lifted.q2, lifted.mu2, lifted.mu1, np.float64(residual)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == _ENGINE_DIGESTS[label]
+
+
+def _on_grid(model, m):
+    grid = make_grid(0.2, 1.0, m)
+    ens = sample_ensemble(grid, JumpSpec.none(), seed=5, n_paths=50)
+    closed = _closed(model, ens)
+    ctrl = ControlPath.constant(grid, 1.0, control_set=model.control_set)
+    return SimpleNamespace(closed=closed, engine=_chaos_engine(model, closed, grid), ctrl=ctrl,
+                           state=simulate_state(model, ctrl, ens))
+
+
+# Each call combines inputs on the m = 8 grid (a) with one on the m = 16 grid (b).
+_MISMATCHED = {
+    "mu_generalized": lambda md, a, b: mu_generalized(a.closed.p, None, b.engine),
+    "bsde_residual_1d-adjoint": lambda md, a, b: bsde_residual_1d(b.closed, a.state, md, a.engine),
+    "bsde_residual_1d-engine": lambda md, a, b: bsde_residual_1d(a.closed, a.state, md, b.engine),
+    "bridge_1d_from_2d": lambda md, a, b: bridge_1d_from_2d(
+        lift_2d_from_1d(a.closed, a.engine, md, a.state)[0], b.engine),
+    "lift_2d_from_1d-engine": lambda md, a, b: lift_2d_from_1d(a.closed, b.engine, md, a.state),
+    "lift_2d_from_1d-state": lambda md, a, b: lift_2d_from_1d(a.closed, a.engine, md, b.state),
+    "control_partial_paths": lambda md, a, b: control_partial_paths(md, a.state, b.closed),
+    "directional_derivative_H": lambda md, a, b: directional_derivative_H(
+        md, a.state, b.closed, np.ones(a.ctrl.values.shape)),
+    "check_necessary_I": lambda md, a, b: check_necessary_I(a.ctrl, b.closed, md, a.state),
+    "check_necessary_II": lambda md, a, b: check_necessary_II(a.ctrl, b.closed, md, a.state),
+    "check_sufficient": lambda md, a, b: check_sufficient(a.ctrl, b.closed, md, a.state),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_MISMATCHED))
+def test_inputs_on_another_grid_are_typed(call):
+    """An adjoint, engine, state or partial on another grid is a GridMismatch
+    naming both grids or shapes, not a numpy broadcast error or a silent
+    misread."""
+    model = scenarios.linear_noisy_memory()
+    with pytest.raises(GridMismatch) as err:
+        _MISMATCHED[call](model, _on_grid(model, 8), _on_grid(model, 16))
+    message = str(err.value)
+    assert "steps_per_delay=16" in message
+    assert "steps_per_delay=8" in message or "(50, 41)" in message
 
 
 # Traced peak of one call in (n_paths, n+1) float buffers, at 4000 paths x 40
@@ -323,9 +401,9 @@ def test_delay_past_the_horizon_advances_nothing():
     state = simulate_state(model, ctrl, ens)
     triple = AdjointTriple(grid, closed.p, closed.q, None, closed.mu, {})
     ev = hamiltonian(model, *state.horizon_args(), p=closed.p, q=closed.q, r=None)
-    without_y = mu_generalized(grid, ev.grad[0], None, engine)
+    without_y = mu_generalized(ev.grad[0], None, engine)
     dhy = np.ones_like(ev.grad[0])
-    assert np.array_equal(mu_generalized(grid, ev.grad[0], dhy, engine), without_y)
+    assert np.array_equal(mu_generalized(ev.grad[0], dhy, engine), without_y)
     lifted, _ = lift_2d_from_1d(triple, engine, model=model, state=state)
     assert np.array_equal(lifted.mu1, ev.grad[0] + lifted.q2)
 
@@ -347,7 +425,8 @@ def test_jump_adjoint_partials_match_per_node_hamiltonian(monkeypatch):
     ens = sample_ensemble(GRID, spec, seed=14, n_paths=600)
     ctrl = ControlPath.constant(GRID, 1.0, control_set=model.control_set)
     state = reduce_2d(model, ctrl, ens)
-    engine = DeterministicWindowEngine(GRID, model.linear_spec.a0 * np.exp(0.3 * (1.0 - NODES)))
+    engine = Chaos1WindowEngine.deterministic(
+        GRID, model.linear_spec.a0 * np.exp(0.3 * (1.0 - NODES)))
     triple, _ = bridge_1d_from_2d(solve_absde_2d(model, state), engine)
     r0, r1 = triple.r
     assert r0.shape == (600, GRID.n_horizon_steps + 1)
@@ -367,16 +446,16 @@ def test_jump_adjoint_partials_match_per_node_hamiltonian(monkeypatch):
 
     seen = {}
 
-    def spy(grid, dHx, dHy, eng, kernel=None):
+    def spy(dHx, dHy, eng, kernel=None):
         seen["dHx"], seen["dHy"] = dHx, dHy
-        return mu_generalized(grid, dHx, dHy, eng, kernel=kernel)
+        return mu_generalized(dHx, dHy, eng, kernel=kernel)
 
     monkeypatch.setattr(adjoint_mod, "mu_generalized", spy)
     sup, rms = bsde_residual_1d(triple, state, model, engine)
     assert _same_bits(seen["dHx"], ref[0]) and _same_bits(seen["dHy"], ref[1])
     # the residual, jump pairing included, against its node-by-node form
     h = GRID.step
-    mu = mu_generalized(GRID, ref[0], ref[1], engine)
+    mu = mu_generalized(ref[0], ref[1], engine)
     marks = ens.step_mark_sums()
     residual = np.empty((600, n))
     for k in range(n):
@@ -402,44 +481,54 @@ def test_lift_p2_matches_conditional_window_values():
     ens = sample_ensemble(GRID, JumpSpec.none(), seed=10, n_paths=50)
     closed = _closed(model, ens)
     engine = _chaos_engine(model, closed)
-    triple = AdjointTriple(GRID, closed.p, closed.q, None, closed.mu, {})
-    lifted, _ = lift_2d_from_1d(triple, engine)
+    state = simulate_state(
+        model, ControlPath.constant(GRID, 1.0, control_set=model.control_set), ens
+    )
+    lifted, _ = lift_2d_from_1d(closed, engine, model, state)
+    assert _same_bits(lifted.p2, engine.conditional_windows())
     n = GRID.n_horizon_steps
     assert np.all(lifted.p2[:, n] == 0.0)  # empty window at the terminal node
     k = 5
-    assert np.allclose(lifted.p2[:, k], engine.conditional_window(k), atol=0.0)
+    growth = np.exp(np.concatenate([[0.0], np.cumsum(engine.alpha[k + 1 : k + 8] * GRID.step)]))
+    window = GRID.step * (engine.coeff[k : k + 8] * growth).sum()
+    assert np.allclose(lifted.p2[:, k], closed.p[:, k] * window, rtol=1e-15, atol=0.0)
 
 
 def test_lift_reads_the_models_kernel():
-    """A weighted-kernel model weights the lift's windows, with or without a
-    state; a plain model and no model both lift with the plain window."""
+    """A weighted-kernel model weights the lift's windows; a model without a
+    kernel and one with the identity kernel both lift with the plain window."""
     model = scenarios.generalized_memory()
     ens = sample_ensemble(GRID, JumpSpec.none(), seed=10, n_paths=50)
     ctrl = ControlPath.constant(GRID, 1.0, control_set=model.control_set)
     state = simulate_state(model, ctrl, ens)
-    engine = DeterministicWindowEngine(GRID, np.exp(0.3 * (1.0 - NODES)))
+    engine = Chaos1WindowEngine.deterministic(GRID, np.exp(0.3 * (1.0 - NODES)))
     triple = AdjointTriple(GRID, np.ones((1, GRID.n_horizon_steps + 1)),
                            np.zeros((1, GRID.n_horizon_steps + 1)), None, None, {})
-    lifted, _ = lift_2d_from_1d(triple, engine, model=model, state=state)
-    weighted, _ = lift_2d_from_1d(triple, engine, model=model)
-    plain, _ = lift_2d_from_1d(triple, engine)
-    assert _same_bits(lifted.p2, weighted.p2)
-    assert not np.array_equal(lifted.p2, plain.p2)
+    weighted, _ = lift_2d_from_1d(triple, engine, model, state)
+    assert _same_bits(weighted.p2, engine.conditional_windows(model.kernel))
     plain_model = scenarios.linear_noisy_memory()
-    for kernel in (None, MemoryKernel.identity()):  # both mean the plain window
-        plain_model.kernel = kernel
-        again, _ = lift_2d_from_1d(triple, engine, model=plain_model)
-        assert _same_bits(again.p2, plain.p2)
+    plain, _ = lift_2d_from_1d(triple, engine, plain_model, state)
+    assert not np.array_equal(weighted.p2, plain.p2)
+    plain_model.kernel = MemoryKernel.identity()  # also the plain window
+    again, _ = lift_2d_from_1d(triple, engine, plain_model, state)
+    assert _same_bits(again.p2, plain.p2)
 
 
 def test_deterministic_engine_windows():
+    """A deterministic path is the one-row chaos engine with F = 1."""
     values = np.exp(0.3 * (1.0 - NODES))
-    engine = DeterministicWindowEngine(GRID, values)
-    assert engine.malliavin_window(0) == 0.0
+    engine = Chaos1WindowEngine.deterministic(GRID, values)
+    n1 = GRID.n_horizon_steps + 1
+    assert _same_bits(engine.values(), values[None, :])
+    assert _same_bits(engine.malliavin_windows(), np.zeros((1, n1)))
+    windows = engine.conditional_windows()
+    assert windows.shape == (1, n1) and _same_bits(windows[:, -1], [0.0])
     k = 4
     expected = GRID.step * values[k : k + 8].sum()
-    assert engine.conditional_window(k) == pytest.approx(expected, rel=1e-15)
-    assert engine.advanced_conditional(k) == values[k + 8]
+    assert windows[0, k] == pytest.approx(expected, rel=1e-15)
+    advanced = engine.advanced_conditionals()
+    assert advanced[0, k] == values[k + 8]
+    assert _same_bits(advanced[:, n1 - 8 :], np.zeros((1, 8)))
 
 
 def test_quad_basis_shape():

@@ -251,9 +251,18 @@ def test_run_rejects_grids_numpy_cannot_allocate(tmp_path, capsys, extra, messag
     assert not (tmp_path / "out").exists()
 
 
+_CLOSED_FORM_SEED = ("config error: {path}:4: [monte_carlo] seed: the closed-form check draws "
+                     "its fine ensemble at seed + 1, so seed must be at most 2**64 - 2\n")
+
+
 @pytest.mark.parametrize("argv,message", [
-    pytest.param(["run", "[monte_carlo]\nseed = %d\n" % 10**400],
+    pytest.param(["run", "[checks]\nrun = bridge\n[monte_carlo]\nseed = %d\n" % 10**400],
                  "SeedOutOfRange: seed %d is outside [0, 2**64 - 1]\n" % 10**400, id="run-1e400"),
+    # the closed-form check draws its fine ensemble at seed + 1
+    pytest.param(["run", "[monte_carlo]\nseed = %d\n" % (2**64 - 1)], _CLOSED_FORM_SEED,
+                 id="run-closed-form-2**64-1"),
+    pytest.param(["run", "[monte_carlo]\nseed = %d\n" % 10**400], _CLOSED_FORM_SEED,
+                 id="run-closed-form-1e400"),
     pytest.param(["verify", "--quick", "--seed", "-1"],
                  "SeedOutOfRange: seed -1 is outside [0, 2**64 - 1]\n", id="verify--1"),
     # criterion 1 draws at seed, seed + 1, ...
@@ -268,7 +277,7 @@ def test_seeds_past_the_philox_key_are_typed(tmp_path, capsys, argv, message):
                               "[output]\ndirectory = %s\n" % (argv[1], tmp_path / "out"))]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == message and captured.out == ""
+    assert captured.err == message.format(path=argv[-1]) and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

@@ -215,7 +215,8 @@ def test_path_keys_stay_in_the_philox_range():
     """Keys (seed, first_path + i) are two 64-bit words; the last one is drawn."""
     g = make_grid(0.2, 1.0, 4)
     assert sample_ensemble(g, JumpSpec.none(), 2**64 - 1, 1, first_path=2**64 - 1).n_paths == 1
-    for seed, n_paths, first_path in ((-1, 1, 0), (2**64, 1, 0), (0, 2, 2**64 - 1)):
+    for seed, n_paths, first_path in ((-1, 1, 0), (2**64, 1, 0), (0, 2, 2**64 - 1),
+                                      (float("inf"), 1, 0), (float("nan"), 1, 0)):
         with pytest.raises(SeedOutOfRange) as err:
             sample_ensemble(g, JumpSpec.none(), seed, n_paths, first_path=first_path)
         assert isinstance(err.value, ValueError)
