@@ -359,12 +359,13 @@ class Chaos1WindowEngine:
 # Driver assembly and the 1D residual checker
 
 
-def _require_grid(grid, **named):
+def _require_grid(grid, n_paths=None, **named):
     """Raise GridMismatch unless every named input lives on grid.
 
     A value is an object with a .grid, which must equal grid, or an array,
-    which must be (rows, n+1) on grid's horizon nodes.  The message names
-    both grids or both shapes.
+    which must be (rows, n+1) on grid's horizon nodes, with 1 or n_paths
+    rows when n_paths is given.  The message names both grids or both
+    shapes.
     """
     width = grid.n_horizon_steps + 1
     for name, item in named.items():
@@ -372,6 +373,9 @@ def _require_grid(grid, **named):
             if item.ndim != 2 or item.shape[1] != width:
                 raise GridMismatch("%s of shape %r, but %r needs (rows, %d)"
                                    % (name, item.shape, grid, width))
+            if n_paths is not None and item.shape[0] not in (1, n_paths):
+                raise GridMismatch("%s of shape %r on paths of shape %r; need 1 or %d rows"
+                                   % (name, item.shape, (n_paths, width), n_paths))
         elif item.grid != grid:
             raise GridMismatch("%s on %r, but expected %r" % (name, item.grid, grid))
 
@@ -387,17 +391,19 @@ def mu_generalized(dHx, dHy, engine, kernel=None):
     y-dependence), a deterministic (n+1,) path, or per-path values whose
     t+delta slice is already F_t-measurable.
 
-    Returns an array shaped like dHx.  Raises GridMismatch when dHx is not
-    (rows, n+1) on the engine's grid.
+    Returns an array shaped like dHx.  Raises GridMismatch when dHx, or a
+    dHy, is not (rows, n+1) on the engine's grid.
     """
     grid = engine.grid
     n = grid.n_horizon_steps
     m = grid.steps_per_delay
     dHx = np.asarray(dHx, dtype=float)
     _require_grid(grid, dHx=dHx)
+    if dHy is not None:
+        dHy = np.asarray(dHy, dtype=float)
+        _require_grid(grid, dHy=np.atleast_2d(dHy))
     out = np.array(dHx, dtype=float, copy=True)
     if dHy is not None and m <= n:  # a delay past the horizon advances nothing
-        dHy = np.asarray(dHy, dtype=float)
         adv = np.zeros(dHy.shape[:-1] + (n + 1,))
         adv[..., : n + 1 - m] = dHy[..., m:]
         out += adv

@@ -12,6 +12,8 @@ the memory integral is maintained as a running prefix sum so that Z is, bit
 for bit, the difference of two anchored Ito integrals.
 """
 
+import copy
+
 import numpy as np
 
 from .errors import (
@@ -523,30 +525,74 @@ class StateBundle:
                 self.memory_arg, self.control.rows())
 
 
-def _sweep(noise, start, step, kernel=None, keep_prefix=False, ring=False, what="state"):
+class _Carry:
+    """The buffers a sweep reads from node `node` on; the sweep updates them in place.
+
+    v holds V's rows and prefix the running prefix of V dB, each indexed by
+    node modulo its row count: every node, or with `ring` a ring (m + 2 rows
+    of V, m + 1 of the prefix) that holds every row the next steps read, and
+    with `keep_prefix` the whole prefix.  terms is the path-major term matrix
+    of a non-identity kernel (None otherwise) and cost, when summed, the
+    running cost over the nodes before `node`.  A fresh carry has zero
+    buffers, with V equal to `start` on the initial segment when given.
+    """
+
+    def __init__(self, noise, node, start=None, kernel=None, ring=False, keep_prefix=False,
+                 cost=False):
+        grid = noise.grid
+        m = grid.steps_per_delay
+        n_paths = noise.n_paths
+        self.node = node
+        self.ring = ring
+        self.kernel = kernel if kernel is not None and not kernel.is_identity else None
+        self.v = np.zeros((m + 2 if ring else grid.n_nodes, n_paths))
+        if start is not None:
+            self.v[: m + 1] = np.asarray(start)[:, None]
+        self.prefix = np.zeros((grid.n_nodes if keep_prefix else m + 1, n_paths))
+        self.terms = np.zeros((n_paths, grid.n_steps)) if self.kernel is not None else None
+        self.cost = np.zeros(n_paths) if cost else None
+
+    def copy(self):
+        """An independent carry at the same node.
+
+        The term matrix is shared, not copied: its columns before `node` are
+        never written again, and a sweep writes each later column before it
+        reads it, so sweeps resumed one after the other from the two carries
+        see their own columns.
+        """
+        out = copy.copy(self)
+        out.v = self.v.copy()
+        out.prefix = self.prefix.copy()
+        out.cost = None if self.cost is None else self.cost.copy()
+        return out
+
+
+def _sweep(noise, carry, step, what="state", stop=None):
     """Time-major left-point Euler sweep of a process V fed by its own memory window.
 
-    V equals `start` on the initial segment (zero when None) and leaves node
-    k >= m by V[k+1] = V[k] + b h + s dB[k] (+ jump - h * comp), where
-    step(k, V[k], V[k-m], window[k]) returns (b, s), or (b, s, jump, comp)
-    with jump the step's per-path jump sum, read from the noise by the jump
-    coefficient.  The window integrates V dB over the trailing delay,
-    kernel-weighted for a non-identity kernel.
+    The sweep begins at node carry.node from the carry's buffers (see _Carry)
+    and runs to the end, or up to node `stop`, where it leaves the carry for
+    a later sweep to resume: a cold start is a fresh carry at node 0 (V the
+    initial segment) or at node m (V zero, so V dB is zero before m).  V
+    leaves node k >= m by V[k+1] = V[k] + b h + s dB[k] (+ jump - h * comp),
+    where step(k, V[k], V[k-m], window[k]) returns (b, s), or (b, s, jump,
+    comp) with jump the step's per-path jump sum, read from the noise by the
+    jump coefficient.  The window integrates V dB over the trailing delay,
+    weighted by the carry's kernel when it has one.
 
     The work buffers are (node, path) rows, so each step touches contiguous
     memory, and the increments are read forward from the ensemble's
     time-major companion NoiseEnsemble.increment_rows.  The plain window is
-    the difference of two entries of the running prefix of V dB, kept in a
-    ring of m + 1 rows unless `keep_prefix` asks for all of it.  The
+    the difference of two entries of the running prefix of V dB.  The
     weighted window keeps the path-major term matrix and its matrix-vector
-    product, whose BLAS summation order fixes its bits.
-    With `ring`, V is kept in a ring of m + 2 rows, so the row being written
-    is never V[k-m], and each window in one row: for callers that read the
-    process only inside `step`.
+    product, whose BLAS summation order fixes its bits.  With a ring carry
+    the row being written is never V[k-m], and each window is kept in one
+    row: for callers that read the process only inside `step`.
 
-    Returns time-major (V, plain window, weighted window or None, prefix or
-    None); the windows cover the nodes of [0, horizon].  With `ring`, V is
-    its terminal row and each window its last row.
+    Returns time-major (V, plain window, weighted window or None); the
+    windows cover the nodes of [0, horizon], and those before the first node
+    swept are zero.  With a ring carry, V is its terminal row and each window
+    its last row.
 
     Raises:
         NonFiniteState: V left the finite range (step and time attached).
@@ -556,33 +602,27 @@ def _sweep(noise, start, step, kernel=None, keep_prefix=False, ring=False, what=
     n = grid.n_horizon_steps
     h = grid.step
     n_paths = noise.n_paths
-    use_kernel = kernel is not None and not kernel.is_identity
+    kernel = carry.kernel
     incr = noise.increment_rows
+    v, prefix, terms = carry.v, carry.prefix, carry.terms
+    v_rows, prefix_rows = len(v), len(prefix)
+    window_rows = 1 if carry.ring else n + 1
+    window = np.zeros((window_rows, n_paths))
+    weighted = np.zeros((window_rows, n_paths)) if kernel is not None else None
 
-    v_rows = m + 2 if ring else grid.n_nodes
-    v = np.zeros((v_rows, n_paths))
-    first = m if start is None else 0  # a zero start keeps V dB zero before m
-    if start is not None:
-        v[: m + 1] = np.asarray(start)[:, None]
-    prefix_rows = grid.n_nodes if keep_prefix else m + 1
-    prefix = np.zeros((prefix_rows, n_paths))
-    window_rows = 1 if ring else n + 1
-    window = np.empty((window_rows, n_paths))
-    weighted = np.empty((window_rows, n_paths)) if use_kernel else None
-    terms = np.zeros((n_paths, grid.n_steps)) if use_kernel else None
-
-    for k in range(first, m + n + 1):
+    end = m + n + 1 if stop is None else stop
+    for k in range(carry.node, end):
         vk = v[k % v_rows]
         if k >= m:
             w = (k - m) % window_rows
             np.subtract(prefix[k % prefix_rows], prefix[(k - m) % prefix_rows], out=window[w])
-            if use_kernel:
+            if kernel is not None:
                 weighted[w] = terms[:, k - m : k] @ kernel.weights(grid, k)
             if k == m + n:
                 break
         incr_k = incr[k]
         if k >= m:
-            coef = step(k, vk, v[(k - m) % v_rows], (weighted if use_kernel else window)[w])
+            coef = step(k, vk, v[(k - m) % v_rows], (window if kernel is None else weighted)[w])
             # v[k] + b h + s dB (+ jump - h comp), evaluated in that order
             v_next = v[(k + 1) % v_rows]
             np.multiply(coef[0], h, out=v_next)
@@ -598,10 +638,11 @@ def _sweep(noise, start, step, kernel=None, keep_prefix=False, ring=False, what=
                     step=k, time=t_k,
                 )
         term = vk * incr_k
-        if use_kernel:
+        if kernel is not None:
             terms[:, k] = term
         np.add(prefix[k % prefix_rows], term, out=prefix[(k + 1) % prefix_rows])
-    return (vk if ring else v), window, weighted, (prefix if keep_prefix else None)
+    carry.node = end
+    return (v[(m + n) % v_rows] if carry.ring else v), window, weighted
 
 
 def _path_major(rows):
@@ -614,13 +655,23 @@ def _path_major(rows):
     return out
 
 
-def _state_sweep(model, control, noise, keep_prefix=False, cost=None):
-    """_sweep of the state equation of `model` under `control` on `noise`.
+def _state_carry(model, noise, keep_prefix=False, cost=False):
+    """Fresh carry of the state sweep of `model` at node 0, V its initial segment.
 
-    With `cost`, a zero row of one value per path, each step also adds the
-    running cost at its node to `cost`, in node order, with u a scalar when
-    the control is shared across paths; the sweep then keeps the state in a
-    ring (see _sweep) and returns its terminal row as V.
+    With `cost` the sweep sums the running cost and keeps the state in a ring
+    (see _Carry and _state_sweep).
+    """
+    grid = noise.grid
+    return _Carry(noise, 0, model.initial_segment(grid.nodes[: grid.steps_per_delay + 1]),
+                  kernel=model.kernel, ring=cost, keep_prefix=keep_prefix, cost=cost)
+
+
+def _state_sweep(model, control, noise, carry, stop=None):
+    """_sweep of the state equation of `model` under `control` on `noise`, from `carry`.
+
+    When the carry sums the running cost, each step also adds the running
+    cost at its node to carry.cost, in node order, with u a scalar when the
+    control is shared across paths.
 
     Raises:
         GridMismatch: control and noise grids differ.
@@ -631,6 +682,7 @@ def _state_sweep(model, control, noise, keep_prefix=False, cost=None):
         raise GridMismatch("control grid %r vs noise grid %r" % (control.grid, grid))
     m = grid.steps_per_delay
     u_rows = control.rows()
+    cost = carry.cost
 
     def step(k, xk, yk, zk):
         t_k = grid.nodes[k]
@@ -644,10 +696,7 @@ def _state_sweep(model, control, noise, keep_prefix=False, cost=None):
         return coef + (model.gamma.step_sum(t_k, xk, yk, zk, uk, noise, k),
                        model.gamma.nu_integral(t_k, xk, yk, zk, uk, model.jump_spec))
 
-    return _sweep(
-        noise, model.initial_segment(grid.nodes[: m + 1]), step,
-        kernel=model.kernel, keep_prefix=keep_prefix, ring=cost is not None,
-    )
+    return _sweep(noise, carry, step, stop=stop)
 
 
 def simulate_state(model, control, noise, _expose_prefix=False):
@@ -668,7 +717,10 @@ def simulate_state(model, control, noise, _expose_prefix=False):
         NonFiniteState: the state left the finite range (step and time attached).
     """
     grid = noise.grid
-    x, z, zg, prefix = _state_sweep(model, control, noise, keep_prefix=_expose_prefix)
+    carry = _state_carry(model, noise, keep_prefix=_expose_prefix)
+    x, z, zg = _state_sweep(model, control, noise, carry)
+    prefix = carry.prefix if _expose_prefix else None
+    del carry
     # Copy back one buffer at a time so the time-major ones are freed early.
     x = _path_major(x)
     y = x[:, : grid.n_horizon_steps + 1].copy()
@@ -722,25 +774,67 @@ def evaluate_performance(model, control, noise, state=None):
         NonFiniteState: the state left the finite range (without `state`).
     """
     if state is None:
-        grid, n_paths = noise.grid, noise.n_paths
-        cost = np.zeros(n_paths)
-        x_terminal = _state_sweep(model, control, noise, cost=cost)[0]
+        per_path = _performance_paths(model, (control,), noise)[0]
     else:
-        grid, n_paths = state.grid, state.n_paths
+        grid = state.grid
         n = grid.n_horizon_steps
         u_rows = control.rows()
         t_hor = grid.horizon_nodes
         zmem = state.memory_arg
-        cost = np.zeros(n_paths)
+        cost = np.zeros(state.n_paths)
         for j in range(n):
             cost = cost + model.running_cost(
                 t_hor[j], state.x[:, grid.index_zero + j], state.y[:, j], zmem[:, j],
                 u_rows[:, j] if u_rows.shape[0] > 1 else u_rows[0, j],
             )
-        x_terminal = state.terminal_x
-    per_path = grid.step * cost + model.terminal.value(x_terminal, noise)
-    per_path = np.broadcast_to(per_path, (n_paths,)).astype(float)
+        per_path = _per_path_value(model, grid, cost, state.terminal_x, noise)
     return (*_mean_se(per_path), per_path)
+
+
+def _per_path_value(model, grid, cost, x_terminal, noise):
+    """h * (running-cost sum) + terminal payoff, one float per path of `cost`."""
+    per_path = grid.step * cost + model.terminal.value(x_terminal, noise)
+    return np.broadcast_to(per_path, cost.shape).astype(float)
+
+
+def _performance_paths(model, controls, noise):
+    """Per-path J of each of `controls` on `noise`, state-free (see evaluate_performance).
+
+    Sweeps whose controls have the same rows, bit for bit, on the first s
+    horizon nodes agree bit for bit up to node m + s (_shared_nodes).  That
+    part is swept once; each control then resumes from the carry there, a
+    copy for every control but the last, which takes the carry itself.  This
+    is how the two sides of a finite difference skip the nodes before their
+    direction's support.
+    """
+    grid = noise.grid
+    carry = _state_carry(model, noise, cost=True)
+    if len(controls) > 1:
+        stop = grid.steps_per_delay + _shared_nodes(controls)
+        _state_sweep(model, controls[0], noise, carry, stop=stop)
+    ends = []
+    for i, control in enumerate(controls):
+        own = carry if i == len(controls) - 1 else carry.copy()
+        ends.append((_state_sweep(model, control, noise, own)[0].copy(), own.cost))
+    del carry, own  # a terminal payoff may need more room than a sweep
+    return [_per_path_value(model, grid, cost, x_terminal, noise) for x_terminal, cost in ends]
+
+
+def _shared_nodes(controls):
+    """Horizon nodes before the first at which the controls' rows differ in
+    any bit, sign of zero included: at most n, as no step reads node n, and
+    0 when their row counts differ."""
+    rows = [c.rows() for c in controls]
+    n = controls[0].grid.n_horizon_steps
+    first = rows[0][:, :n]
+    differ = np.zeros(n, dtype=bool)
+    for other in rows[1:]:
+        if other.shape != rows[0].shape:
+            return 0
+        other = other[:, :n]
+        differ |= ((other != first) | (np.signbit(other) != np.signbit(first))).any(axis=0)
+    hits = np.flatnonzero(differ)
+    return int(hits[0]) if hits.size else n
 
 
 def _mean_se(per_path):

@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import _r_pair, _require_grid, hamiltonian
-from .dynamics import ControlPath, _mean_se, _sweep, evaluate_performance, simulate_state
+from .dynamics import (
+    ControlPath,
+    _Carry,
+    _mean_se,
+    _performance_paths,
+    _sweep,
+    simulate_state,
+)
 from .errors import GridMismatch, NonMonotone, OffGrid, OutOfControlSet
 
 
@@ -55,13 +62,30 @@ def _eta_rows(eta, n_paths, grid):
     return np.broadcast_to(eta, shape)
 
 
+def _support_start(eta_r):
+    """First horizon node below n at which some row of eta is nonzero; n if none is.
+
+    eta on the last node is read by no step of the tangent and no term of the
+    K route's quadrature, and before this node both see exact zeros.
+    """
+    n = eta_r.shape[1] - 1
+    live = np.flatnonzero(eta_r[:, :n].any(axis=0))
+    return int(live[0]) if live.size else n
+
+
+def _dot4(grads, vec):
+    """grads . vec over (x, y, z, u), added left to right from the first term."""
+    return grads[0] * vec[0] + grads[1] * vec[1] + grads[2] * vec[2] + grads[3] * vec[3]
+
+
 def derivative_process(model, state, eta):
     """Euler recursion for the derivative of the state in direction eta.
 
     The recursion is the state's own sweep with the coefficient gradients
     contracted against (K, K(t - delta), window of K, eta); K vanishes on the
     initial segment.  The memory window is weighted by model.kernel, as the
-    state's was.
+    state's was.  K is exactly zero up to the first node of eta's support
+    (_support_start), so the sweep starts there from zero buffers.
 
     Returns a KBundle whose arrays are transposed views of the sweep's
     (node, path) buffers; raises GridMismatch for an eta off the horizon
@@ -78,9 +102,7 @@ def derivative_process(model, state, eta):
         i = j - m
         point = (grid.nodes[j], state.x[:, j], state.y[:, i], memory[:, i], u_rows[:, i])
         vec = (kj, k_lag, kz, eta_r[:, i])
-        bg = model.drift_grad(*point)
-        sg = model.diffusion_grad(*point)
-        coef = (sum(bg[w] * vec[w] for w in range(4)), sum(sg[w] * vec[w] for w in range(4)))
+        coef = (_dot4(model.drift_grad(*point), vec), _dot4(model.diffusion_grad(*point), vec))
         if not model.has_jumps:
             return coef
         return coef + (
@@ -88,33 +110,44 @@ def derivative_process(model, state, eta):
             model.gamma.grad_dot_nu_integral(*point, vec, model.jump_spec),
         )
 
-    k_path, kz, kz_weighted, _ = _sweep(
-        noise, None, step, kernel=model.kernel, what="derivative process",
-    )
+    carry = _Carry(noise, m + _support_start(eta_r), kernel=model.kernel)
+    k_path, kz, kz_weighted = _sweep(noise, carry, step, what="derivative process")
     return KBundle(k_path.T, (kz if kz_weighted is None else kz_weighted).T, grid)
+
+
+# horizon nodes per block of the K route's contraction
+_K_BLOCK = 32
 
 
 def directional_derivative_K(model, state, eta):
     """Derivative of J in direction eta via the state-sensitivity process.
 
     E[g'(X(T)) K(T) + int grad f . (K, K_y, K_window, eta) dt], estimated on
-    the ensemble the state was simulated on.
+    the ensemble the state was simulated on.  The quadrature starts at the
+    first node of eta's support, before which every term is zero, and adds
+    the nodes' terms in node order, contracted a block of nodes at a time.
 
     Returns (value, se, per_path).
     """
     grid = state.grid
     n = grid.n_horizon_steps
+    m = grid.steps_per_delay
     h = grid.step
     iz = grid.index_zero
     kb = derivative_process(model, state, eta)
     eta_r = _eta_rows(eta, state.n_paths, grid)
+    # time-major (node, path) rows, as the sweep wrote them
+    k_rows, kz_rows, eta_rows = kb.k.T, kb.kz.T, eta_r.T
 
-    shape = (state.n_paths, n + 1)
-    fg = [np.broadcast_to(g, shape) for g in model.cost_grad(*state.horizon_args())]
+    fg = [np.broadcast_to(g, (state.n_paths, n + 1)).T
+          for g in model.cost_grad(*state.horizon_args())]
     running = np.zeros(state.n_paths)
-    for k in range(n):
-        vec = (kb.k[:, iz + k], kb.k[:, iz + k - grid.steps_per_delay], kb.kz[:, k], eta_r[:, k])
-        running += sum(fg[w][:, k] * vec[w] for w in range(4))
+    for a in range(_support_start(eta_r), n, _K_BLOCK):
+        b = min(a + _K_BLOCK, n)
+        vec = (k_rows[iz + a : iz + b], k_rows[iz + a - m : iz + b - m], kz_rows[a:b],
+               eta_rows[a:b])
+        for term in _dot4([g[a:b] for g in fg], vec):
+            running += term
     per_path = model.terminal.grad(state.terminal_x, state.noise) * kb.k[:, -1] + h * running
     value, se = _mean_se(per_path)
     return value, se, per_path
@@ -125,14 +158,15 @@ def control_partial_paths(model, state, adjoint):
 
     One evaluation over the whole horizon block (StateBundle.horizon_args),
     so the coefficient gradients must accept the row of horizon times.  p and
-    q are (rows, n+1); each component of adjoint.r is a scalar or a
-    node-indexed (rows, n+1) array.  Returns (max(paths, rows), n+1); raises
-    GridMismatch when the adjoint is on another grid than the state.
+    q are (rows, n+1) with 1 or n_paths rows; each component of adjoint.r is
+    a scalar or a node-indexed array of such rows.  Returns a fresh
+    C-contiguous (n_paths, n+1) array; raises GridMismatch when the adjoint
+    is on another grid than the state or p or q has another row count.
     """
     grid = state.grid
-    _require_grid(grid, adjoint=adjoint)
     p = np.atleast_2d(adjoint.p)
     q = np.atleast_2d(adjoint.q)
+    _require_grid(grid, n_paths=state.n_paths, adjoint=adjoint, p=p, q=q)
     args = state.horizon_args()
     dhu = (
         model.cost_grad(*args)[3]
@@ -142,8 +176,10 @@ def control_partial_paths(model, state, adjoint):
     if model.has_jumps and adjoint.r is not None:
         r0, r1 = _r_pair(adjoint.r)
         dhu = dhu + model.gamma.pair_grad_nu_integral(*args, r0, r1, model.jump_spec)[3]
-    n_rows = max(state.n_paths, p.shape[0])
-    return np.broadcast_to(dhu, (n_rows, grid.n_horizon_steps + 1)).copy()
+    shape = (state.n_paths, grid.n_horizon_steps + 1)
+    if dhu.shape == shape and dhu.flags.c_contiguous:
+        return dhu  # already a fresh block of its own
+    return np.broadcast_to(dhu, shape).copy()
 
 
 def directional_derivative_H(model, state, adjoint, eta):
@@ -165,6 +201,9 @@ def finite_difference_derivative(model, control, noise, eta, s=1e-3):
 
     Falls back to a one-sided difference when the shifted control leaves the
     admissible set on one side; raises OutOfControlSet if it leaves on both.
+    The two sides are swept once together up to the first node at which
+    their controls differ, which is where eta's support starts, and each
+    goes on from there (dynamics._performance_paths).
     Returns (value, se, per_path); raises GridMismatch for an eta off the
     horizon nodes (see _eta_rows).
     """
@@ -188,8 +227,7 @@ def finite_difference_derivative(model, control, noise, eta, s=1e-3):
         plus, minus, denom = control, minus, s
     else:
         denom = 2 * s
-    _, _, per_plus = evaluate_performance(model, plus, noise)
-    _, _, per_minus = evaluate_performance(model, minus, noise)
+    per_plus, per_minus = _performance_paths(model, (plus, minus), noise)
     per_path = (per_plus - per_minus) / denom
     value, se = _mean_se(per_path)
     return value, se, per_path

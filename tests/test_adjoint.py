@@ -354,6 +354,26 @@ def test_inputs_on_another_grid_are_typed(call):
     assert "steps_per_delay=8" in message or "(50, 41)" in message
 
 
+def test_row_counts_and_dhy_off_the_engine_grid_are_typed():
+    """An adjoint with another number of paths than the state, or a dH/dy off
+    the engine's grid, is a GridMismatch naming both shapes."""
+    model = scenarios.linear_noisy_memory()
+    a = _on_grid(model, 8)  # 50 paths
+    closed_30 = _closed(model, sample_ensemble(a.state.grid, JumpSpec.none(), seed=6, n_paths=30))
+    eta = np.ones(a.ctrl.values.shape)
+    for call in (lambda: control_partial_paths(model, a.state, closed_30),
+                 lambda: directional_derivative_H(model, a.state, closed_30, eta)):
+        with pytest.raises(GridMismatch, match=r"\(30, 41\) on paths of shape \(50, 41\)"):
+            call()
+    with pytest.raises(GridMismatch, match=r"dHy of shape \(3, 81\).*steps_per_delay=8"):
+        mu_generalized(a.closed.p, np.ones((3, 81)), a.engine)
+    with pytest.raises(GridMismatch, match=r"dHy of shape \(1, 81\)"):
+        mu_generalized(a.closed.p, np.ones(81), a.engine)
+    # one row, or one per path, is what the routes read
+    one_row = AdjointTriple(a.state.grid, a.closed.p[:1], a.closed.q[:1], None, None, {})
+    assert control_partial_paths(model, a.state, one_row).shape == (50, 41)
+
+
 # Traced peak of one call in (n_paths, n+1) float buffers, at 4000 paths x 40
 # steps; the bounds are the peaks of the path-major sweep this one replaced.
 @pytest.mark.parametrize("case, bound", [("linear", 9.08), ("jumps", 14.02)])

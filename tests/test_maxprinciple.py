@@ -81,6 +81,24 @@ def test_derivative_process_starts_from_rest():
     assert np.any(kb.k[:, -1] != 0.0)
 
 
+def test_perturbed_sweeps_start_at_the_support():
+    """The tangent reads no gradient before eta's support, and the two sides
+    of a finite difference sweep the nodes before it once, together."""
+    model = scenarios.consumption()
+    state, ctrl, ens = _state(model, n_paths=50)
+    eta = dict(probe_directions(GRID))["late-half"]
+    n, k_s = GRID.n_horizon_steps, int(np.flatnonzero(eta)[0])
+    times = []
+    drift, drift_grad = model.drift, model.drift_grad
+    model.drift_grad = lambda t, *args: times.append(t) or drift_grad(t, *args)
+    derivative_process(model, state, eta)
+    assert times == list(GRID.nodes[GRID.index_zero + k_s : -1])
+    model.drift = lambda t, *args: times.append(t) or drift(t, *args)
+    del times[:]
+    finite_difference_derivative(model, ctrl, ens, eta)
+    assert len(times) == k_s + 2 * (n - k_s)
+
+
 def test_sensitivity_route_handles_a_general_jump_coefficient():
     """K route through a non-affine callable gamma matches CRN finite differences
     within criterion 5's rule, max(4 sigma, 1e-3 |J|)."""
@@ -646,6 +664,124 @@ def test_route_outputs_are_pinned(case):
     assert got == _ROUTE_DIGESTS[case]
 
 
+def _warm_case(case):
+    """(model, noise, control, eta) of one warm-start pin case."""
+    model_name, direction = case.split("/")
+    spec = JumpSpec.none()
+    if model_name == "linear-noisy-memory":
+        model = scenarios.linear_noisy_memory()
+    elif model_name == "consumption-affine-jumps":
+        spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
+        model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
+    else:
+        model = scenarios.generalized_memory()
+    ens = sample_ensemble(GRID, spec, seed=5, n_paths=200)
+    # at the lower bound, the minus shift leaves the control set
+    value = model.control_set.lower if direction == "one-sided" else 1.0
+    ctrl = ControlPath.constant(GRID, value, control_set=model.control_set)
+    etas = dict(probe_directions(GRID))
+    n = GRID.n_horizon_steps
+    if direction in ("late-half", "mid-quarter"):
+        eta = etas[direction]
+    elif direction == "one-sided":
+        eta = etas["late-half"]
+    elif direction == "zero":
+        eta = np.zeros(n + 1)
+    elif direction == "last-node":
+        eta = np.zeros(n + 1)
+        eta[n] = 1.0
+    else:  # per-path rows that start at nodes 7, 12, 17, ...: the earliest decides
+        starts = 7 + 5 * (np.arange(200) % 6)
+        eta = np.where(np.arange(n + 1)[None, :] >= starts[:, None], 0.5, 0.0)
+    return model, ens, ctrl, eta
+
+
+# sha256 of the K route's per-path output, the finite difference's per-path
+# output and the KBundle's k and kz bytes at 200 paths, steps_per_delay=8 and
+# noise seed 5, for directions that are zero before some node: late-half and
+# mid-quarter, eta = 0, eta nonzero only on the last node, a one-sided
+# difference at the lower bound, and per-path rows starting at different
+# nodes.  They are the digests of sweeps run from node 0.  The ramp-kernel
+# window is a BLAS matrix-vector product, so those digests hold on one
+# machine and BLAS build; the rest hold for one numpy build.
+_WARM_DIGESTS = {
+    "consumption-affine-jumps/late-half": (
+        "ae9edbfb218721ad899ab7e35c311882cab1619bedcf7292c499607901764efe",
+        "12213be8b4577c6b0f73583fa7bd25ee34d8293871ba092ff65178e534c5312d",
+        "23f06dc0638e913a10ca89813cd488fa6d1ad92ac026e19b0930fa2137e014a9",
+    ),
+    "consumption-affine-jumps/mid-quarter": (
+        "0ff783e54e6f8fb055de00e2e93ecc0202ef9de82fb9a23a6008a09550adbd65",
+        "4d30b0a025a87d153172de7cb21b7119aba5caa37df487006b1669c37720d288",
+        "deb11e9f71f5af1dd0f2c6102ffa5785d3a4361ab7dae02ff97957d56e8f4031",
+    ),
+    "consumption-affine-jumps/one-sided": (
+        "09ee61d6a85ce2de6d5e4f7a0410d2a6e2403491f5545de911dad61124e4ed18",
+        "4ff99b9cf0a32358de89198ef71b5f190458a3a539853d21960ee4e580b42a2f",
+        "23f06dc0638e913a10ca89813cd488fa6d1ad92ac026e19b0930fa2137e014a9",
+    ),
+    "consumption-affine-jumps/per-path": (
+        "c936f45ff8b4b0f0d2f2ce76bef1be5e255d1422eb4096ed7b20c50b6eb945b4",
+        "0d293cabaea5ac11d6b95d6d97a1519dfeeb26b80419bde6c140e41251f61ac4",
+        "b8eab1c3f2c0a895419075814b2276d305da66e30edaeddc6d129622a91f8bea",
+    ),
+    "generalized-memory/late-half": (
+        "80d4d67edb3b952e0cf55f0532a7cee08158e921f0140293617347002fabb4fd",
+        "52b5f36aca25d6441565726d451a906f910befc478e6cfe22facbdfc2306b054",
+        "591ab088ec62306bac84d5c053c98478cdff8ea2e58f3e523a710c3918f7c31b",
+    ),
+    "generalized-memory/mid-quarter": (
+        "ec19c672011f5ff12378ffc350a91ec3b8739f3d19b081c972398d86ddef9b87",
+        "e780c0bb7b24716e20fbdeb5fa636f8b384897dd171378507869a9386644a224",
+        "a45362af3e49bc1efc4c2b3af168542aad4da791031365b8ead82d503f26a0c8",
+    ),
+    "generalized-memory/one-sided": (
+        "555e34e4d6e1a9bdeffd139171ec81467a35e2362964619fe99766d67f720e25",
+        "fe34d8c982e8b986ee6bdae8639e35ac502d139a3a5d73f380d8b2d541fbadc2",
+        "591ab088ec62306bac84d5c053c98478cdff8ea2e58f3e523a710c3918f7c31b",
+    ),
+    "linear-noisy-memory/last-node": (
+        "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
+        "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
+        "09d70dfa508c78be6e37aecd90919b4e01452ff385a3329c4a7beaca85f291f5",
+    ),
+    "linear-noisy-memory/late-half": (
+        "c079aab7dc3ba8280f59b8b7ac276fffa0742d7ffa946058651d43ecd11ebd72",
+        "ecfafc56a037453731ae6bccf309aa141f3c0308020273b6f5c5064ae961debf",
+        "c5df126b4e539c7adee4de7565d4a2c409673d5efefaf2995943e14508e37e05",
+    ),
+    "linear-noisy-memory/mid-quarter": (
+        "09ffac3a52381d3cf2e6e2a0c446dad589819ce7f9481a9645f898d823878300",
+        "71a57047e56df2f2b86f889597a88148fb618fa22bf4159780b6a167e8f15802",
+        "32e9105cdfcb99bc7154c19d7f75f244d2c8791bc25562c87c316e7e8a67cbf0",
+    ),
+    "linear-noisy-memory/per-path": (
+        "c129315d233d7c88c8cde17ed63c2693355dacaec549ce2a38b60ba6b822309d",
+        "8989bfce6fee015327efb10e1119c3ff9bb8780489229cb2b8180c8872ba2ad5",
+        "732471767b33ac795d87cf3cdc73545961511e983f6a884a247da20e125f7867",
+    ),
+    "linear-noisy-memory/zero": (
+        "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
+        "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
+        "09d70dfa508c78be6e37aecd90919b4e01452ff385a3329c4a7beaca85f291f5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WARM_DIGESTS))
+def test_routes_that_start_inside_the_horizon_are_pinned(case):
+    model, ens, ctrl, eta = _warm_case(case)
+    state = simulate_state(model, ctrl, ens)
+    kb = derivative_process(model, state, eta)
+    got = (
+        hashlib.sha256(directional_derivative_K(model, state, eta)[2].tobytes()).hexdigest(),
+        hashlib.sha256(finite_difference_derivative(model, ctrl, ens, eta)[2].tobytes()).hexdigest(),
+        hashlib.sha256(np.ascontiguousarray(kb.k).tobytes()
+                       + np.ascontiguousarray(kb.kz).tobytes()).hexdigest(),
+    )
+    assert got == _WARM_DIGESTS[case]
+
+
 # Traced peak of one H-route call in (n_paths, n+1) float buffers, at 4000
 # paths x 320 horizon steps.  Gradients built as full arrays peaked at 5.0.
 @pytest.mark.parametrize("name", ["linear_noisy_memory", "consumption"])
@@ -665,3 +801,25 @@ def test_hamiltonian_route_traced_peak(name):
     finally:
         tracemalloc.stop()
     assert peak / (8 * ens.n_paths * (g.n_horizon_steps + 1)) <= 2.5
+
+
+# Traced peak of one finite difference in (n_paths, n_nodes) float buffers, at
+# 4000 paths x 449 nodes.  The second sweep resumes from the one copy of the
+# first's carry, and the terminal payoffs are read after both sweeps are
+# freed.  Two sweeps from node 0 peaked at 0.36 (consumption) and 1.02
+# (linear-noisy-memory, whose lognormal terminal weight needs the most room).
+@pytest.mark.parametrize("name, bound", [("consumption", 0.75), ("linear_noisy_memory", 1.0)])
+def test_finite_difference_traced_peak(name, bound):
+    model = getattr(scenarios, name)()
+    g = make_grid(0.2, 1.0, 64)
+    ens = sample_ensemble(g, JumpSpec.none(), seed=3, n_paths=4000)
+    ctrl = ControlPath.constant(g, 3.0, control_set=model.control_set)
+    eta = probe_directions(g)[1][1]
+    finite_difference_derivative(model, ctrl, ens, eta)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        finite_difference_derivative(model, ctrl, ens, eta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * ens.n_paths * g.n_nodes) <= bound
