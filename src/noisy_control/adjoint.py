@@ -11,14 +11,16 @@ against each other:
 
 The bridge between the two (reconstructing the second martingale component
 q2 from a Malliavin window integral, and conversely lifting a 1D solution to
-the 2D system) is provided in both directions.
+the 2D system) is provided in both directions; the acceptance checks grade
+the closed form's q2 through bridge_1d_from_2d.
 
 Both routes and the bridge read the driver's noisy-memory window through one
 Chaos1WindowEngine, in blocks over the whole horizon: each engine method
 returns (rows, n+1), with the row count of the engine's f_paths (one row for
 a deterministic path), and the window blocks' terminal column is +0.0.  The
-engine carries its grid; every reader checks it against its other inputs and
-raises GridMismatch naming both.
+engine reads its grid, loading and growth rate from its first-chaos
+exponential F, the object the closed form's adjoint p is; every reader checks
+the grid against its other inputs and raises GridMismatch naming both.
 """
 
 from dataclasses import dataclass, field
@@ -87,30 +89,6 @@ def hamiltonian(model, t, x, y, z, u, p, q, r=None):
     return HamiltonianEval(value, tuple(grad))
 
 
-def hamiltonian_2d_relation(model, t, x1, y1, x2, y2, u, p1, q1, q2, r1=None):
-    """The reduced Hamiltonian H = Hcal(x1, y1, x2 - y2, u, p1, q1, r1) + x1 q2.
-
-    Returns (H_value, residual) where the residual compares the grouped form
-    against a term-by-term re-accumulation; it is zero up to rounding and
-    exists to certify the bookkeeping, not the math.
-    """
-    base = hamiltonian(model, t, x1, y1, x2 - y2, u, p1, q1, r1)
-    h_value = base.value + x1 * q2
-    z = x2 - y2
-    regrouped = (
-        (model.running_cost(t, x1, y1, z, u) + x1 * q2)
-        + model.drift(t, x1, y1, z, u) * p1
-        + model.diffusion(t, x1, y1, z, u) * q1
-    )
-    if model.has_jumps and r1 is not None:
-        r0, r1c = _r_pair(r1)
-        regrouped = regrouped + model.gamma.pair_nu_integral(
-            t, x1, y1, z, u, r0, r1c, model.jump_spec
-        )
-    residual = np.max(np.abs(h_value - regrouped))
-    return h_value, float(residual)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form solution of the linear noisy-memory backward equation
 
@@ -148,7 +126,8 @@ class AdjointTriple:
     """Adjoint processes on the horizon nodes.
 
     p, q: (n_paths, n+1); r: affine pair (r0, r1) or None; mu: the
-    conditional driver E[mu(t) | F_t] per node and path.
+    conditional driver E[mu(t) | F_t] per node and path; chaos: the
+    first-chaos exponential F that p is, for the closed form, else None.
     """
 
     grid: object
@@ -157,6 +136,7 @@ class AdjointTriple:
     r: object
     mu: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+    chaos: object = None
 
 
 @dataclass
@@ -221,8 +201,9 @@ def solve_linear_closed_form(spec, noise):
     C = exp(-int_0^T c ds) pinning p(T) to the terminal weight exp(int psi dB).
 
     Returns:
-        AdjointTriple with diagnostics A, alpha, beta, c, C and the terminal
-        mismatch max |p(T) - weight|.
+        AdjointTriple whose chaos is that exponential, with psi, its growth
+        rate alpha, c as drift_adjust and C as scale; diagnostics holds A and
+        the terminal mismatch max |p(T) - weight|.
 
     Raises:
         FixedPointDiverged: a non-finite value appeared in the backward sweep
@@ -255,23 +236,16 @@ def solve_linear_closed_form(spec, noise):
                 "A=%r, alpha=%r" % (i, grid.horizon_nodes[i], a_path[i], alpha[i])
             )
 
-    scale = float(np.exp(-h * c_path[:n].sum()))
-    p = Chaos1Exponential(grid, psi, c_path, scale=scale).paths(noise)
+    chaos = Chaos1Exponential(grid, psi, c_path, scale=np.exp(-h * c_path[:n].sum()))
+    p = chaos.paths(noise)
     q = psi[None, :] * p
     mu = (a_path + sigma0 * psi)[None, :] * p
 
     weight = np.exp((psi[:n] * noise.increments[:, grid.index_zero:]).sum(axis=1))
     terminal_residual = float(np.max(np.abs(p[:, -1] - weight)))
 
-    diagnostics = {
-        "A": a_path,
-        "alpha": alpha,
-        "beta": psi,
-        "c": c_path,
-        "C": scale,
-        "terminal_residual": terminal_residual,
-    }
-    return AdjointTriple(grid, p, q, None, mu, diagnostics)
+    diagnostics = {"A": a_path, "terminal_residual": terminal_residual}
+    return AdjointTriple(grid, p, q, None, mu, diagnostics, chaos)
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +264,36 @@ class Chaos1WindowEngine:
     discretization error.
 
     Args:
-        grid: TimeGrid.
-        psi, alpha, coeff: deterministic horizon-node arrays — the volatility
-            loading of F, its conditional growth rate, and the deterministic
-            factor in dH/dz.
+        chaos: the Chaos1Exponential F; its grid, volatility loading psi and
+            conditional growth rate alpha are the engine's.
+        coeff: the deterministic factor in dH/dz, one value per horizon node.
         f_paths: (rows, n+1) values of F on the horizon nodes.
+
+    Raises:
+        GridMismatch: coeff or f_paths is not on F's grid, naming both shapes.
     """
 
-    def __init__(self, grid, psi, alpha, coeff, f_paths):
-        self.grid = grid
-        self.psi = np.asarray(psi, dtype=float)
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.coeff = np.asarray(coeff, dtype=float)
+    def __init__(self, chaos, coeff, f_paths):
+        grid = chaos.grid
+        _require_grid(grid, f_paths=f_paths)
+        coeff = np.asarray(coeff, dtype=float)
+        if coeff.shape != (grid.n_horizon_steps + 1,):
+            raise GridMismatch("coeff of shape %r, but %r needs (%d,)"
+                               % (coeff.shape, grid, grid.n_horizon_steps + 1))
+        self.chaos = chaos
+        self.coeff = coeff
         self.f_paths = f_paths
+
+    @property
+    def grid(self):
+        return self.chaos.grid
 
     @classmethod
     def deterministic(cls, grid, values):
         """The engine of a deterministic dH/dz path: the one-row F = 1 with
         zero loading and zero growth, so its Malliavin windows are zero."""
-        values = np.asarray(values, dtype=float)
-        zero = np.zeros(values.shape)
-        return cls(grid, zero, zero, values, np.ones((1, values.shape[0])))
+        return cls(Chaos1Exponential(grid, 0.0, 0.0), values,
+                   np.ones((1, grid.n_horizon_steps + 1)))
 
     def values(self):
         """dH/dz on every node."""
@@ -330,7 +313,7 @@ class Chaos1WindowEngine:
         for k in range(n):
             end = min(k + grid.steps_per_delay, n)
             weights = None if plain else kernel.forward_weights(grid, iz + k, iz + end)
-            sums[k] = _window_sum(self.alpha, grid.step, k, end, self.coeff, weights)
+            sums[k] = _window_sum(self.chaos.alpha, grid.step, k, end, self.coeff, weights)
         out = np.zeros(self.f_paths.shape)
         out[:, :n] = self.f_paths[:, :n] * sums
         return out
@@ -339,7 +322,7 @@ class Chaos1WindowEngine:
         """Same windows over E[D_t dH/dz(s) | F_t] — the q2 reconstruction."""
         n = self.grid.n_horizon_steps
         out = self.conditional_windows(kernel)
-        out[:, :n] *= self.psi[:n]
+        out[:, :n] *= self.chaos.psi[:n]
         return out
 
     def advanced_conditionals(self):
@@ -348,7 +331,7 @@ class Chaos1WindowEngine:
         grid = self.grid
         m = grid.steps_per_delay
         count = max(grid.n_horizon_steps + 1 - m, 0)
-        growth = np.array([_window_growth(self.alpha, grid.step, k, k + m + 1)[-1]
+        growth = np.array([_window_growth(self.chaos.alpha, grid.step, k, k + m + 1)[-1]
                            for k in range(count)])
         out = np.zeros(self.f_paths.shape)
         out[:, :count] = self.coeff[m:] * growth * self.f_paths[:, :count]

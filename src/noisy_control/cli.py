@@ -363,9 +363,9 @@ def check_closed_form(model, cfg, grid, noise, closed):
         "deterministic_adjoint_shift": shift,
         "order_band": list(band),
         "mean_reversion_path": [float(v) for v in closed.diagnostics["A"]],
-        "window_growth_path": [float(v) for v in closed.diagnostics["alpha"]],
-        "log_drift_path": [float(v) for v in closed.diagnostics["c"]],
-        "normalization": float(closed.diagnostics["C"]),
+        "window_growth_path": [float(v) for v in closed.chaos.alpha],
+        "log_drift_path": [float(v) for v in closed.chaos.drift_adjust],
+        "normalization": closed.chaos.scale,
     }
 
 

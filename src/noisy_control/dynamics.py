@@ -104,34 +104,31 @@ class ControlPath:
     """Control values on the nodes of [0, horizon].
 
     values has shape (n_horizon_steps + 1,) for controls that are identical
-    across noise paths (always the case under the trivial information flow)
-    or (n_paths, n_horizon_steps + 1) for adapted per-path controls.
+    across noise paths or (n_paths, n_horizon_steps + 1) for adapted per-path
+    controls.  Which information flow a control is adapted to is the
+    optimality checks' information argument, not a property of the values.
     """
 
-    def __init__(self, grid, values, information="trivial", control_set=None):
-        if information not in ("full", "trivial"):
-            raise ValueError("information must be 'full' or 'trivial'")
+    def __init__(self, grid, values, control_set=None):
         values = np.asarray(values, dtype=float)
         width = grid.n_horizon_steps + 1
         if values.ndim == 0:
             values = np.full(width, float(values))
-        if values.shape[-1] != width:
-            raise ValueError("control needs one value per node of [0, horizon]")
-        if information == "trivial" and values.ndim != 1:
-            raise ValueError("trivial-information controls are one value per node")
+        if values.ndim > 2 or values.shape[-1] != width:
+            raise ValueError("control of shape %r: need (%d,) or (n_paths, %d), one value "
+                             "per node of [0, horizon]" % (values.shape, width, width))
         if control_set is not None and not control_set.contains(values):
             raise OutOfControlSet(
                 "control leaves the admissible interval %r" % (control_set,)
             )
         self.grid = grid
         self.values = values
-        self.information = information
         self.control_set = control_set
         self.values.flags.writeable = False
 
     @classmethod
-    def constant(cls, grid, v, information="trivial", control_set=None):
-        return cls(grid, np.full(grid.n_horizon_steps + 1, float(v)), information, control_set)
+    def constant(cls, grid, v, control_set=None):
+        return cls(grid, np.full(grid.n_horizon_steps + 1, float(v)), control_set)
 
     def rows(self):
         """values with a leading path axis (size 1 when shared across paths)."""
@@ -144,10 +141,7 @@ class ControlPath:
         OutOfControlSet.
         """
         direction = np.asarray(direction, dtype=float)
-        info = self.information
-        if direction.ndim == 2 or self.values.ndim == 2:
-            info = "full"
-        return ControlPath(self.grid, self.values + s * direction, info, self.control_set)
+        return ControlPath(self.grid, self.values + s * direction, self.control_set)
 
 
 class DeterministicTerminal:
@@ -666,6 +660,19 @@ def _state_carry(model, noise, keep_prefix=False, cost=False):
                   kernel=model.kernel, ring=cost, keep_prefix=keep_prefix, cost=cost)
 
 
+def _control_rows(control, noise):
+    """control.rows(), refused with GridMismatch unless the control is on
+    noise's grid with 1 or n_paths rows."""
+    if control.grid != noise.grid:
+        raise GridMismatch("control grid %r vs noise grid %r" % (control.grid, noise.grid))
+    rows = control.rows()
+    if rows.shape[0] not in (1, noise.n_paths):
+        raise GridMismatch("control of shape %r on paths of shape %r; need 1 or %d rows"
+                           % (control.values.shape, (noise.n_paths, rows.shape[1]),
+                              noise.n_paths))
+    return rows
+
+
 def _state_sweep(model, control, noise, carry, stop=None):
     """_sweep of the state equation of `model` under `control` on `noise`, from `carry`.
 
@@ -674,14 +681,13 @@ def _state_sweep(model, control, noise, carry, stop=None):
     control is shared across paths.
 
     Raises:
-        GridMismatch: control and noise grids differ.
+        GridMismatch: the control is on another grid than the noise, or
+            has neither 1 nor n_paths rows.
         NonFiniteState: the state left the finite range.
     """
     grid = noise.grid
-    if control.grid != grid:
-        raise GridMismatch("control grid %r vs noise grid %r" % (control.grid, grid))
     m = grid.steps_per_delay
-    u_rows = control.rows()
+    u_rows = _control_rows(control, noise)
     cost = carry.cost
 
     def step(k, xk, yk, zk):
@@ -713,7 +719,8 @@ def simulate_state(model, control, noise, _expose_prefix=False):
         StateBundle with one row per path.
 
     Raises:
-        GridMismatch: control and noise grids differ.
+        GridMismatch: the control is on another grid than the noise, or
+            has neither 1 nor n_paths rows.
         NonFiniteState: the state left the finite range (step and time attached).
     """
     grid = noise.grid
@@ -770,7 +777,8 @@ def evaluate_performance(model, control, noise, state=None):
     already held.
 
     Raises:
-        GridMismatch: control and noise grids differ (without `state`).
+        GridMismatch: the control is on another grid than the noise, or
+            has neither 1 nor n_paths rows.
         NonFiniteState: the state left the finite range (without `state`).
     """
     if state is None:
@@ -778,7 +786,7 @@ def evaluate_performance(model, control, noise, state=None):
     else:
         grid = state.grid
         n = grid.n_horizon_steps
-        u_rows = control.rows()
+        u_rows = _control_rows(control, state.noise)
         t_hor = grid.horizon_nodes
         zmem = state.memory_arg
         cost = np.zeros(state.n_paths)

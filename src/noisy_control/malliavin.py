@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _mean_se
-from .errors import OffGrid
 from .paths import JumpSpec, sample_ensemble
 
 
@@ -77,19 +76,22 @@ class Chaos1Exponential:
         """E[F(T)] in closed form."""
         return self.scale * float(np.exp(self._log_tail_growth[0]))
 
-    def conditional_terminal(self, noise, k, f_paths=None):
-        """E[F(T) | F_{t_k}] per path (k is a horizon-node index)."""
+    def conditional_terminals(self, noise, f_paths=None):
+        """E[F(T) | F_{t_k}] on every horizon node, shape (rows, n+1).
+
+        f_paths, F on the horizon nodes of noise, is computed when not given.
+        """
         if f_paths is None:
             f_paths = self.paths(noise)
-        return f_paths[:, k] * np.exp(self._log_tail_growth[k])
+        return f_paths * np.exp(self._log_tail_growth)
 
-    def growth(self, j, k):
-        """Deterministic factor with E[F(t_k)|F_{t_j}] = F(t_j) * growth(j, k)."""
-        return float(np.exp(self._log_tail_growth[j] - self._log_tail_growth[k]))
-
-    def conditional_malliavin_terminal(self, noise, k, f_paths=None):
-        """E[D_{t_k} F(T) | F_{t_k}] = psi(t_k) E[F(T)|F_{t_k}] per path."""
-        return self.psi[k] * self.conditional_terminal(noise, k, f_paths)
+    def conditional_malliavin_terminals(self, noise, f_paths=None):
+        """E[D_{t_k} F(T) | F_{t_k}] = psi(t_k) E[F(T) | F_{t_k}] on every
+        horizon node, shape (rows, n+1), scaled in the buffer of
+        conditional_terminals."""
+        block = self.conditional_terminals(noise, f_paths)
+        block *= self.psi
+        return block
 
 
 class BrownianTerminal:
@@ -108,30 +110,9 @@ class BrownianTerminal:
     def mean_terminal(self):
         return 0.0
 
-    def conditional_malliavin_terminal(self, noise, k, f_paths=None):
-        return np.ones(noise.n_paths)
-
-
-def _horizon_index(grid, t):
-    k = grid.index_of(t)
-    if k < grid.index_zero:
-        raise OffGrid("time %r lies before 0; the functional lives on [0, T]" % (t,))
-    return k - grid.index_zero
-
-
-def chaos1_malliavin(f_spec, noise, t, s):
-    """Malliavin derivative D_t F(s) for a chaos-1 exponential, per path.
-
-    Equals F(s) * psi(t) for t <= s and zero afterwards (the functional is
-    adapted, so differentiating in a direction after s has no effect).
-    """
-    grid = f_spec.grid
-    kt = _horizon_index(grid, t)
-    ks = _horizon_index(grid, s)
-    f_paths = f_spec.paths(noise)
-    if kt > ks:
-        return np.zeros(f_paths.shape[0])
-    return f_paths[:, ks] * f_spec.psi[kt]
+    def conditional_malliavin_terminals(self, noise, f_paths=None):
+        """E[D_{t_k} F | F_{t_k}] = 1 on every horizon node, shape (n_paths, n+1)."""
+        return np.ones((noise.n_paths, self.grid.n_horizon_steps + 1))
 
 
 @dataclass
@@ -192,10 +173,11 @@ def duality_check(f_spec, phi, n_paths, seed):
     ito = (phi_vals * incr).sum(axis=1)
     lhs_samples = f_terminal * ito
 
+    # one integrand block for every node; each path still adds them in node order
+    cond = f_spec.conditional_malliavin_terminals(noise, f_paths)
     rhs_samples = np.zeros(n_paths)
     for k in range(n):
-        cond = f_spec.conditional_malliavin_terminal(noise, k, f_paths)
-        rhs_samples += cond * phi_vals[:, k]
+        rhs_samples += cond[:, k] * phi_vals[:, k]
     rhs_samples *= h
 
     lhs, lhs_se = _mean_se(lhs_samples)
@@ -226,12 +208,16 @@ def clark_ocone_residual(f_spec, noise, scheme="corrected"):
     # F's paths are built once: the terminal is their last column
     f_paths = f_spec.paths(noise) if isinstance(f_spec, Chaos1Exponential) else None
     terminal = f_spec.terminal(noise) if f_paths is None else f_paths[:, -1]
+    cond = f_spec.conditional_malliavin_terminals(noise, f_paths)
+    corrected = scheme == "corrected" and isinstance(f_spec, Chaos1Exponential)
+    if corrected:
+        # the quadratic-variation weight 0.5 psi^2 E[F(T) | F_t] of each step
+        qv = f_spec.conditional_terminals(noise, f_paths)
+        qv *= 0.5 * f_spec.psi**2
     recon = np.full(incr.shape[0], f_spec.mean_terminal())
     for k in range(n):
-        cond = f_spec.conditional_malliavin_terminal(noise, k, f_paths)
-        recon = recon + cond * incr[:, k]
-        if scheme == "corrected" and isinstance(f_spec, Chaos1Exponential):
-            cond_f = f_spec.conditional_terminal(noise, k, f_paths)
-            recon = recon + 0.5 * f_spec.psi[k] ** 2 * cond_f * (incr[:, k] ** 2 - h)
+        recon = recon + cond[:, k] * incr[:, k]
+        if corrected:
+            recon = recon + qv[:, k] * (incr[:, k] ** 2 - h)
     return np.abs(terminal - recon)
 

@@ -266,7 +266,9 @@ def check_necessary_I(control, adjoint, model, state, information="trivial", tol
     standardized mean (threshold 3); under full information it is the largest
     pathwise |dH/du| against the deterministic tolerance.  The report also
     carries the induced directional derivatives over the probe battery, which
-    is the equivalent integral form of the same condition.
+    is the equivalent integral form of the same condition.  information
+    names the controller's flow G_t = E_t, a sub-flow of F_t: "trivial" or
+    "full".
     """
     dhu = control_partial_paths(model, state, adjoint)
     vacuous = model.control_set.is_singleton
@@ -509,7 +511,7 @@ def spike_perturbation(base, t0, width, v, control_set=None, event_mask=None):
     """Replace the control by the constant v on [t0, t0 + width).
 
     With an event_mask (boolean per path), only the flagged paths are
-    modified and the result uses the full information model; the caller is
+    modified and the result is a per-path control; the caller is
     responsible for the mask being measurable at t0.  Zero width returns the
     base control unchanged.
     """
@@ -532,10 +534,10 @@ def spike_perturbation(base, t0, width, v, control_set=None, event_mask=None):
     if event_mask is None:
         values = np.array(base.values, copy=True)
         values[..., k0 : k0 + kw] = v
-        return ControlPath(grid, values, information=base.information, control_set=cs)
+        return ControlPath(grid, values, control_set=cs)
     mask = np.asarray(event_mask, dtype=bool)
     rows = np.array(base.rows(), copy=True)
     if rows.shape[0] == 1 and mask.shape[0] > 1:
         rows = np.repeat(rows, mask.shape[0], axis=0)
     rows[mask, k0 : k0 + kw] = v
-    return ControlPath(grid, rows, information="full", control_set=cs)
+    return ControlPath(grid, rows, control_set=cs)

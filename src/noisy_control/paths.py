@@ -309,13 +309,6 @@ class NoiseEnsemble:
                            minlength=self.jump_counts.size)
         return sums.reshape(self.jump_counts.shape)
 
-    def with_bumped_increment(self, step_index, bump):
-        """Copy with the Brownian increment of one step shifted by `bump`
-        (a scalar or one value per path)."""
-        incr = self.increments.copy()
-        incr[:, step_index] += bump
-        return NoiseEnsemble(self.grid, incr, self.jump_counts, self.jump_marks)
-
 
 def _jump_cells(counts):
     """Flat (path, step) cell of every jump, path-major then step-major: the

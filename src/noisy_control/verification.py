@@ -78,16 +78,23 @@ def closed_form(model, noise):
 
 
 def window_engine(model, grid, closed):
-    """dH/dz window engine matching the scenario's volatility loading."""
+    """dH/dz = a0 p window engine on the closed form's F, or the deterministic
+    one when the scenario's volatility loading vanishes."""
     spec = model.linear_spec
     a0 = float(spec.a0)
     if spec.psi_vanishes(grid):
         return adjoint_mod.Chaos1WindowEngine.deterministic(grid, a0 * closed.p[0])
-    psi = closed.diagnostics["beta"]  # psi on the horizon nodes of grid
     return adjoint_mod.Chaos1WindowEngine(
-        grid, psi, closed.diagnostics["alpha"],
-        coeff=np.full(psi.shape, a0), f_paths=closed.p,
-    )
+        closed.chaos, np.full(grid.n_horizon_steps + 1, a0), closed.p)
+
+
+def closed_form_2d(model, closed):
+    """The closed form as the 2D system the bridge audits: (p1, q1, mu1) =
+    (p, q, mu) and q2 = (A - a1) p; it gives no p2, r or mu2."""
+    a1 = float(model.linear_spec.a1)
+    q2 = (closed.diagnostics["A"] - a1)[None, :] * closed.p
+    return adjoint_mod.Adjoint2D(closed.grid, closed.p, None, closed.q, q2, None, None,
+                                 closed.mu, None)
 
 
 def dhx(model, grid, closed):
@@ -128,11 +135,13 @@ def residual_order(model, fine_noise, control_value):
 
 
 def bridge_deviations(model, grid, closed):
-    """1D <-> 2D bridge: (q2 window reconstruction dev, mu assembly dev)."""
+    """1D <-> 2D bridge: (q2 window reconstruction dev, mu assembly dev).
+
+    The first is bridge_1d_from_2d's audit of the closed form's 2D adjoint.
+    """
     engine = window_engine(model, grid, closed)
-    a1 = float(model.linear_spec.a1)
-    q2_closed = (closed.diagnostics["A"] - a1)[None, :] * closed.p
-    q2_dev = float(np.max(np.abs(q2_closed - engine.malliavin_windows())))
+    # [1] alone: the collapsed triple, holding the reconstruction, dies here
+    q2_dev = adjoint_mod.bridge_1d_from_2d(closed_form_2d(model, closed), engine)[1]
     mu_bridge = adjoint_mod.mu_generalized(dhx(model, grid, closed), None, engine)
     mu_dev = float(np.max(np.abs(mu_bridge - closed.mu)))
     return q2_dev, mu_dev
@@ -237,14 +246,12 @@ def criterion_3_bridge(seed=0, profile="full"):
     q2_dev, mu_dev = bridge_deviations(model, grid, closed_form(model, noise))
 
     # psi = 0 limit: the window correction vanishes identically on both routes
-    # (an engine with zero loading on the per-path F = p, where window_engine
-    # would pick the deterministic one-row F = 1)
+    # (an engine on the closed form's zero-loading F and per-path F = p, where
+    # window_engine would pick the deterministic one-row F = 1)
     m_flat = scenarios.linear_noisy_memory(psi=0.0)
     tr_flat = closed_form(m_flat, noise)
-    eng_flat = adjoint_mod.Chaos1WindowEngine(
-        grid, np.zeros(n + 1), tr_flat.diagnostics["alpha"], 0.5 * np.ones(n + 1), tr_flat.p
-    )
-    q2_flat = float(np.max(np.abs((tr_flat.diagnostics["A"] - 0.3)[None, :] * tr_flat.p)))
+    eng_flat = adjoint_mod.Chaos1WindowEngine(tr_flat.chaos, 0.5 * np.ones(n + 1), tr_flat.p)
+    q2_flat = float(np.max(np.abs(closed_form_2d(m_flat, tr_flat).q2)))
     recon_flat = float(np.max(np.abs(eng_flat.malliavin_windows())))
     statistic = max(q2_dev, mu_dev)
     passed = statistic <= 1e-10 and q2_flat == 0.0 and recon_flat == 0.0
@@ -487,7 +494,7 @@ def _mini_report(seed):
         "terminal_mean": float(state.terminal_x.mean()),
         "p0_mean": float(closed.p[:, 0].mean()),
         "performance": [float(j_value), float(j_se)],
-        "alpha_head": [float(v) for v in closed.diagnostics["alpha"][:4]],
+        "alpha_head": [float(v) for v in closed.chaos.alpha[:4]],
     }
     return _canonical_json(payload).encode()
 

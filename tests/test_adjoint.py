@@ -17,7 +17,6 @@ from noisy_control.adjoint import (
     bridge_1d_from_2d,
     bsde_residual_1d,
     hamiltonian,
-    hamiltonian_2d_relation,
     lift_2d_from_1d,
     mu_generalized,
     solve_absde_2d,
@@ -42,14 +41,9 @@ def _closed(model, noise):
     return solve_linear_closed_form(LinearBSDESpec.from_model(model), noise)
 
 
-def _chaos_engine(model, closed, grid=GRID):
-    n1 = grid.n_horizon_steps + 1
-    psi = np.broadcast_to(
-        np.asarray(model.linear_spec.psi(grid.horizon_nodes), dtype=float), (n1,)
-    )
+def _chaos_engine(model, closed):
     return Chaos1WindowEngine(
-        grid, psi, closed.diagnostics["alpha"],
-        coeff=np.full(n1, model.linear_spec.a0), f_paths=closed.p,
+        closed.chaos, np.full(closed.grid.n_horizon_steps + 1, model.linear_spec.a0), closed.p
     )
 
 
@@ -77,14 +71,6 @@ def test_hamiltonian_jump_pairing():
     assert ev_with.value - ev_none.value == pytest.approx(expected)
 
 
-def test_hamiltonian_2d_relation_residual_is_rounding():
-    model = scenarios.linear_noisy_memory()
-    _, residual = hamiltonian_2d_relation(
-        model, 0.3, x1=1.2, y1=0.9, x2=0.8, y2=0.3, u=1.1, p1=1.4, q1=0.2, q2=0.6
-    )
-    assert residual <= 1e-12
-
-
 def test_closed_form_terminal_condition_and_q():
     model = scenarios.linear_noisy_memory()
     ens = sample_ensemble(GRID, JumpSpec.none(), seed=0, n_paths=200)
@@ -105,6 +91,32 @@ def test_closed_form_limits():
 
     no_memory = _closed(scenarios.linear_noisy_memory(a0=0.0), ens)
     assert np.max(np.abs(no_memory.diagnostics["A"] - 0.3)) <= 1e-12
+
+
+# sha256 of the closed form's p, q, mu, A and of its F's alpha, drift_adjust
+# (c) and scale (C) at 40 paths, seed 24, recorded when alpha, c and C were
+# diagnostics entries
+_CLOSED_FORM_DIGESTS = {
+    (0.1, 8): "3f9913ee5dc3dfab583b4d511e470eab5efb03c8aed7830df433422a7f457b6f",
+    (0.1, 64): "531d87f52bce8e3681c87cd85a216ad0e8e750d912ff6275d355d46d7d90154d",
+    (0.0, 8): "e8e50780e09054a9c73bcfc3c7fb80ec56e15280a0401ec356e45c8aaa0f0dbc",
+    (0.0, 64): "387c254f825c84a8e735895e6f82973cec70d46e3304a712a3e81c23c0300fb8",
+}
+
+
+@pytest.mark.parametrize("psi, m", sorted(_CLOSED_FORM_DIGESTS))
+def test_closed_form_and_its_chaos_are_pinned(psi, m):
+    grid = make_grid(0.2, 1.0, m)
+    ens = sample_ensemble(grid, JumpSpec.none(), seed=24, n_paths=40)
+    closed = _closed(scenarios.linear_noisy_memory(psi=psi), ens)
+    assert sorted(closed.diagnostics) == ["A", "terminal_residual"]
+    chaos = closed.chaos
+    assert chaos.grid == grid and np.array_equal(chaos.paths(ens), closed.p)
+    h = hashlib.sha256()
+    for a in (closed.p, closed.q, closed.mu, closed.diagnostics["A"], chaos.alpha,
+              chaos.drift_adjust, np.float64(chaos.scale)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == _CLOSED_FORM_DIGESTS[psi, m]
 
 
 def test_closed_form_rejects_wrong_grid():
@@ -241,7 +253,7 @@ def _absde_case(case, m, n_paths, seed):
     if case == "per-path-control":
         nodes = grid.horizon_nodes
         u = 1.0 + 0.1 * np.cos(np.arange(n_paths)[:, None] + 7.0 * nodes[None, :])
-        ctrl = ControlPath(grid, u, information="full", control_set=model.control_set)
+        ctrl = ControlPath(grid, u, control_set=model.control_set)
     else:
         ctrl = ControlPath.constant(grid, 1.0, control_set=model.control_set)
     return model, reduce_2d(model, ctrl, ens)
@@ -319,7 +331,7 @@ def _on_grid(model, m):
     ens = sample_ensemble(grid, JumpSpec.none(), seed=5, n_paths=50)
     closed = _closed(model, ens)
     ctrl = ControlPath.constant(grid, 1.0, control_set=model.control_set)
-    return SimpleNamespace(closed=closed, engine=_chaos_engine(model, closed, grid), ctrl=ctrl,
+    return SimpleNamespace(closed=closed, engine=_chaos_engine(model, closed), ctrl=ctrl,
                            state=simulate_state(model, ctrl, ens))
 
 
@@ -338,6 +350,8 @@ _MISMATCHED = {
     "check_necessary_I": lambda md, a, b: check_necessary_I(a.ctrl, b.closed, md, a.state),
     "check_necessary_II": lambda md, a, b: check_necessary_II(a.ctrl, b.closed, md, a.state),
     "check_sufficient": lambda md, a, b: check_sufficient(a.ctrl, b.closed, md, a.state),
+    "Chaos1WindowEngine": lambda md, a, b: Chaos1WindowEngine(
+        b.closed.chaos, b.engine.coeff, a.closed.p),
 }
 
 
@@ -355,8 +369,9 @@ def test_inputs_on_another_grid_are_typed(call):
 
 
 def test_row_counts_and_dhy_off_the_engine_grid_are_typed():
-    """An adjoint with another number of paths than the state, or a dH/dy off
-    the engine's grid, is a GridMismatch naming both shapes."""
+    """An adjoint with another number of paths than the state, or a dH/dy or
+    an engine coeff off the engine's grid, is a GridMismatch naming both
+    shapes."""
     model = scenarios.linear_noisy_memory()
     a = _on_grid(model, 8)  # 50 paths
     closed_30 = _closed(model, sample_ensemble(a.state.grid, JumpSpec.none(), seed=6, n_paths=30))
@@ -372,6 +387,11 @@ def test_row_counts_and_dhy_off_the_engine_grid_are_typed():
     # one row, or one per path, is what the routes read
     one_row = AdjointTriple(a.state.grid, a.closed.p[:1], a.closed.q[:1], None, None, {})
     assert control_partial_paths(model, a.state, one_row).shape == (50, 41)
+    # an engine's deterministic factor needs one value per node of its F's grid
+    with pytest.raises(GridMismatch, match=r"coeff of shape \(81,\).*needs \(41,\)"):
+        Chaos1WindowEngine(a.closed.chaos, np.ones(81), a.closed.p)
+    with pytest.raises(GridMismatch, match=r"coeff of shape \(81,\)"):
+        Chaos1WindowEngine.deterministic(a.state.grid, np.ones(81))
 
 
 # Traced peak of one call in (n_paths, n+1) float buffers, at 4000 paths x 40
@@ -416,7 +436,7 @@ def test_delay_past_the_horizon_advances_nothing():
     model = scenarios.linear_noisy_memory(delta=2.0)
     ens = sample_ensemble(grid, JumpSpec.none(), seed=9, n_paths=100)
     closed = _closed(model, ens)
-    engine = _chaos_engine(model, closed, grid)
+    engine = _chaos_engine(model, closed)
     ctrl = ControlPath.constant(grid, 1.0, control_set=model.control_set)
     state = simulate_state(model, ctrl, ens)
     triple = AdjointTriple(grid, closed.p, closed.q, None, closed.mu, {})
@@ -509,7 +529,8 @@ def test_lift_p2_matches_conditional_window_values():
     n = GRID.n_horizon_steps
     assert np.all(lifted.p2[:, n] == 0.0)  # empty window at the terminal node
     k = 5
-    growth = np.exp(np.concatenate([[0.0], np.cumsum(engine.alpha[k + 1 : k + 8] * GRID.step)]))
+    alpha = engine.chaos.alpha
+    growth = np.exp(np.concatenate([[0.0], np.cumsum(alpha[k + 1 : k + 8] * GRID.step)]))
     window = GRID.step * (engine.coeff[k : k + 8] * growth).sum()
     assert np.allclose(lifted.p2[:, k], closed.p[:, k] * window, rtol=1e-15, atol=0.0)
 

@@ -29,7 +29,7 @@ from noisy_control.errors import (
     OutOfControlSet,
 )
 from noisy_control.maxprinciple import derivative_process, probe_directions
-from noisy_control.paths import JumpSpec, coarsen, make_grid, sample_ensemble
+from noisy_control.paths import JumpSpec, NoiseEnsemble, coarsen, make_grid, sample_ensemble
 
 
 def _frozen_state_model(xi0=1.0):
@@ -169,6 +169,13 @@ def test_constant_cost_integrates_to_horizon_exactly():
     assert se == 0.0
 
 
+def _bumped(noise, step, bump):
+    """noise with the Brownian increment of one step shifted by bump."""
+    incr = noise.increments.copy()
+    incr[:, step] += bump
+    return NoiseEnsemble(noise.grid, incr, noise.jump_counts, noise.jump_marks)
+
+
 def test_state_is_adapted_to_the_driving_noise():
     """Bumping a Brownian increment must not move the state before that step."""
     model = scenarios.linear_noisy_memory()
@@ -177,7 +184,7 @@ def test_state_is_adapted_to_the_driving_noise():
     ctrl = ControlPath.constant(g, 1.0, control_set=model.control_set)
     base = simulate_state(model, ctrl, noise)
     step = g.index_zero + 12
-    bumped = simulate_state(model, ctrl, noise.with_bumped_increment(step, 0.3))
+    bumped = simulate_state(model, ctrl, _bumped(noise, step, 0.3))
     assert np.array_equal(base.x[:, : step + 1], bumped.x[:, : step + 1])
     assert not np.array_equal(base.x[:, step + 1 :], bumped.x[:, step + 1 :])
 
@@ -232,6 +239,29 @@ def test_control_set_and_path_validation():
         path.shifted_by(np.ones(g.n_horizon_steps + 1), 5.0)
     with pytest.raises(ValueError):
         ControlPath(g, np.ones(7))
+
+
+def test_controls_of_more_than_two_dimensions_are_refused():
+    g = make_grid(0.2, 1.0, 8)
+    with pytest.raises(ValueError, match=r"control of shape \(2, 4, 41\)"):
+        ControlPath(g, np.ones((2, 4, 41)))
+    assert ControlPath(g, np.ones((4, 41))).rows().shape == (4, 41)
+
+
+def test_control_row_counts_off_the_paths_are_typed():
+    """A per-path control needs 1 or n_paths rows; otherwise the state and
+    the performance raise GridMismatch naming both shapes, not numpy's
+    broadcast error."""
+    g = make_grid(0.2, 1.0, 8)
+    model = scenarios.linear_noisy_memory()
+    ens = sample_ensemble(g, JumpSpec.none(), seed=8, n_paths=4)
+    state = simulate_state(model, ControlPath.constant(g, 1.0), ens)
+    three = ControlPath(g, np.ones((3, 41)))
+    for call in (lambda: simulate_state(model, three, ens),
+                 lambda: evaluate_performance(model, three, ens),
+                 lambda: evaluate_performance(model, three, ens, state=state)):
+        with pytest.raises(GridMismatch, match=r"\(3, 41\) on paths of shape \(4, 41\)"):
+            call()
 
 
 def test_exploding_state_raises_with_step_info():
@@ -439,7 +469,7 @@ def _performance_case(case, g):
     ens = sample_ensemble(g, spec, seed=5, n_paths=200)
     if case == "custom-affine-full":
         values = np.random.default_rng(1).uniform(-1, 1, (200, g.n_horizon_steps + 1))
-        ctrl = ControlPath(g, values, "full", model.control_set)
+        ctrl = ControlPath(g, values, model.control_set)
     else:
         ctrl = ControlPath.constant(g, 1.0, control_set=model.control_set)
     return model, ctrl, ens

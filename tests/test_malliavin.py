@@ -1,13 +1,13 @@
 """First-chaos functionals: closed forms, duality, and reconstruction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from noisy_control.errors import OffGrid
 from noisy_control.malliavin import (
     BrownianTerminal,
     Chaos1Exponential,
-    chaos1_malliavin,
     clark_ocone_residual,
     duality_check,
 )
@@ -40,26 +40,15 @@ def test_chaos1_conditional_growth():
     g = _grid()
     f = Chaos1Exponential(g, 0.1, 0.05)  # not a martingale: alpha = 0.055
     alpha = 0.05 + 0.5 * 0.1**2
-    assert f.growth(0, g.n_horizon_steps) == pytest.approx(np.exp(alpha * 1.0))
+    assert f.mean_terminal() == pytest.approx(np.exp(alpha * 1.0))
     ens = sample_ensemble(g, JumpSpec.none(), seed=1, n_paths=10)
-    k = 12
-    cond = f.conditional_terminal(ens, k)
-    remaining = 1.0 - g.horizon_nodes[k]
-    assert np.allclose(cond, f.paths(ens)[:, k] * np.exp(alpha * remaining), rtol=1e-13)
-
-
-def test_chaos1_malliavin_is_psi_times_future_value():
-    g = _grid()
-    f = Chaos1Exponential(g, lambda t: 0.2 * (1.0 - 0.5 * t), 0.0)
-    ens = sample_ensemble(g, JumpSpec.none(), seed=2, n_paths=6)
-    d = chaos1_malliavin(f, ens, t=0.25, s=0.75)
-    ks = g.index_of(0.75) - g.index_zero
-    kt = g.index_of(0.25) - g.index_zero
-    assert np.allclose(d, f.paths(ens)[:, ks] * f.psi[kt], rtol=0, atol=0)
-    # directions after s do nothing
-    assert np.all(chaos1_malliavin(f, ens, t=0.8, s=0.75) == 0.0)
-    with pytest.raises(OffGrid):
-        chaos1_malliavin(f, ens, t=-0.1, s=0.5)
+    cond = f.conditional_terminals(ens)
+    remaining = 1.0 - g.horizon_nodes
+    assert cond.shape == (10, g.n_horizon_steps + 1)
+    assert np.allclose(cond, f.paths(ens) * np.exp(alpha * remaining), rtol=1e-13)
+    assert np.array_equal(cond[:, -1], f.terminal(ens))
+    # D_t F(T) = psi(t) F(T), conditioned like F(T) itself
+    assert np.array_equal(f.conditional_malliavin_terminals(ens), cond * 0.1)
 
 
 def test_duality_flat_fixture():
@@ -148,6 +137,25 @@ def test_duality_calls_a_callable_weight_with_the_ensemble():
     assert abs(res.z_score) <= 4.0
     # rhs is about psi * T * E[phi] = 0.1 * 0.75
     assert res.rhs == pytest.approx(0.075, rel=0.02)
+
+
+# sha256 of the per-path residuals at 2000 paths, seed 5, psi = 0.1 (a
+# martingale), recorded with the per-node integrand these blocks replaced
+_CLARK_OCONE_DIGESTS = {
+    ("corrected", 8): "3eeb9abf52f610202b44c0ec65c9be51c1b75b212c27940370b0696c472e25d9",
+    ("corrected", 16): "652675be0c360b43c182719749c0e924fbba839ae5ef146373889fbf32dc82dd",
+    ("euler", 8): "18f0a2bded4816357eddf46394a4be524d8f8de75afaefa2247a8b56eefbf440",
+    ("euler", 16): "f5340f9dbb64474205c4af32e45dc4181a61e4e9487b484b02322992387609b9",
+}
+
+
+@pytest.mark.parametrize("scheme, m", sorted(_CLARK_OCONE_DIGESTS))
+def test_clark_ocone_residuals_are_pinned(scheme, m):
+    g = make_grid(0.2, 1.0, m)
+    f = Chaos1Exponential(g, 0.1, -0.5 * 0.1**2)
+    ens = sample_ensemble(g, JumpSpec.none(), seed=5, n_paths=2000)
+    res = clark_ocone_residual(f, ens, scheme=scheme)
+    assert hashlib.sha256(res.tobytes()).hexdigest() == _CLARK_OCONE_DIGESTS[scheme, m]
 
 
 def test_clark_ocone_zero_loading_reconstructs_exactly():

@@ -183,7 +183,7 @@ def test_probe_directions_battery():
 def test_solve_foc_inverts_log_utility():
     model = scenarios.consumption()
     ustar = solve_foc(model, P_EXACT[None, :], GRID)
-    assert ustar.information == "trivial"
+    assert ustar.values.shape == (GRID.n_horizon_steps + 1,)  # one value per node
     assert np.max(np.abs(ustar.values - 1.0 / P_EXACT)) <= 1e-10
     assert not np.any(ustar.clamped)
 
@@ -222,8 +222,8 @@ def test_spike_perturbation_event_mask():
     base = ControlPath.constant(GRID, 1.0, control_set=scenarios.consumption().control_set)
     mask = np.array([True, False, True, False])
     spiked = spike_perturbation(base, 0.5, 0.125, 3.0, event_mask=mask)
-    assert spiked.information == "full"
     rows = spiked.rows()
+    assert rows.shape == (4, GRID.n_horizon_steps + 1)
     k0 = GRID.index_of(0.5) - GRID.index_zero
     assert np.all(rows[mask, k0] == 3.0)
     assert np.all(rows[~mask, k0] == 1.0)
@@ -239,8 +239,7 @@ def test_necessary_I_accepts_the_optimizer_and_rejects_others():
     assert at_opt.passed
     assert not at_opt.vacuous
 
-    off = ControlPath(GRID, 1.5 * np.asarray(ustar.values), information="trivial",
-                      control_set=model.control_set)
+    off = ControlPath(GRID, 1.5 * np.asarray(ustar.values), control_set=model.control_set)
     state_off = simulate_state(model, off, ens)
     at_off = check_necessary_I(off, adjoint, model, state_off)
     assert not at_off.passed

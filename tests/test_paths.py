@@ -172,19 +172,6 @@ def test_nu_expectation_matches_moments():
     assert vec[0] == pytest.approx(spec.levy_moment(1))
 
 
-def test_with_bumped_increment_is_local():
-    g = make_grid(0.2, 1.0, 8)
-    noise = sample_ensemble(g, JumpSpec.none(), seed=4, n_paths=1)
-    bumped = noise.with_bumped_increment(10, 0.5)
-    assert bumped.increments[0, 10] == noise.increments[0, 10] + 0.5
-    mask = np.ones(g.n_steps, dtype=bool)
-    mask[10] = False
-    assert np.array_equal(bumped.increments[:, mask], noise.increments[:, mask])
-    # the original is immutable
-    with pytest.raises(ValueError):
-        noise.increments[0, 0] = 1.0
-
-
 def test_ensemble_shape_contract():
     """Arrays are (n_paths, n_steps), read-only and C-contiguous; a path is a row view."""
     g = make_grid(0.2, 1.0, 4)
@@ -229,6 +216,13 @@ def _bits(arr):
     return np.ascontiguousarray(arr).tobytes()
 
 
+def _bumped(noise, step, bump):
+    """noise with the Brownian increment of one step shifted by bump."""
+    incr = noise.increments.copy()
+    incr[:, step] += bump
+    return NoiseEnsemble(noise.grid, incr, noise.jump_counts, noise.jump_marks)
+
+
 def test_time_major_companions(monkeypatch):
     """Built on first request, once per ensemble; never by sampling or duality_check."""
     g = make_grid(0.2, 1.0, 4)
@@ -247,7 +241,7 @@ def test_time_major_companions(monkeypatch):
     assert ens.increments.flags.c_contiguous and ens.increments.shape == (5, g.n_steps)
 
     # ensembles derived from this one build their own
-    for derived in (ens.path(2), ens.with_bumped_increment(3, 0.5), coarsen(ens, 2)):
+    for derived in (ens.path(2), _bumped(ens, 3, 0.5), coarsen(ens, 2)):
         assert "increment_rows" not in vars(derived)
         assert _bits(derived.increment_rows) == _bits(derived.increments.T)
         assert _bits(derived.mark_sum_rows) == _bits(derived.step_mark_sums().T)
