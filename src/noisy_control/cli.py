@@ -423,20 +423,21 @@ def check_regression(model, cfg, grid, state, closed):
     return result, sol
 
 
-def check_max_principle(model, cfg, grid, noise, closed):
-    """FOC control, necessary condition, sufficiency, spike battery.
+def check_max_principle(model, cfg, closed, state):
+    """Necessary condition, sufficiency and spike battery of the FOC control.
 
-    The battery is criterion 7's verification.spike_battery, with spikes four
-    steps wide.
+    `state` is the state of the FOC control solve_foc(model, closed.p, grid)
+    on the run's noise.  The battery is criterion 7's
+    verification.spike_battery, with spikes four steps wide.
     """
     seed = cfg["monte_carlo"]["seed"]
-    ustar = mp.solve_foc(model, closed.p, grid)
-    state = simulate_state(model, ustar, noise)
-    nec = mp.check_necessary_I(ustar, closed, model, state)
-    suff = mp.check_sufficient(ustar, closed, model, state, seed=seed)
+    grid = state.grid
+    ustar = state.control
+    nec = mp.check_necessary_I(model, state, closed)
+    suff = mp.check_sufficient(model, state, closed, seed=seed)
     lo, hi = model.control_set.lower, model.control_set.upper
     worst, spikes = verification.spike_battery(
-        model, ustar, noise, state, seed, grid.horizon_nodes[:-_SPIKE_TAIL], 4 * grid.step,
+        model, state, seed, grid.horizon_nodes[:-_SPIKE_TAIL], 4 * grid.step,
         (max(lo, 0.1), min(hi, 3.0)), cfg["checks"]["spike_count"],
         cfg["checks"]["se_multiplier"],
     )
@@ -487,7 +488,10 @@ def run_scenario(cfg):
                 model, cfg, grid, reg_state, closed
             )
         elif check == "max-principle":
-            checks[check] = check_max_principle(model, cfg, grid, noise, closed)
+            foc_state = state
+            if cfg["control"]["kind"] != "foc":
+                foc_state = simulate_state(model, mp.solve_foc(model, closed.p, grid), noise)
+            checks[check] = check_max_principle(model, cfg, closed, foc_state)
     passed = all(c["passed"] for c in checks.values())
 
     echo = {k: v for k, v in cfg.items() if not k.startswith("_")}

@@ -352,6 +352,8 @@ class CoefficientModel:
     catalog's constant partials are), so no caller writes into one.  A
     CallableJumpCoefficient's fn and grad_fns take an array of marks zeta
     with matching arrays of x, y, z and u, one entry per jump of a step.
+    A terminal payoff's value must vectorize too: a finite difference reads
+    it once on the stacked (k, n_paths) terminal rows of its k controls.
 
     Args:
         drift, diffusion, running_cost: coefficient callables.
@@ -460,7 +462,7 @@ class CoefficientModel:
 
 
 class StateBundle:
-    """Simulated state paths on the shared grid.
+    """The record of one state sweep on the shared grid.
 
     The sweep that fills it runs time-major, but every array here is handed
     back path-major and C-contiguous: sums over paths or nodes and kernel
@@ -473,24 +475,25 @@ class StateBundle:
         z: (n_paths, n_horizon+1) trailing-window memory integral on [0, horizon].
         z_general: kernel-weighted memory integral, present when the model
             has a kernel (identical object to z for the identity kernel).
+        cost_sum: (n_paths,) running cost summed over the horizon nodes
+            before the last, in node order and without the factor h.
         x2: running memory integral from the first node, present only on
             bundles built by reduce_2d; then z[k] == x2[k] - x2[k-m] exactly.
         control, noise: the inputs the bundle was built from.
     """
 
-    def __init__(self, grid, x, y, z, control, noise, z_general=None, x2=None):
+    def __init__(self, grid, x, y, z, control, noise, cost_sum, z_general=None):
         self.grid = grid
         self.x = x
         self.y = y
         self.z = z
         self.z_general = z_general
-        self.x2 = x2
+        self.cost_sum = cost_sum
+        self.x2 = None
         self.control = control
         self.noise = noise
-        for arr in (x, y, z):
+        for arr in (x, y, z, cost_sum):
             arr.flags.writeable = False
-        if x2 is not None:
-            x2.flags.writeable = False
         if z_general is not None and z_general is not z:
             z_general.flags.writeable = False
 
@@ -522,17 +525,16 @@ class StateBundle:
 class _Carry:
     """The buffers a sweep reads from node `node` on; the sweep updates them in place.
 
-    v holds V's rows and prefix the running prefix of V dB, each indexed by
-    node modulo its row count: every node, or with `ring` a ring (m + 2 rows
-    of V, m + 1 of the prefix) that holds every row the next steps read, and
-    with `keep_prefix` the whole prefix.  terms is the path-major term matrix
-    of a non-identity kernel (None otherwise) and cost, when summed, the
-    running cost over the nodes before `node`.  A fresh carry has zero
-    buffers, with V equal to `start` on the initial segment when given.
+    v holds V's rows, indexed by node modulo its row count: every node, or
+    with `ring` a ring of m + 2 rows that holds every row the next steps
+    read.  prefix is a ring of m + 1 rows of the running prefix of V dB.
+    terms is the path-major term matrix of a non-identity kernel (None
+    otherwise).  cost is None here; a state carry (_state_carry) sums the
+    running cost over the nodes before `node` into it.  A fresh carry has
+    zero buffers, with V equal to `start` on the initial segment when given.
     """
 
-    def __init__(self, noise, node, start=None, kernel=None, ring=False, keep_prefix=False,
-                 cost=False):
+    def __init__(self, noise, node, start=None, kernel=None, ring=False):
         grid = noise.grid
         m = grid.steps_per_delay
         n_paths = noise.n_paths
@@ -542,9 +544,9 @@ class _Carry:
         self.v = np.zeros((m + 2 if ring else grid.n_nodes, n_paths))
         if start is not None:
             self.v[: m + 1] = np.asarray(start)[:, None]
-        self.prefix = np.zeros((grid.n_nodes if keep_prefix else m + 1, n_paths))
+        self.prefix = np.zeros((m + 1, n_paths))
         self.terms = np.zeros((n_paths, grid.n_steps)) if self.kernel is not None else None
-        self.cost = np.zeros(n_paths) if cost else None
+        self.cost = None
 
     def copy(self):
         """An independent carry at the same node.
@@ -649,15 +651,14 @@ def _path_major(rows):
     return out
 
 
-def _state_carry(model, noise, keep_prefix=False, cost=False):
-    """Fresh carry of the state sweep of `model` at node 0, V its initial segment.
-
-    With `cost` the sweep sums the running cost and keeps the state in a ring
-    (see _Carry and _state_sweep).
-    """
+def _state_carry(model, noise, ring=False):
+    """Fresh carry of the state sweep of `model` at node 0, V its initial
+    segment, with a zero running-cost sum (see _Carry and _state_sweep)."""
     grid = noise.grid
-    return _Carry(noise, 0, model.initial_segment(grid.nodes[: grid.steps_per_delay + 1]),
-                  kernel=model.kernel, ring=cost, keep_prefix=keep_prefix, cost=cost)
+    carry = _Carry(noise, 0, model.initial_segment(grid.nodes[: grid.steps_per_delay + 1]),
+                   kernel=model.kernel, ring=ring)
+    carry.cost = np.zeros(noise.n_paths)
+    return carry
 
 
 def _control_rows(control, noise):
@@ -676,9 +677,8 @@ def _control_rows(control, noise):
 def _state_sweep(model, control, noise, carry, stop=None):
     """_sweep of the state equation of `model` under `control` on `noise`, from `carry`.
 
-    When the carry sums the running cost, each step also adds the running
-    cost at its node to carry.cost, in node order, with u a scalar when the
-    control is shared across paths.
+    Each step also adds the running cost at its node to carry.cost, in node
+    order, with u a scalar when the control is shared across paths.
 
     Raises:
         GridMismatch: the control is on another grid than the noise, or
@@ -693,9 +693,8 @@ def _state_sweep(model, control, noise, carry, stop=None):
     def step(k, xk, yk, zk):
         t_k = grid.nodes[k]
         uk = u_rows[:, k - m]
-        if cost is not None:
-            u_cost = uk if u_rows.shape[0] > 1 else u_rows[0, k - m]
-            np.add(cost, model.running_cost(t_k, xk, yk, zk, u_cost), out=cost)
+        u_cost = uk if u_rows.shape[0] > 1 else u_rows[0, k - m]
+        np.add(cost, model.running_cost(t_k, xk, yk, zk, u_cost), out=cost)
         coef = (model.drift(t_k, xk, yk, zk, uk), model.diffusion(t_k, xk, yk, zk, uk))
         if not model.has_jumps:
             return coef
@@ -705,10 +704,12 @@ def _state_sweep(model, control, noise, carry, stop=None):
     return _sweep(noise, carry, step, stop=stop)
 
 
-def simulate_state(model, control, noise, _expose_prefix=False):
+def simulate_state(model, control, noise):
     """Euler simulation of the delayed state with noisy memory.
 
     The memory window is weighted by model.kernel when the model has one.
+    The sweep also sums the running cost (StateBundle.cost_sum), which is
+    what evaluate_performance reads from a held state.
 
     Args:
         model: CoefficientModel.
@@ -724,9 +725,9 @@ def simulate_state(model, control, noise, _expose_prefix=False):
         NonFiniteState: the state left the finite range (step and time attached).
     """
     grid = noise.grid
-    carry = _state_carry(model, noise, keep_prefix=_expose_prefix)
+    carry = _state_carry(model, noise)
     x, z, zg = _state_sweep(model, control, noise, carry)
-    prefix = carry.prefix if _expose_prefix else None
+    cost_sum = carry.cost
     del carry
     # Copy back one buffer at a time so the time-major ones are freed early.
     x = _path_major(x)
@@ -736,9 +737,8 @@ def simulate_state(model, control, noise, _expose_prefix=False):
     kernel = model.kernel
     return StateBundle(
         grid, x, y, z,
-        control=control, noise=noise,
+        control=control, noise=noise, cost_sum=cost_sum,
         z_general=(z if (kernel is not None and kernel.is_identity) else zg),
-        x2=_path_major(prefix),
     )
 
 
@@ -747,8 +747,9 @@ def reduce_2d(model, control, noise):
 
     The second component is the memory integral accumulated from the first
     grid node, whose increments are X dB; the window integral is then exactly
-    the difference X2(t) - X2(t - delta).  Shares every floating-point
-    operation with simulate_state, so the state paths agree bitwise.
+    the difference X2(t) - X2(t - delta).  The state is simulate_state's, and
+    X2 is one cumulative sum of X dB from 0.0, the sweep's own running
+    prefix in the same order, so X2 agrees bitwise with the window.
 
     Raises:
         KernelNotReducible: the model has a non-identity kernel (the
@@ -760,7 +761,13 @@ def reduce_2d(model, control, noise):
             "the two-component reduction represents only the plain window "
             "integral; got a weighted kernel with bound %g" % kernel.bound
         )
-    return simulate_state(model, control, noise, _expose_prefix=True)
+    state = simulate_state(model, control, noise)
+    x2 = np.zeros(state.x.shape)
+    np.multiply(state.x[:, :-1], noise.increments, out=x2[:, 1:])
+    np.cumsum(x2, axis=1, out=x2)
+    x2.flags.writeable = False
+    state.x2 = x2
+    return state
 
 
 def evaluate_performance(model, control, noise, state=None):
@@ -770,11 +777,11 @@ def evaluate_performance(model, control, noise, state=None):
     payoff; the quadrature factors out h so a constant cost integrates to the
     horizon exactly.
 
-    Without `state`, the running cost is summed inside the state's own Euler
-    sweep, which keeps only a ring of state rows: no StateBundle is built,
-    and the per-path values are bitwise those read from
-    state=simulate_state(model, control, noise).  Pass `state` when one is
-    already held.
+    The running cost is summed inside the state's own Euler sweep.  Without
+    `state`, that sweep keeps only a ring of state rows and no StateBundle
+    is built.  With `state`, J is read from the sum its sweep kept
+    (StateBundle.cost_sum), so the state must be the one of this control
+    on this noise.  The per-path values are bitwise the same either way.
 
     Raises:
         GridMismatch: the control is on another grid than the noise, or
@@ -784,23 +791,13 @@ def evaluate_performance(model, control, noise, state=None):
     if state is None:
         per_path = _performance_paths(model, (control,), noise)[0]
     else:
-        grid = state.grid
-        n = grid.n_horizon_steps
-        u_rows = _control_rows(control, state.noise)
-        t_hor = grid.horizon_nodes
-        zmem = state.memory_arg
-        cost = np.zeros(state.n_paths)
-        for j in range(n):
-            cost = cost + model.running_cost(
-                t_hor[j], state.x[:, grid.index_zero + j], state.y[:, j], zmem[:, j],
-                u_rows[:, j] if u_rows.shape[0] > 1 else u_rows[0, j],
-            )
-        per_path = _per_path_value(model, grid, cost, state.terminal_x, noise)
+        _control_rows(control, state.noise)
+        per_path = _per_path_value(model, state.grid, state.cost_sum, state.terminal_x, noise)
     return (*_mean_se(per_path), per_path)
 
 
 def _per_path_value(model, grid, cost, x_terminal, noise):
-    """h * (running-cost sum) + terminal payoff, one float per path of `cost`."""
+    """h * (running-cost sum) + terminal payoff, one float per entry of `cost`."""
     per_path = grid.step * cost + model.terminal.value(x_terminal, noise)
     return np.broadcast_to(per_path, cost.shape).astype(float)
 
@@ -813,19 +810,22 @@ def _performance_paths(model, controls, noise):
     part is swept once; each control then resumes from the carry there, a
     copy for every control but the last, which takes the carry itself.  This
     is how the two sides of a finite difference skip the nodes before their
-    direction's support.
+    direction's support.  The terminal payoff is evaluated once, on the
+    stacked (len(controls), n_paths) terminal rows; the result has one row
+    per control.
     """
     grid = noise.grid
-    carry = _state_carry(model, noise, cost=True)
+    carry = _state_carry(model, noise, ring=True)
     if len(controls) > 1:
         stop = grid.steps_per_delay + _shared_nodes(controls)
         _state_sweep(model, controls[0], noise, carry, stop=stop)
     ends = []
     for i, control in enumerate(controls):
         own = carry if i == len(controls) - 1 else carry.copy()
-        ends.append((_state_sweep(model, control, noise, own)[0].copy(), own.cost))
-    del carry, own  # a terminal payoff may need more room than a sweep
-    return [_per_path_value(model, grid, cost, x_terminal, noise) for x_terminal, cost in ends]
+        ends.append((_state_sweep(model, control, noise, own)[0], own.cost))
+    x_terminal, cost = (np.stack(rows) for rows in zip(*ends))
+    del carry, own, ends  # a terminal payoff may need more room than a sweep
+    return _per_path_value(model, grid, cost, x_terminal, noise)
 
 
 def _shared_nodes(controls):

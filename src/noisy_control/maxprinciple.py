@@ -259,16 +259,15 @@ def _conditional_stats(dhu, information):
     return means, ses
 
 
-def check_necessary_I(control, adjoint, model, state, information="trivial", tol=1e-10):
-    """Stationarity: E[dH/du | G_t] = 0 at every node.
+def check_necessary_I(model, state, adjoint, information="trivial", tol=1e-10):
+    """Stationarity: E[dH/du | G_t] = 0 at every node, for the control of `state`.
 
     Under the trivial information model the statistic is the largest per-node
     standardized mean (threshold 3); under full information it is the largest
-    pathwise |dH/du| against the deterministic tolerance.  The report also
-    carries the induced directional derivatives over the probe battery, which
-    is the equivalent integral form of the same condition.  information
-    names the controller's flow G_t = E_t, a sub-flow of F_t: "trivial" or
-    "full".
+    pathwise |dH/du| against the deterministic tolerance.  Its integral form,
+    the derivative of J in a direction, is directional_derivative_H.
+    information names the controller's flow G_t = E_t, a sub-flow of F_t:
+    "trivial" or "full".
     """
     dhu = control_partial_paths(model, state, adjoint)
     vacuous = model.control_set.is_singleton
@@ -289,17 +288,10 @@ def check_necessary_I(control, adjoint, model, state, information="trivial", tol
         passed = bool(np.all(np.abs(means) <= np.maximum(3.0 * ses, tol)))
         worst = int(np.argmax(z))
         se_out = float(ses[worst])
-    grid = state.grid
-    n = grid.n_horizon_steps
-    probes = {}
-    for name, eta in probe_directions(grid):
-        per_path = grid.step * (dhu[:, :n] * eta[None, :n]).sum(axis=1)
-        probes[name] = _mean_se(per_path)
     details = {
         "node_means": means if information == "full" else means.copy(),
         "node_ses": None if information == "full" else ses.copy(),
         "worst_node": worst,
-        "probe_derivatives": probes,
     }
     return MPReport(
         "necessary-I", passed or vacuous, statistic, threshold,
@@ -307,8 +299,9 @@ def check_necessary_I(control, adjoint, model, state, information="trivial", tol
     )
 
 
-def check_necessary_II(control, adjoint, model, state, information="trivial", tol=1e-10):
-    """Variational inequality: E[dH/du | G_t] (v - u(t)) <= 0 for v in V.
+def check_necessary_II(model, state, adjoint, information="trivial", tol=1e-10):
+    """Variational inequality: E[dH/du | G_t] (v - u(t)) <= 0 for v in V,
+    with u the control of `state`.
 
     Probes both endpoints and the midpoint of the control interval; a
     statistic above the threshold means some admissible value strictly
@@ -358,7 +351,7 @@ def _sample_points(gen, state, cs, count):
     return pts
 
 
-def check_sufficient(control, adjoint, model, state, probe_count=64, seed=0, tol=1e-12):
+def check_sufficient(model, state, adjoint, probe_count=64, seed=0, tol=1e-12):
     """Concavity probes for H and g plus the variational condition.
 
     (a) For random point pairs and mixing weights, checks midpoint concavity
@@ -422,7 +415,7 @@ def check_sufficient(control, adjoint, model, state, probe_count=64, seed=0, tol
                    "lam": float(lam_g[i])}
 
     concave_ok = worst_gap <= tol
-    variational = check_necessary_II(control, adjoint, model, state, tol=max(tol, 1e-10))
+    variational = check_necessary_II(model, state, adjoint, tol=max(tol, 1e-10))
     passed = bool(concave_ok and variational.passed)
     details = {
         "concavity_gap": float(worst_gap),

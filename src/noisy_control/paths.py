@@ -238,7 +238,7 @@ class NoiseEnsemble:
     increment_rows, and for the jump part jump_count_rows and mark_sum_rows.
     A general jump coefficient reads step_jumps instead, every jump laid out
     step by step.  Each is built once per ensemble and kept with it; sampling
-    and the path-major readers (brownian, duality_check, ...) never build them.
+    and the path-major readers (duality_check, ...) never build them.
     """
 
     def __init__(self, grid, increments, jump_counts, jump_marks):
@@ -295,12 +295,6 @@ class NoiseEnsemble:
             start = int(self.jump_counts[:i].sum())
             marks = marks[start : start + int(counts.sum())]
         return NoiseEnsemble(self.grid, self.increments[i : i + 1], counts, marks)
-
-    def brownian(self):
-        """Cumulative Brownian paths on the nodes, pinned to 0 at the first."""
-        out = np.zeros((self.n_paths, self.grid.n_nodes))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:])
-        return out
 
     def step_mark_sums(self):
         """Sum of marks per path and step (zeros when there are no jumps),

@@ -157,15 +157,15 @@ def rel_rms(approx, exact):
     return rms(approx - exact) / rms(exact)
 
 
-def spike_battery(model, base, noise, state, seed, t0_nodes, width, values, count,
-                  se_mult):
-    """Spike perturbations of `base`, scored against it with common noise.
+def spike_battery(model, state, seed, t0_nodes, width, values, count, se_mult):
+    """Spike perturbations of the control of `state`, scored against it on its noise.
 
     Draws from Philox(seed + 7): per spike a start among `t0_nodes`, then a
     value uniform on `values` = (low, high).  Each spike of `width` is scored
-    by the paired per-path gain in J over `base`, whose J is evaluated on the
-    held `state`.  Returns (worst gain - se_mult * se, one dict per spike).
+    by the paired per-path gain in J over the base control, whose J is read
+    from `state`.  Returns (worst gain - se_mult * se, one dict per spike).
     """
+    base, noise = state.control, state.noise
     _, _, per0 = evaluate_performance(model, base, noise, state=state)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed + 7)))
     worst = -np.inf
@@ -403,16 +403,15 @@ def criterion_7_max_principle(seed=0, profile="full"):
     atr = adjoint_mod.AdjointTriple(
         grid, p_exact[None, :], np.zeros((1, grid.n_horizon_steps + 1)), None, None, {}
     )
-    nec = mp.check_necessary_I(ustar, atr, model, state)
-    suff = mp.check_sufficient(ustar, atr, model, state, seed=seed)
+    nec = mp.check_necessary_I(model, state, atr)
+    suff = mp.check_sufficient(model, state, atr, seed=seed)
 
     n_spikes = 20 if profile == "full" else 6
-    worst_gain, _ = spike_battery(model, ustar, noise, state, seed, tt[:-8], 0.1,
-                                  (0.1, 3.0), n_spikes, 2.0)
+    worst_gain, _ = spike_battery(model, state, seed, tt[:-8], 0.1, (0.1, 3.0), n_spikes, 2.0)
 
     scaled = ControlPath(grid, 1.5 * u_exact, control_set=model.control_set)
     st_scaled = simulate_state(model, scaled, noise)
-    nec_scaled = mp.check_necessary_I(scaled, atr, model, st_scaled)
+    nec_scaled = mp.check_necessary_I(model, st_scaled, atr)
 
     passed = (
         foc_dev <= 1e-10

@@ -347,9 +347,9 @@ _MISMATCHED = {
     "control_partial_paths": lambda md, a, b: control_partial_paths(md, a.state, b.closed),
     "directional_derivative_H": lambda md, a, b: directional_derivative_H(
         md, a.state, b.closed, np.ones(a.ctrl.values.shape)),
-    "check_necessary_I": lambda md, a, b: check_necessary_I(a.ctrl, b.closed, md, a.state),
-    "check_necessary_II": lambda md, a, b: check_necessary_II(a.ctrl, b.closed, md, a.state),
-    "check_sufficient": lambda md, a, b: check_sufficient(a.ctrl, b.closed, md, a.state),
+    "check_necessary_I": lambda md, a, b: check_necessary_I(md, a.state, b.closed),
+    "check_necessary_II": lambda md, a, b: check_necessary_II(md, a.state, b.closed),
+    "check_sufficient": lambda md, a, b: check_sufficient(md, a.state, b.closed),
     "Chaos1WindowEngine": lambda md, a, b: Chaos1WindowEngine(
         b.closed.chaos, b.engine.coeff, a.closed.p),
 }
@@ -512,7 +512,7 @@ def test_jump_adjoint_partials_match_per_node_hamiltonian(monkeypatch):
     assert _same_bits(lifted.mu1, mu1)
 
     assert _same_bits(control_partial_paths(model, state, triple), ref[3])
-    report = check_necessary_I(ctrl, triple, model, state)
+    report = check_necessary_I(model, state, triple)
     assert _same_bits(report.details["node_means"], ref[3].mean(axis=0))
 
 

@@ -590,6 +590,18 @@ def test_templates_parse_cleanly():
         assert cfg["model"]["name"] + ".ini" == name
 
 
+@pytest.mark.parametrize("name", ["consumption", "generalized-memory"])
+def test_a_foc_run_solves_its_control_once(monkeypatch, name):
+    """kind = foc: the max-principle check reads the run's own FOC state."""
+    calls = []
+    solve = cli.mp.solve_foc
+    monkeypatch.setattr(cli.mp, "solve_foc", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    cfg = cli.load_config(str(REPO / "configs" / (name + ".ini")))
+    assert cfg["control"]["kind"] == "foc" and "max-principle" in cfg["checks"]["run"]
+    cli.run_scenario(cfg)
+    assert len(calls) == 1
+
+
 def _regenerate_out(tmp_path, monkeypatch):
     """Run every committed config from tmp_path; yield (file, new bytes, committed bytes)."""
     monkeypatch.chdir(tmp_path)  # the reports echo their relative output directory

@@ -45,7 +45,7 @@ def test_window_is_brownian_difference_for_frozen_state():
     assert np.all(state.x == 1.0)
     m = g.steps_per_delay
     for i in range(ens.n_paths):
-        b = ens.path(i).brownian()[0]
+        b = np.concatenate([[0.0], np.cumsum(ens.increments[i])])
         expected = b[m:] - b[: g.n_horizon_steps + 1]
         assert np.array_equal(state.z[i], expected)
 
@@ -124,6 +124,15 @@ def test_reduce_2d_prefix_identity_and_kernel_guard():
     m = g.steps_per_delay
     window = state.x2[:, m:] - state.x2[:, : g.n_horizon_steps + 1]
     assert np.array_equal(state.z, window)
+
+    # X2 is the running sum of X dB from 0.0, node by node, sign of zero
+    # included: a state resting at 0.0 gives X dB = -0.0 on a negative step
+    for reduced in (state, reduce_2d(_frozen_state_model(xi0=0.0), ctrl, ens)):
+        want = np.zeros(reduced.x.shape)
+        for k in range(g.n_steps):
+            want[:, k + 1] = want[:, k] + reduced.x[:, k] * ens.increments[:, k]
+        assert reduced.x2.tobytes() == want.tobytes()
+        assert reduced.x2.flags.c_contiguous and not reduced.x2.flags.writeable
 
     # the generalized-memory model carries the ramp kernel: the reduction
     # refuses it, and the plain simulation weights its window with it
@@ -480,9 +489,13 @@ def test_state_free_performance_matches_the_state_bitwise(case):
     g = make_grid(0.2, 1.0, 8)
     model, ctrl, ens = _performance_case(case, g)
     j_free, se_free, free = evaluate_performance(model, ctrl, ens)
-    j_held, se_held, held = evaluate_performance(
-        model, ctrl, ens, state=simulate_state(model, ctrl, ens)
-    )
+    state = simulate_state(model, ctrl, ens)
+    # J from a held state reads the sum its sweep kept: no running-cost call
+    calls = []
+    cost = model.running_cost
+    model.running_cost = lambda *args: calls.append(args) or cost(*args)
+    j_held, se_held, held = evaluate_performance(model, ctrl, ens, state=state)
+    assert calls == []
     assert free.dtype == held.dtype and free.shape == held.shape == (200,)
     assert free.tobytes() == held.tobytes()
     assert (j_free, se_free) == (j_held, se_held)

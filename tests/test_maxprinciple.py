@@ -235,13 +235,13 @@ def test_necessary_I_accepts_the_optimizer_and_rejects_others():
     ustar = solve_foc(model, P_EXACT[None, :], GRID)
     ens = sample_ensemble(GRID, JumpSpec.none(), 11, 2000)
     state = simulate_state(model, ustar, ens)
-    at_opt = check_necessary_I(ustar, adjoint, model, state)
+    at_opt = check_necessary_I(model, state, adjoint)
     assert at_opt.passed
     assert not at_opt.vacuous
 
     off = ControlPath(GRID, 1.5 * np.asarray(ustar.values), control_set=model.control_set)
     state_off = simulate_state(model, off, ens)
-    at_off = check_necessary_I(off, adjoint, model, state_off)
+    at_off = check_necessary_I(model, state_off, adjoint)
     assert not at_off.passed
     assert at_off.statistic > 5.0
 
@@ -252,7 +252,7 @@ def test_necessary_I_full_information_is_deterministic():
     ustar = solve_foc(model, P_EXACT[None, :], GRID)
     ens = sample_ensemble(GRID, JumpSpec.none(), 12, 200)
     state = simulate_state(model, ustar, ens)
-    report = check_necessary_I(ustar, adjoint, model, state, information="full")
+    report = check_necessary_I(model, state, adjoint, information="full")
     assert report.passed
     assert report.statistic <= 1e-10
     assert report.se is None
@@ -267,15 +267,15 @@ def test_boundary_optimum_splits_the_two_necessary_conditions():
     ens = sample_ensemble(GRID, JumpSpec.none(), 13, 500)
     state = simulate_state(model, bang, ens)
     adjoint = _flat_adjoint(P_EXACT)
-    assert check_necessary_II(bang, adjoint, model, state).passed
-    assert not check_necessary_I(bang, adjoint, model, state).passed
+    assert check_necessary_II(model, state, adjoint).passed
+    assert not check_necessary_I(model, state, adjoint).passed
 
 
 def test_necessary_checks_vacuous_on_singleton_control_set():
     model = scenarios.custom_affine(control_set=(2.0, 2.0))
-    state, ctrl, _ = _state(model, value=2.0, n_paths=30)
+    state, _, _ = _state(model, value=2.0, n_paths=30)
     adjoint = _flat_adjoint(np.ones(GRID.n_horizon_steps + 1))
-    report = check_necessary_I(ctrl, adjoint, model, state)
+    report = check_necessary_I(model, state, adjoint)
     assert report.vacuous and report.passed
     assert "vacuous" in str(report)
 
@@ -286,7 +286,7 @@ def test_sufficient_certifies_concave_problem():
     ustar = solve_foc(model, P_EXACT[None, :], GRID)
     ens = sample_ensemble(GRID, JumpSpec.none(), 14, 800)
     state = simulate_state(model, ustar, ens)
-    report = check_sufficient(ustar, adjoint, model, state, seed=14)
+    report = check_sufficient(model, state, adjoint, seed=14)
     assert report.passed
     assert report.details["concavity_gap"] <= 1e-12
     assert "pass" in str(report)
@@ -294,9 +294,9 @@ def test_sufficient_certifies_concave_problem():
 
 def test_sufficient_rejects_convex_running_cost():
     model = scenarios.custom_affine(running="convex")
-    state, ctrl, _ = _state(model, value=0.5, n_paths=200)
+    state, _, _ = _state(model, value=0.5, n_paths=200)
     adjoint = _flat_adjoint(np.ones(GRID.n_horizon_steps + 1))
-    report = check_sufficient(ctrl, adjoint, model, state, seed=3)
+    report = check_sufficient(model, state, adjoint, seed=3)
     assert not report.passed
     assert report.details["concavity_gap"] > 1e-12
     assert report.details["concavity_witness"] is not None
@@ -325,12 +325,12 @@ def test_spike_battery_never_beats_the_optimizer():
 def test_sufficient_reads_scalar_and_node_indexed_jump_adjoints_alike():
     spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
     model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
-    state, ctrl, _ = _state(model, n_paths=200)
+    state, _, _ = _state(model, n_paths=200)
     shape = (state.n_paths, GRID.n_horizon_steps + 1)
     p = np.broadcast_to(P_EXACT, shape)
     reports = [
-        check_sufficient(ctrl, AdjointTriple(GRID, p, np.zeros(shape), r, None, {}), model,
-                         state, seed=5)
+        check_sufficient(model, state, AdjointTriple(GRID, p, np.zeros(shape), r, None, {}),
+                         seed=5)
         for r in ((0.0, 0.0), (np.zeros(shape), np.zeros(shape)))
     ]
     scalar, arrays = reports
@@ -547,8 +547,8 @@ def test_solve_foc_names_the_first_unconverged_node():
     assert messages[0].endswith("at node 3")
 
 
-def _assert_concavity_matches_reference(control, adjoint, model, state, seed):
-    report = check_sufficient(control, adjoint, model, state, seed=seed)
+def _assert_concavity_matches_reference(adjoint, model, state, seed):
+    report = check_sufficient(model, state, adjoint, seed=seed)
     gap, witness = _concavity_reference(adjoint, model, state, seed=seed)
     assert report.details["concavity_gap"] == gap
     assert report.details["concavity_witness"] == (witness if gap > 1e-12 else None)
@@ -562,48 +562,48 @@ def test_sufficient_concavity_probes_match_per_probe_reference():
     q_rows = gen.normal(0.0, 0.1, size=shape)
 
     model = scenarios.generalized_memory()
-    state, ctrl, _ = _state(model, n_paths=400)
-    report = _assert_concavity_matches_reference(ctrl, _flat_adjoint(P_EXACT), model, state, 14)
+    state, _, _ = _state(model, n_paths=400)
+    report = _assert_concavity_matches_reference(_flat_adjoint(P_EXACT), model, state, 14)
     assert report.details["concavity_witness"] is None
 
     model = scenarios.custom_affine(running="convex")
-    state, ctrl, _ = _state(model, value=0.5, n_paths=200)
+    state, _, _ = _state(model, value=0.5, n_paths=200)
     report = _assert_concavity_matches_reference(
-        ctrl, _flat_adjoint(np.ones(shape[1])), model, state, 3)
+        _flat_adjoint(np.ones(shape[1])), model, state, 3)
     assert report.details["concavity_witness"]["kind"] == "hamiltonian"
 
     # a convex terminal payoff under a concave Hamiltonian
     model = scenarios.custom_affine()
     model.terminal = DeterministicTerminal(lambda x: 0.5 * x * x)
-    state, ctrl, _ = _state(model, value=0.5, n_paths=200)
+    state, _, _ = _state(model, value=0.5, n_paths=200)
     report = _assert_concavity_matches_reference(
-        ctrl, _flat_adjoint(np.ones(shape[1])), model, state, 4)
+        _flat_adjoint(np.ones(shape[1])), model, state, 4)
     assert report.details["concavity_witness"]["kind"] == "terminal"
 
     # a path-dependent terminal weight, read on each probe's own path
     model = scenarios.linear_noisy_memory()
-    state, ctrl, _ = _state(model, n_paths=200, seed=2)
+    state, _, _ = _state(model, n_paths=200, seed=2)
     adjoint = AdjointTriple(GRID, p_rows, q_rows, None, None, {})
-    _assert_concavity_matches_reference(ctrl, adjoint, model, state, 6)
+    _assert_concavity_matches_reference(adjoint, model, state, 6)
 
     model = _x_dependent_model()
-    state, ctrl, _ = _state(model, n_paths=200, seed=9)
-    _assert_concavity_matches_reference(ctrl, adjoint, model, state, 7)
+    state, _, _ = _state(model, n_paths=200, seed=9)
+    _assert_concavity_matches_reference(adjoint, model, state, 7)
 
     # a terminal payoff undefined left of 0: its NaN gaps never win
     model = scenarios.consumption()
     model.terminal = DeterministicTerminal(np.sqrt)
-    state, ctrl, _ = _state(model, n_paths=200, seed=10)
+    state, _, _ = _state(model, n_paths=200, seed=10)
     with np.errstate(invalid="ignore"):
-        report = _assert_concavity_matches_reference(ctrl, adjoint, model, state, 9)
+        report = _assert_concavity_matches_reference(adjoint, model, state, 9)
     assert state.x.min() < 1.0 and np.isfinite(report.details["concavity_gap"])
 
     spec = JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])
     model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
-    state, ctrl, _ = _state(model, n_paths=200)
+    state, _, _ = _state(model, n_paths=200)
     for r in ((0.1, -0.05), (gen.normal(0.0, 0.1, size=shape), gen.normal(0.0, 0.1, size=shape))):
         adjoint = AdjointTriple(GRID, p_rows, q_rows, r, None, {})
-        _assert_concavity_matches_reference(ctrl, adjoint, model, state, 8)
+        _assert_concavity_matches_reference(adjoint, model, state, 8)
 
 
 # sha256 of the per-path outputs of the K, H and finite-difference routes at
