@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _path_major
 from .errors import FixedPointDiverged, GridMismatch, RankDeficientBasis
 from .malliavin import Chaos1Exponential, horizon_values
+from .paths import _time_major
 
 _COND_LIMIT = 1e13
 
@@ -650,7 +650,7 @@ def solve_absde_2d(model, state, basis=None, ridge=1e-8):
     out = []
     for a in rows:
         pm = a.reshape(a.shape[::-1])
-        pm[:] = _path_major(a)
+        pm[:] = _time_major(a)
         out.append(pm)
     p1, p2, q1, q2, mu1, mu2 = out[:6]
     jumps_on = model.has_jumps
@@ -669,9 +669,12 @@ def solve_absde_2d(model, state, basis=None, ridge=1e-8):
 # The bridge between the 1D and 2D formulations
 
 
-def bridge_1d_from_2d(adjoint2d, engine, kernel=None):
+def bridge_1d_from_2d(adjoint2d, engine):
     """Collapse a 2D solution to the 1D triple and audit q2 against its
     Malliavin-window reconstruction.
+
+    The window is the plain, unweighted one: the 2D system exists only for
+    the identity kernel (reduce_2d raises KernelNotReducible otherwise).
 
     Returns (AdjointTriple, max_reconstruction_deviation).  The triple reuses
     the (p1, q1, r1, mu1) arrays; the deviation is max over nodes and paths
@@ -680,7 +683,7 @@ def bridge_1d_from_2d(adjoint2d, engine, kernel=None):
     """
     grid = adjoint2d.grid
     _require_grid(grid, engine=engine)
-    recon = engine.malliavin_windows(kernel)
+    recon = engine.malliavin_windows()
     deviation = float(np.max(np.abs(adjoint2d.q2 - recon)))
     triple = AdjointTriple(
         grid, adjoint2d.p1, adjoint2d.q1, adjoint2d.r1, adjoint2d.mu1,

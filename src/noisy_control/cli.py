@@ -545,7 +545,7 @@ def write_outputs(cfg, report, artifacts):
                 ]
                 zg = state.z_general
                 row.append("" if zg is None else "%.17g" % zg[0, k])
-                row.append("" if state.x2 is None else "%.17g" % state.x2[0, iz + k])
+                row.append("")  # the run's state is simulate_state's, which keeps no X2
                 writer.writerow(row)
         written.append(path)
     if cfg["output"]["write_adjoint"]:

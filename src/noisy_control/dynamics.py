@@ -23,7 +23,7 @@ from .errors import (
     NonFiniteState,
     OutOfControlSet,
 )
-from .paths import JumpSpec
+from .paths import JumpSpec, _time_major
 
 _FD_BUMP = 1e-5
 _ARGS = ("x", "y", "z", "u")
@@ -38,9 +38,9 @@ class ControlSet:
         self.lower = float(lower)
         self.upper = float(upper)
 
-    def contains(self, v, tol=0.0):
+    def contains(self, v):
         v = np.asarray(v)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
+        return bool(np.all(v >= self.lower) and np.all(v <= self.upper))
 
     @property
     def midpoint(self):
@@ -75,13 +75,13 @@ class MemoryKernel:
         return cls(lambda t, s: np.ones_like(np.asarray(s, dtype=float)), 1.0, identity=True)
 
     @classmethod
-    def ramp(cls, delta, scale=1.0):
-        """phi(t, s) = scale * (s - t + delta) / delta, rising 0 -> scale."""
+    def ramp(cls, delta):
+        """phi(t, s) = (s - t + delta) / delta, rising 0 -> 1."""
 
         def fn(t, s):
-            return scale * (np.asarray(s, dtype=float) - t + delta) / delta
+            return (np.asarray(s, dtype=float) - t + delta) / delta
 
-        return cls(fn, abs(scale))
+        return cls(fn, 1.0)
 
     def weights(self, grid, k):
         """phi(t_k, t_j) for the window nodes j in [k - m, k)."""
@@ -641,16 +641,6 @@ def _sweep(noise, carry, step, what="state", stop=None):
     return (v[(m + n) % v_rows] if carry.ring else v), window, weighted
 
 
-def _path_major(rows):
-    """C-contiguous transpose of a (node, path) buffer, copied out 256 paths at a time."""
-    if rows is None:
-        return None
-    out = np.empty(rows.shape[::-1])
-    for p0 in range(0, rows.shape[1], 256):
-        out[p0 : p0 + 256] = rows[:, p0 : p0 + 256].copy().T
-    return out
-
-
 def _state_carry(model, noise, ring=False):
     """Fresh carry of the state sweep of `model` at node 0, V its initial
     segment, with a zero running-cost sum (see _Carry and _state_sweep)."""
@@ -730,10 +720,10 @@ def simulate_state(model, control, noise):
     cost_sum = carry.cost
     del carry
     # Copy back one buffer at a time so the time-major ones are freed early.
-    x = _path_major(x)
+    x = _time_major(x)
     y = x[:, : grid.n_horizon_steps + 1].copy()
-    z = _path_major(z)
-    zg = _path_major(zg)
+    z = _time_major(z)
+    zg = None if zg is None else _time_major(zg)
     kernel = model.kernel
     return StateBundle(
         grid, x, y, z,
@@ -785,13 +775,16 @@ def evaluate_performance(model, control, noise, state=None):
 
     Raises:
         GridMismatch: the control is on another grid than the noise, or
-            has neither 1 nor n_paths rows.
+            has neither 1 nor n_paths rows, or `state` was simulated from
+            another control or noise object.
         NonFiniteState: the state left the finite range (without `state`).
     """
     if state is None:
         per_path = _performance_paths(model, (control,), noise)[0]
     else:
         _control_rows(control, state.noise)
+        if state.control is not control or state.noise is not noise:
+            raise GridMismatch("state of another control or noise than the ones passed")
         per_path = _per_path_value(model, state.grid, state.cost_sum, state.terminal_x, noise)
     return (*_mean_se(per_path), per_path)
 

@@ -69,9 +69,6 @@ class Chaos1Exponential:
         np.cumsum(terms, axis=1, out=expo[:, 1:])
         return self.scale * np.exp(expo)
 
-    def terminal(self, noise):
-        return self.paths(noise)[:, -1]
-
     def mean_terminal(self):
         """E[F(T)] in closed form."""
         return self.scale * float(np.exp(self._log_tail_growth[0]))

@@ -22,6 +22,12 @@ from .dynamics import (
 )
 from .errors import GridMismatch, NonMonotone, OffGrid, OutOfControlSet
 
+# absolute tolerance of the checks and of the first-order inversion's residual;
+# probe pairs of the concavity check and the largest scaled gap that passes it
+_TOL = 1e-10
+_PROBES = 64
+_CONCAVITY_TOL = 1e-12
+
 
 @dataclass
 class KBundle:
@@ -233,14 +239,14 @@ def finite_difference_derivative(model, control, noise, eta, s=1e-3):
     return value, se, per_path
 
 
-def probe_directions(grid, scale=1.0, seed=0):
+def probe_directions(grid, scale=1.0):
     """Bounded direction battery: constants, step indicators, one random path."""
     n = grid.n_horizon_steps
     t = grid.horizon_nodes
     const = np.full(n + 1, scale)
     late = np.where(t >= grid.horizon / 2, scale, 0.0)
     mid = np.where((t >= grid.horizon / 4) & (t < grid.horizon / 2), scale, 0.0)
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(0)))
     random = scale * gen.uniform(-1.0, 1.0, size=n + 1)
     return [("const", const), ("late-half", late), ("mid-quarter", mid), ("random", random)]
 
@@ -249,17 +255,16 @@ def probe_directions(grid, scale=1.0, seed=0):
 # Condition checkers
 
 
-def _conditional_stats(dhu, information):
-    """Per-node conditional mean and standard error of dH/du."""
-    if information == "full":
-        return dhu, np.zeros_like(dhu)
+def _node_stats(dhu):
+    """Per-node mean and standard error of dH/du over the paths: its
+    conditional mean and standard error under the trivial information flow."""
     means = dhu.mean(axis=0)
     n = dhu.shape[0]
     ses = dhu.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(means)
     return means, ses
 
 
-def check_necessary_I(model, state, adjoint, information="trivial", tol=1e-10):
+def check_necessary_I(model, state, adjoint, information="trivial"):
     """Stationarity: E[dH/du | G_t] = 0 at every node, for the control of `state`.
 
     Under the trivial information model the statistic is the largest per-node
@@ -271,37 +276,35 @@ def check_necessary_I(model, state, adjoint, information="trivial", tol=1e-10):
     """
     dhu = control_partial_paths(model, state, adjoint)
     vacuous = model.control_set.is_singleton
-    means, ses = _conditional_stats(dhu, information)
     if information == "full":
-        statistic = float(np.max(np.abs(means)))
-        threshold = tol
+        statistic = float(np.max(np.abs(dhu)))
+        threshold = _TOL
         passed = statistic <= threshold
-        worst = int(np.argmax(np.abs(means).max(axis=0)))
+        worst = int(np.argmax(np.abs(dhu).max(axis=0)))
         se_out = None
+        details = {"node_means": dhu, "node_ses": None, "worst_node": worst}
     else:
+        means, ses = _node_stats(dhu)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(
-                ses > 0, np.abs(means) / ses, np.where(np.abs(means) <= tol, 0.0, np.inf)
+                ses > 0, np.abs(means) / ses, np.where(np.abs(means) <= _TOL, 0.0, np.inf)
             )
         statistic = float(np.max(z))
         threshold = 3.0
-        passed = bool(np.all(np.abs(means) <= np.maximum(3.0 * ses, tol)))
+        passed = bool(np.all(np.abs(means) <= np.maximum(3.0 * ses, _TOL)))
         worst = int(np.argmax(z))
         se_out = float(ses[worst])
-    details = {
-        "node_means": means if information == "full" else means.copy(),
-        "node_ses": None if information == "full" else ses.copy(),
-        "worst_node": worst,
-    }
+        details = {"node_means": means.copy(), "node_ses": ses.copy(), "worst_node": worst}
     return MPReport(
         "necessary-I", passed or vacuous, statistic, threshold,
         se=se_out, vacuous=vacuous, details=details,
     )
 
 
-def check_necessary_II(model, state, adjoint, information="trivial", tol=1e-10):
+def check_necessary_II(model, state, adjoint):
     """Variational inequality: E[dH/du | G_t] (v - u(t)) <= 0 for v in V,
-    with u the control of `state`.
+    with u the control of `state`, under the trivial information flow: E[. | G_t]
+    and u(t) are the means over the paths.
 
     Probes both endpoints and the midpoint of the control interval; a
     statistic above the threshold means some admissible value strictly
@@ -310,27 +313,26 @@ def check_necessary_II(model, state, adjoint, information="trivial", tol=1e-10):
     dhu = control_partial_paths(model, state, adjoint)
     cs = model.control_set
     vacuous = cs.is_singleton
-    means, ses = _conditional_stats(dhu, information)
-    u_rows = state.control.rows()
-    u_ref = u_rows.mean(axis=0)
+    means, ses = _node_stats(dhu)
+    u_ref = state.control.rows().mean(axis=0)
     candidates = [cs.lower, cs.midpoint, cs.upper]
     worst_excess = -np.inf
     witness = None
     per_candidate = {}
     for v in candidates:
         gap = v - u_ref
-        stat = means * gap if information != "full" else means * (v - u_rows)
-        se = np.abs(gap) * ses if information != "full" else np.zeros_like(stat)
+        stat = means * gap
+        se = np.abs(gap) * ses
         excess = stat - 3.0 * se
         worst_here = float(np.max(excess))
         per_candidate[float(v)] = (float(np.max(stat)), float(np.max(se)))
         if worst_here > worst_excess:
             worst_excess = worst_here
-            witness = (float(v), int(np.argmax(excess) % stat.shape[-1]))
-    passed = worst_excess <= tol
+            witness = (float(v), int(np.argmax(excess)))
+    passed = worst_excess <= _TOL
     details = {"per_candidate": per_candidate, "witness": witness}
     return MPReport(
-        "necessary-II", bool(passed) or vacuous, float(worst_excess), tol,
+        "necessary-II", bool(passed) or vacuous, float(worst_excess), _TOL,
         vacuous=vacuous, details=details,
     )
 
@@ -351,14 +353,15 @@ def _sample_points(gen, state, cs, count):
     return pts
 
 
-def check_sufficient(model, state, adjoint, probe_count=64, seed=0, tol=1e-12):
+def check_sufficient(model, state, adjoint, seed=0):
     """Concavity probes for H and g plus the variational condition.
 
-    (a) For random point pairs and mixing weights, checks midpoint concavity
-    of (x, y, z, u) -> H at frozen adjoint values, and of the terminal payoff;
-    (b) re-runs the variational inequality at 3 standard errors.  Certifies
-    optimality only when both parts pass.  Raises GridMismatch when the
-    adjoint is on another grid than the state.
+    (a) For _PROBES random point pairs and mixing weights each, checks
+    midpoint concavity of (x, y, z, u) -> H at frozen adjoint values, and of
+    the terminal payoff, to _CONCAVITY_TOL; (b) re-runs the variational
+    inequality at 3 standard errors.  Certifies optimality only when both
+    parts pass.  Raises GridMismatch when the adjoint is on another grid than
+    the state.
     """
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     grid = state.grid
@@ -368,11 +371,11 @@ def check_sufficient(model, state, adjoint, probe_count=64, seed=0, tol=1e-12):
     q = np.atleast_2d(adjoint.q)
     cs = model.control_set
 
-    a_pts = _sample_points(gen, state, cs, probe_count)
-    b_pts = _sample_points(gen, state, cs, probe_count)
-    lams = gen.uniform(0.1, 0.9, size=probe_count)
-    nodes = gen.integers(0, n + 1, size=probe_count)
-    rows = gen.integers(0, p.shape[0], size=probe_count)
+    a_pts = _sample_points(gen, state, cs, _PROBES)
+    b_pts = _sample_points(gen, state, cs, _PROBES)
+    lams = gen.uniform(0.1, 0.9, size=_PROBES)
+    nodes = gen.integers(0, n + 1, size=_PROBES)
+    rows = gen.integers(0, p.shape[0], size=_PROBES)
     r = None
     if adjoint.r is not None:
         # scalars and node rows broadcast over the paths, like p
@@ -390,12 +393,12 @@ def check_sufficient(model, state, adjoint, probe_count=64, seed=0, tol=1e-12):
     x_lo, x_hi = float(xs.min()), float(xs.max())
     # per probe, in draw order: xa, xb and the mixing weight
     xa, xb, lam_g = gen.uniform([x_lo - 1.0, x_lo - 1.0, 0.1], [x_hi + 1.0, x_hi + 1.0, 0.9],
-                                size=(probe_count, 3)).T
+                                size=(_PROBES, 3)).T
     xm = lam_g * xa + (1.0 - lam_g) * xb
     g = np.array([
         model.terminal.value(np.array([xa[i], xb[i], xm[i]]),
                              state.noise.path(int(rows[i]) % state.n_paths))
-        for i in range(probe_count)
+        for i in range(_PROBES)
     ])
     g_gap = lam_g * g[:, 0] + (1.0 - lam_g) * g[:, 1] - g[:, 2]
 
@@ -406,16 +409,16 @@ def check_sufficient(model, state, adjoint, probe_count=64, seed=0, tol=1e-12):
     worst_gap = ratios[i]
     if worst_gap == -np.inf:
         witness = None
-    elif i < probe_count:
+    elif i < _PROBES:
         witness = {"kind": "hamiltonian", "node": int(nodes[i]), "a": a_pts[i].tolist(),
                    "b": b_pts[i].tolist(), "lam": float(lams[i])}
     else:
-        i -= probe_count
+        i -= _PROBES
         witness = {"kind": "terminal", "a": float(xa[i]), "b": float(xb[i]),
                    "lam": float(lam_g[i])}
 
-    concave_ok = worst_gap <= tol
-    variational = check_necessary_II(model, state, adjoint, tol=max(tol, 1e-10))
+    concave_ok = worst_gap <= _CONCAVITY_TOL
+    variational = check_necessary_II(model, state, adjoint)
     passed = bool(concave_ok and variational.passed)
     details = {
         "concavity_gap": float(worst_gap),
@@ -424,7 +427,7 @@ def check_sufficient(model, state, adjoint, probe_count=64, seed=0, tol=1e-12):
     }
     return MPReport(
         "sufficient", passed, float(max(worst_gap, variational.statistic)),
-        max(tol, variational.threshold), vacuous=variational.vacuous, details=details,
+        variational.threshold, vacuous=variational.vacuous, details=details,
     )
 
 
@@ -432,7 +435,7 @@ def check_sufficient(model, state, adjoint, probe_count=64, seed=0, tol=1e-12):
 # First-order condition and spike perturbations
 
 
-def solve_foc(model, p, grid, tol=1e-10, max_iter=200):
+def solve_foc(model, p, grid, max_iter=200):
     """Invert the first-order condition df/du(t, u) = E[p(t)] nodewise.
 
     The control is deterministic (the trivial information model): the target
@@ -445,13 +448,16 @@ def solve_foc(model, p, grid, tol=1e-10, max_iter=200):
 
     Raises NonMonotone when df/du is not strictly monotone in u across the
     probe grid (bisection would not bracket), or naming the first node whose
-    residual misses the tolerance.
+    residual misses the tolerance; GridMismatch, naming both shapes, when p
+    is not (rows, n+1) on grid's horizon nodes.
     """
     cs = model.control_set
     lo, hi = cs.lower, cs.upper
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("first-order inversion needs a bounded control interval")
-    target = np.atleast_2d(np.asarray(p, dtype=float)).mean(axis=0)
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    _require_grid(grid, p=p)
+    target = p.mean(axis=0)
     t = grid.horizon_nodes
 
     def dfdu(t, u):
@@ -488,11 +494,11 @@ def solve_foc(model, p, grid, tol=1e-10, max_iter=200):
     values = np.where(clamp_lo, lo, np.where(clamp_hi, hi, 0.5 * (a + b)))
     clamped = clamp_hi | clamp_lo
     resid = np.abs(dfdu(t, values) - target)
-    bound = np.fmax(tol, 1e-8 * np.abs(target))
+    bound = np.fmax(_TOL, 1e-8 * np.abs(target))
     failed = np.flatnonzero(~clamped & (resid > bound))
     if failed.size:
         raise NonMonotone(
-            "bisection failed to reach |df/du - target| <= %g at node %d" % (tol, failed[0])
+            "bisection failed to reach |df/du - target| <= %g at node %d" % (_TOL, failed[0])
         )
 
     out = ControlPath(grid, values, control_set=cs)
@@ -500,7 +506,7 @@ def solve_foc(model, p, grid, tol=1e-10, max_iter=200):
     return out
 
 
-def spike_perturbation(base, t0, width, v, control_set=None, event_mask=None):
+def spike_perturbation(base, t0, width, v, event_mask=None):
     """Replace the control by the constant v on [t0, t0 + width).
 
     With an event_mask (boolean per path), only the flagged paths are
@@ -509,7 +515,7 @@ def spike_perturbation(base, t0, width, v, control_set=None, event_mask=None):
     base control unchanged.
     """
     grid = base.grid
-    cs = control_set if control_set is not None else base.control_set
+    cs = base.control_set
     if cs is not None and not cs.contains(v):
         raise OutOfControlSet("spike value %r is outside the admissible interval" % (v,))
     if width == 0:

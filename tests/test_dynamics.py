@@ -273,6 +273,24 @@ def test_control_row_counts_off_the_paths_are_typed():
             call()
 
 
+def test_a_state_of_another_control_or_noise_is_typed():
+    """J read from a held state is the state's own control on its own noise;
+    a state of another control, or of another noise object with equal paths,
+    is a GridMismatch rather than the J of the state's control."""
+    g = make_grid(0.2, 1.0, 8)
+    model = scenarios.linear_noisy_memory()
+    ens = sample_ensemble(g, JumpSpec.none(), seed=3, n_paths=200)
+    one = ControlPath.constant(g, 1.0)
+    state = simulate_state(model, one, ens)
+    twin = sample_ensemble(g, JumpSpec.none(), seed=3, n_paths=200)
+    for control, noise in ((ControlPath.constant(g, 2.0), ens),
+                           (ControlPath.constant(g, 1.0), ens), (one, twin)):
+        with pytest.raises(GridMismatch, match="another control or noise"):
+            evaluate_performance(model, control, noise, state=state)
+    held = evaluate_performance(model, one, ens, state=state)[2]
+    assert held.tobytes() == evaluate_performance(model, one, ens)[2].tobytes()
+
+
 def test_exploding_state_raises_with_step_info():
     model = scenarios.custom_affine(bx=1e12)  # overflows double range mid-run
     g = make_grid(0.2, 1.0, 8)

@@ -26,7 +26,7 @@ def test_chaos1_martingale_paths():
     f = Chaos1Exponential(g, psi, -0.5 * psi**2)
     assert f.mean_terminal() == pytest.approx(1.0)
     ens = sample_ensemble(g, JumpSpec.none(), seed=0, n_paths=50000)
-    term = f.terminal(noise=ens)
+    term = f.paths(ens)[:, -1]
     se = term.std(ddof=1) / np.sqrt(len(term))
     assert abs(term.mean() - 1.0) < 4 * se
     paths = f.paths(ens)
@@ -46,7 +46,7 @@ def test_chaos1_conditional_growth():
     remaining = 1.0 - g.horizon_nodes
     assert cond.shape == (10, g.n_horizon_steps + 1)
     assert np.allclose(cond, f.paths(ens) * np.exp(alpha * remaining), rtol=1e-13)
-    assert np.array_equal(cond[:, -1], f.terminal(ens))
+    assert np.array_equal(cond[:, -1], f.paths(ens)[:, -1])
     # D_t F(T) = psi(t) F(T), conditioned like F(T) itself
     assert np.array_equal(f.conditional_malliavin_terminals(ens), cond * 0.1)
 

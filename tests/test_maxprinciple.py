@@ -195,6 +195,16 @@ def test_solve_foc_clamps_to_the_interval():
     assert np.all(ustar.values == model.control_set.lower)
 
 
+def test_solve_foc_refuses_p_from_another_grid():
+    """p off the grid's horizon nodes is a GridMismatch naming both shapes,
+    not an error about a control the caller never passed."""
+    model = scenarios.consumption()
+    fine = make_grid(0.2, 1.0, 16)
+    p = np.exp(0.3 * (1.0 - fine.horizon_nodes))
+    with pytest.raises(GridMismatch, match=r"p of shape \(1, 81\), but .* needs \(rows, 41\)"):
+        solve_foc(model, p, GRID)
+
+
 def test_solve_foc_rejects_flat_marginal_cost():
     model = scenarios.consumption(running="linear", linear_rate=2.0)
     with pytest.raises(NonMonotone):

@@ -1,4 +1,5 @@
-"""The package carries no code that only its tests reach."""
+"""The package carries no code that only its tests reach, and no parameter
+that no call sets."""
 
 import ast
 import re
@@ -21,8 +22,15 @@ _API_METHODS = {
     "JumpSpec.gaussian",
 }
 
+# A defaulted parameter kept although no call passes it: a test sets it
+# through an alias of the function.
+_ALIASED_PARAMETERS = {"solve_foc.max_iter"}
+
 _MODULES = sorted((REPO / "src" / "noisy_control").glob("*.py"))
 _USERS = _MODULES + sorted((REPO / "perfbench").glob("*.py"))
+# the modules whose parameters are the library's; the scenarios' factory
+# parameters are config keys, and the criteria's come through ALL_CRITERIA
+_LIBRARY = ("paths", "dynamics", "malliavin", "adjoint", "maxprinciple")
 
 
 def test_every_top_level_name_is_used_outside_tests():
@@ -49,3 +57,55 @@ def test_every_public_method_is_read_outside_tests():
               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
               and fn.name not in read]
     assert sorted(unused) == sorted(_API_METHODS)
+
+
+def _defaulted(fn, method):
+    """(name, position) of fn's defaulted parameters; position counts the
+    call's positional arguments (after self or cls) and is None for a
+    keyword-only one."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if method else 0:]
+    first = len(positional) - len(args.defaults)
+    return ([(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            + [(arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _passes(call, name, position):
+    """Whether call passes the parameter: by keyword, by position, or by
+    *args or **kwargs, which may hold it."""
+    return (any(k.arg in (None, name) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """Each defaulted parameter of a library function or method is passed by
+    some call in src/, perfbench/ or tests/ to a callee of its name; one that
+    no call passes is a constant.  Constructors are out of scope: their
+    parameters are the fields of user-built objects, and classmethods call
+    them as cls(...)."""
+    calls = {}
+    for path in _USERS + sorted((REPO / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    functions = []
+    for module in _LIBRARY:
+        for node in ast.parse((REPO / "src" / "noisy_control" / (module + ".py")).read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((node.name, node, False))
+            elif isinstance(node, ast.ClassDef):
+                functions += [("%s.%s" % (node.name, fn.name), fn,
+                               not any(getattr(d, "id", None) == "staticmethod"
+                                       for d in fn.decorator_list))
+                              for fn in node.body if isinstance(fn, ast.FunctionDef)
+                              and fn.name != "__init__"
+                              and "%s.%s" % (node.name, fn.name) not in _API_METHODS]
+    unset = ["%s.%s" % (qualified, name)
+             for qualified, fn, method in functions
+             for name, position in _defaulted(fn, method)
+             if not any(_passes(call, name, position) for call in calls.get(fn.name, []))]
+    assert sorted(unset) == sorted(_ALIASED_PARAMETERS)
