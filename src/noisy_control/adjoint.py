@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FixedPointDiverged, GridMismatch, RankDeficientBasis
+from .errors import (FixedPointDiverged, GridMismatch, NotReduced, RankDeficientBasis,
+                     TooFewPaths)
 from .malliavin import Chaos1Exponential, horizon_values
 from .paths import _time_major
 
@@ -128,6 +129,12 @@ class AdjointTriple:
     p, q: (n_paths, n+1); r: affine pair (r0, r1) or None; mu: the
     conditional driver E[mu(t) | F_t] per node and path; chaos: the
     first-chaos exponential F that p is, for the closed form, else None.
+
+    A deterministic closed form (psi = 0) holds p, q and mu as read-only
+    zero-stride views of one row.  Reduce elementwise results (p**2,
+    approx - p) or 1-D columns (p[:, k]) over the paths: a reduction of the
+    whole view, such as p.mean(), may add in another order than the
+    contiguous block would.
     """
 
     grid: object
@@ -203,7 +210,10 @@ def solve_linear_closed_form(spec, noise):
     Returns:
         AdjointTriple whose chaos is that exponential, with psi, its growth
         rate alpha, c as drift_adjust and C as scale; diagnostics holds A and
-        the terminal mismatch max |p(T) - weight|.
+        the terminal mismatch max |p(T) - weight|.  When psi vanishes on the
+        grid (spec.psi_vanishes), p, q and mu are the same on every path and
+        are returned as read-only zero-stride views of one row, shape
+        (n_paths, n+1) as always; see AdjointTriple on reducing them.
 
     Raises:
         FixedPointDiverged: a non-finite value appeared in the backward sweep
@@ -237,12 +247,18 @@ def solve_linear_closed_form(spec, noise):
             )
 
     chaos = Chaos1Exponential(grid, psi, c_path, scale=np.exp(-h * c_path[:n].sum()))
-    p = chaos.paths(noise)
+    # With psi zero on every node F has no chaos part: psi * dB is a signed
+    # zero and exp(+-0) is 1, so every path's row is bitwise path 0's.  The
+    # rows are then computed for path 0 alone and broadcast over the paths.
+    rows = noise.path(0) if spec.psi_vanishes(grid) else noise
+    p = chaos.paths(rows)
     q = psi[None, :] * p
     mu = (a_path + sigma0 * psi)[None, :] * p
 
-    weight = np.exp((psi[:n] * noise.increments[:, grid.index_zero:]).sum(axis=1))
+    weight = np.exp((psi[:n] * rows.increments[:, grid.index_zero:]).sum(axis=1))
     terminal_residual = float(np.max(np.abs(p[:, -1] - weight)))
+    if rows is not noise:
+        p, q, mu = (np.broadcast_to(a, (noise.n_paths, n + 1)) for a in (p, q, mu))
 
     diagnostics = {"A": a_path, "terminal_residual": terminal_residual}
     return AdjointTriple(grid, p, q, None, mu, diagnostics, chaos)
@@ -632,15 +648,17 @@ def solve_absde_2d(model, state, basis=None, ridge=1e-8):
 
     Raises:
         KernelNotReducible via reduce_2d upstream; RankDeficientBasis from
-        the regressions, naming the node; ValueError if the ensemble is too
-        small.
+        the regressions, naming the node; NotReduced if the state has no x2;
+        TooFewPaths if the ensemble has fewer than ten paths per basis
+        function.
     """
     if state.x2 is None:
-        raise ValueError("state must come from reduce_2d (x2 missing)")
+        raise NotReduced("state of shape %r has no x2: the 2D solver needs a state "
+                         "from reduce_2d" % (state.x.shape,))
     basis = basis if basis is not None else QuadXZBasis()
     n_paths = state.n_paths
     if n_paths < 10 * basis.size:
-        raise ValueError(
+        raise TooFewPaths(
             "need at least %d paths for a size-%d basis, got %d"
             % (10 * basis.size, basis.size, n_paths)
         )

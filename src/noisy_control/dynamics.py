@@ -17,6 +17,7 @@ import copy
 import numpy as np
 
 from .errors import (
+    ControlShape,
     GradientMismatch,
     GridMismatch,
     KernelNotReducible,
@@ -107,6 +108,7 @@ class ControlPath:
     across noise paths or (n_paths, n_horizon_steps + 1) for adapted per-path
     controls.  Which information flow a control is adapted to is the
     optimality checks' information argument, not a property of the values.
+    Values of any other shape are a ControlShape error naming it.
     """
 
     def __init__(self, grid, values, control_set=None):
@@ -115,8 +117,8 @@ class ControlPath:
         if values.ndim == 0:
             values = np.full(width, float(values))
         if values.ndim > 2 or values.shape[-1] != width:
-            raise ValueError("control of shape %r: need (%d,) or (n_paths, %d), one value "
-                             "per node of [0, horizon]" % (values.shape, width, width))
+            raise ControlShape("control of shape %r: need (%d,) or (n_paths, %d), one value "
+                               "per node of [0, horizon]" % (values.shape, width, width))
         if control_set is not None and not control_set.contains(values):
             raise OutOfControlSet(
                 "control leaves the admissible interval %r" % (control_set,)
@@ -270,9 +272,8 @@ class CallableJumpCoefficient:
     path in jump order (NoiseEnsemble.step_jumps).
     """
 
-    def __init__(self, fn, grad_fns=None):
+    def __init__(self, fn):
         self.fn = fn
-        self.grad_fns = grad_fns
 
     def evaluate(self, t, x, y, z, u, zeta):
         return self.fn(t, x, y, z, u, zeta)
@@ -291,8 +292,7 @@ class CallableJumpCoefficient:
         )
 
     def grad(self, t, x, y, z, u, zeta):
-        grad_fns = None if self.grad_fns is None else (lambda *a: self.grad_fns(*a, zeta))
-        return _grad4(lambda *a: self.fn(*a, zeta), grad_fns, t, x, y, z, u)
+        return _grad4(lambda *a: self.fn(*a, zeta), None, t, x, y, z, u)
 
     def grad_dot_step_sum(self, t, x, y, z, u, vec4, noise, k):
         """Per-path sum over the jumps of step k of grad gamma . vec4."""
@@ -350,8 +350,9 @@ class CoefficientModel:
     missing gradients fall back to central finite differences with bump
     1e-5 * (1 + |value|).  A partial may be a read-only broadcast view (the
     catalog's constant partials are), so no caller writes into one.  A
-    CallableJumpCoefficient's fn and grad_fns take an array of marks zeta
-    with matching arrays of x, y, z and u, one entry per jump of a step.
+    CallableJumpCoefficient's fn takes an array of marks zeta with matching
+    arrays of x, y, z and u, one entry per jump of a step; its gradient is
+    always the central finite difference.
     A terminal payoff's value must vectorize too: a finite difference reads
     it once on the stacked (k, n_paths) terminal rows of its k controls.
 

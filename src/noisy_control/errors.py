@@ -20,6 +20,26 @@ class SeedOutOfRange(NoisyControlError, ValueError):
     [0, 2**64 - 1] of its two 64-bit words."""
 
 
+class InvalidGrid(NoisyControlError, ValueError):
+    """A grid's delay or horizon is not positive, or its steps per delay is
+    not a positive integer."""
+
+
+class TooFewPaths(NoisyControlError, ValueError):
+    """An ensemble has fewer paths than the computation needs: none at all
+    for sampling, or fewer than ten per basis function for a regression."""
+
+
+class ControlShape(NoisyControlError, ValueError):
+    """Control values are not one value per horizon node, either shared
+    (n+1,) or per path (n_paths, n+1)."""
+
+
+class NotReduced(NoisyControlError, ValueError):
+    """The two-dimensional backward solver was given a state without the
+    reduction's second component X2 (a state that reduce_2d did not make)."""
+
+
 class OffGrid(NoisyControlError):
     """A time was requested that does not coincide with a grid node."""
 

@@ -9,7 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridTooLarge, NonCommensurate, OffGrid, SeedOutOfRange
+from .errors import (GridTooLarge, InvalidGrid, NonCommensurate, OffGrid, SeedOutOfRange,
+                     TooFewPaths)
 
 _COMMENSURATE_RTOL = 1e-9
 _UNCOUNTABLE = "the grid's step count horizon * steps_per_delay / delta is past the float range"
@@ -31,12 +32,13 @@ class TimeGrid:
 
     def __init__(self, delta, horizon, steps_per_delay):
         if not (delta > 0):
-            raise ValueError("delay must be positive, got %r" % (delta,))
+            raise InvalidGrid("delay must be positive, got %r" % (delta,))
         if not (horizon > 0):
-            raise ValueError("horizon must be positive, got %r" % (horizon,))
+            raise InvalidGrid("horizon must be positive, got %r" % (horizon,))
         m = int(steps_per_delay)
         if m < 1 or m != steps_per_delay:
-            raise ValueError("steps_per_delay must be a positive integer")
+            raise InvalidGrid("steps_per_delay must be a positive integer, got %r"
+                              % (steps_per_delay,))
         try:
             h = delta / m
             n = int(round(horizon / h))
@@ -113,6 +115,8 @@ def make_grid(delta, horizon, steps_per_delay):
         index steps_per_delay, so a lag of delta is always the index shift m.
 
     Raises:
+        InvalidGrid: delta or horizon is not positive, or steps_per_delay is
+            not a positive integer.
         NonCommensurate: if the horizon is not commensurate with the step.
         GridTooLarge: if numpy refuses to allocate the nodes.
     """
@@ -232,19 +236,26 @@ class NoiseEnsemble:
             draw order.  The Euler scheme applies a jump at the end of its
             step, so a step's count and marks are all it reads.
 
-    The arrays are read-only, path-major and C-contiguous.  The Euler sweeps
-    read the noise one step at a time, so the first sweep to ask builds
-    read-only time-major companions, shape (n_steps, n_paths):
+    The arrays are read-only, path-major and C-contiguous, with one
+    exception: counts given as one value broadcast over every cell are kept
+    as that zero-stride view.  So a jump-free ensemble's jump_counts has the
+    usual shape and zeros but holds a single int64; integer sums over it are
+    exact in any order.
+
+    The Euler sweeps read the noise one step at a time, so the first sweep
+    to ask builds read-only time-major companions, shape (n_steps, n_paths):
     increment_rows, and for the jump part jump_count_rows and mark_sum_rows.
     A general jump coefficient reads step_jumps instead, every jump laid out
     step by step.  Each is built once per ensemble and kept with it; sampling
-    and the path-major readers (duality_check, ...) never build them.
+    and the path-major readers (duality_check, ...) never build them, and
+    the sweeps of a model without jumps build none of the jump part.
     """
 
     def __init__(self, grid, increments, jump_counts, jump_marks):
         self.grid = grid
         self.increments = np.ascontiguousarray(increments, dtype=float)
-        self.jump_counts = np.ascontiguousarray(jump_counts, dtype=np.int64)
+        counts = np.asarray(jump_counts, dtype=np.int64)
+        self.jump_counts = np.ascontiguousarray(counts) if any(counts.strides) else counts
         self.jump_marks = np.ascontiguousarray(jump_marks, dtype=float)
         shape = self.increments.shape
         if len(shape) != 2 or shape[1] != grid.n_steps or self.jump_counts.shape != shape:
@@ -337,6 +348,7 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
     Raises:
         SeedOutOfRange: seed is negative or not finite, or a key (seed,
             first_path + i) is past 2**64 - 1.
+        TooFewPaths: n_paths is below one.
         GridTooLarge: numpy refuses the (n_paths, n_steps) arrays.
     """
     # the range check comes first: it is also what refuses nan and inf
@@ -345,7 +357,7 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
     if int(seed) != seed:
         raise ValueError("seed must be an integer")
     if n_paths < 1:
-        raise ValueError("need at least one path")
+        raise TooFewPaths("need at least one path, got n_paths=%r" % (n_paths,))
     if first_path < 0 or int(first_path) != first_path:
         raise ValueError("first_path must be a nonnegative integer")
     seed, first_path = int(seed), int(first_path)
@@ -367,14 +379,16 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
         "has_uint32": 0,
         "uinteger": 0,
     }
+    has_jumps = jump_spec.intensity > 0.0
     try:
         incr = np.empty((n_paths, grid.n_steps))
-        counts = np.zeros((n_paths, grid.n_steps), dtype=np.int64)
+        # a jump-free ensemble holds its zero counts as one broadcast zero
+        counts = (np.zeros((n_paths, grid.n_steps), dtype=np.int64) if has_jumps
+                  else np.broadcast_to(np.int64(0), (n_paths, grid.n_steps)))
     except (ValueError, MemoryError):
         raise GridTooLarge("numpy cannot allocate the (%.3g, %d) noise arrays of this "
                            "ensemble" % (n_paths, grid.n_steps)) from None
     marks = []  # the marks of the paths with jumps, in path order
-    has_jumps = jump_spec.intensity > 0.0
     # The loop makes only the draws of each path's stream.  A path's stream
     # ends with its marks, so a path that drew no jumps skips the empty mark
     # draw without moving any bit.

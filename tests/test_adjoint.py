@@ -23,7 +23,14 @@ from noisy_control.adjoint import (
     solve_linear_closed_form,
 )
 from noisy_control.dynamics import ControlPath, MemoryKernel, reduce_2d, simulate_state
-from noisy_control.errors import FixedPointDiverged, GridMismatch, RankDeficientBasis
+from noisy_control.errors import (
+    FixedPointDiverged,
+    GridMismatch,
+    NotReduced,
+    RankDeficientBasis,
+    TooFewPaths,
+)
+from noisy_control.malliavin import horizon_values
 from noisy_control.maxprinciple import (
     check_necessary_I,
     check_necessary_II,
@@ -117,6 +124,33 @@ def test_closed_form_and_its_chaos_are_pinned(psi, m):
               chaos.drift_adjust, np.float64(chaos.scale)):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == _CLOSED_FORM_DIGESTS[psi, m]
+
+
+@pytest.mark.parametrize("factory", [lambda: scenarios.linear_noisy_memory(psi=0.0),
+                                     scenarios.consumption], ids=["psi-0", "consumption"])
+def test_a_deterministic_closed_form_holds_one_row(factory):
+    """With psi = 0, p, q and mu are read-only zero-stride views of the usual
+    shape, bitwise the per-path closed form, and the solve holds O(n) bytes."""
+    model = factory()
+    spec = model.linear_spec
+    ens = sample_ensemble(GRID, JumpSpec.none(), seed=2, n_paths=10_000)
+    _closed(model, ens)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        closed = _closed(model, ens)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    width = GRID.n_horizon_steps + 1
+    assert held <= 1e5, held  # one (n_paths, n+1) block is 3.3 MB
+    f = closed.chaos.paths(ens)
+    psi = closed.chaos.psi
+    rate = closed.diagnostics["A"] + horizon_values(GRID, spec.sigma0) * psi
+    for view, full in zip((closed.p, closed.q, closed.mu), (f, psi * f, rate * f)):
+        assert view.shape == (10_000, width) and view.strides[0] == 0
+        assert not view.flags.writeable
+        assert np.ascontiguousarray(view).tobytes() == full.tobytes()
 
 
 def test_closed_form_rejects_wrong_grid():
@@ -218,6 +252,28 @@ class _DuplicateColumnBasis:
     def design(self, x, z):
         one = np.ones_like(x)
         return np.column_stack([one, x, x])
+
+
+def _plain_state(n_paths, reduced):
+    model = scenarios.linear_noisy_memory()
+    ens = sample_ensemble(GRID, JumpSpec.none(), seed=0, n_paths=n_paths)
+    ctrl = ControlPath.constant(GRID, 1.0)
+    return model, (reduce_2d if reduced else simulate_state)(model, ctrl, ens)
+
+
+def test_too_few_paths_per_basis_function_is_typed():
+    """A TooFewPaths, still a ValueError, naming both sizes."""
+    with pytest.raises(TooFewPaths, match="at least 60 paths for a size-6 basis, got 59") as err:
+        solve_absde_2d(*_plain_state(59, reduced=True))
+    assert isinstance(err.value, ValueError)
+
+
+def test_a_state_without_x2_is_typed():
+    """A state that reduce_2d did not make is a NotReduced, still a
+    ValueError, naming the state's shape."""
+    with pytest.raises(NotReduced, match=r"state of shape \(60, 49\) has no x2") as err:
+        solve_absde_2d(*_plain_state(60, reduced=False))
+    assert isinstance(err.value, ValueError)
 
 
 def test_rank_deficient_basis_raises_without_ridge():

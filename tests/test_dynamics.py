@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from noisy_control.dynamics import (
     simulate_state,
 )
 from noisy_control.errors import (
+    ControlShape,
     GradientMismatch,
     GridMismatch,
     KernelNotReducible,
@@ -252,9 +254,19 @@ def test_control_set_and_path_validation():
 
 def test_controls_of_more_than_two_dimensions_are_refused():
     g = make_grid(0.2, 1.0, 8)
-    with pytest.raises(ValueError, match=r"control of shape \(2, 4, 41\)"):
+    with pytest.raises(ControlShape, match=r"control of shape \(2, 4, 41\)"):
         ControlPath(g, np.ones((2, 4, 41)))
     assert ControlPath(g, np.ones((4, 41))).rows().shape == (4, 41)
+
+
+def test_controls_of_a_wrong_length_are_typed():
+    """A ControlShape, still a ValueError, naming the shape given and needed."""
+    g = make_grid(0.2, 1.0, 8)
+    for values in (np.ones(40), np.ones((3, 42))):
+        with pytest.raises(ControlShape, match=r"shape %s: need \(41,\)"
+                           % re.escape(repr(values.shape))) as err:
+            ControlPath(g, values)
+        assert isinstance(err.value, ValueError)
 
 
 def test_control_row_counts_off_the_paths_are_typed():

@@ -137,9 +137,23 @@ def test_directions_off_the_horizon_nodes_are_rejected():
             route(eta)
 
 
-def test_sensitivity_route_matches_finite_differences():
+# One model per term of the dynamics that the K route must carry: the noisy
+# memory window, the delay X(t - delta) (no catalog model's coefficients read
+# it), the jumps and the ramp kernel.
+_EACH_TERM = {
+    "linear-noisy-memory": scenarios.linear_noisy_memory,
+    "custom-affine-delay": lambda: scenarios.custom_affine(
+        bx=0.3, by=0.1, bz=0.2, bu=-1.0, s_const=0.1, sx=0.2, terminal_slope=1.0),
+    "consumption-jumps": lambda: scenarios.consumption(
+        jump_scale=0.1, jump_spec=JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])),
+    "generalized-memory-ramp": scenarios.generalized_memory,
+}
+
+
+@pytest.mark.parametrize("factory", _EACH_TERM.values(), ids=_EACH_TERM.keys())
+def test_sensitivity_route_matches_finite_differences(factory):
     """With common noise the K route and central differences agree pathwise."""
-    model = scenarios.linear_noisy_memory()
+    model = factory()
     state, ctrl, ens = _state(model, n_paths=400, seed=3)
     for _, eta in probe_directions(GRID)[:3]:
         val_k, _, per_k = directional_derivative_K(model, state, eta)

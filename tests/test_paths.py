@@ -1,6 +1,7 @@
 """Grid arithmetic, noise sampling, and stochastic-integral plumbing."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,13 @@ import pytest
 
 from noisy_control import malliavin, scenarios
 from noisy_control.dynamics import ControlPath, simulate_state
-from noisy_control.errors import NonCommensurate, OffGrid, SeedOutOfRange
+from noisy_control.errors import (
+    InvalidGrid,
+    NonCommensurate,
+    OffGrid,
+    SeedOutOfRange,
+    TooFewPaths,
+)
 from noisy_control.paths import (
     JumpSpec,
     NoiseEnsemble,
@@ -41,14 +48,14 @@ def test_non_commensurate_rejected(delta, horizon, m):
 
 
 def test_grid_validates_inputs():
-    with pytest.raises(ValueError):
-        make_grid(-0.2, 1.0, 8)
-    with pytest.raises(ValueError):
-        make_grid(0.2, 0.0, 8)
-    with pytest.raises(ValueError):
-        make_grid(0.2, 1.0, 0)
-    with pytest.raises(ValueError):
-        make_grid(0.2, 1.0, 2.5)
+    """A delay or horizon that is not positive, or steps_per_delay that is
+    not a positive integer, is an InvalidGrid, still a ValueError, naming
+    the value."""
+    for args, value in (((-0.2, 1.0, 8), "-0.2"), ((0.2, 0.0, 8), "0.0"),
+                        ((0.2, 1.0, 0), "0"), ((0.2, 1.0, 2.5), "2.5")):
+        with pytest.raises(InvalidGrid, match="got %s$" % re.escape(value)):
+            make_grid(*args)
+    assert issubclass(InvalidGrid, ValueError)
 
 
 def test_index_of_round_trip_and_off_grid():
@@ -196,6 +203,14 @@ def test_ensemble_shape_contract():
     assert ens.jump_marks.size  # every jump needs its mark
     with pytest.raises(ValueError):
         NoiseEnsemble(g, ens.increments, ens.jump_counts, ens.jump_marks[:-1])
+
+
+def test_an_ensemble_of_no_paths_is_typed():
+    g = make_grid(0.2, 1.0, 4)
+    for n_paths in (0, -3):
+        with pytest.raises(TooFewPaths, match="n_paths=%d" % n_paths) as err:
+            sample_ensemble(g, JumpSpec.none(), 0, n_paths)
+        assert isinstance(err.value, ValueError)
 
 
 def test_path_keys_stay_in_the_philox_range():
@@ -437,3 +452,23 @@ def test_jump_free_ensemble_holds_only_its_arrays():
         tracemalloc.stop()
     arrays = ens.increments.nbytes + ens.jump_counts.nbytes
     assert held <= arrays + 1.5e6, (held, arrays)
+
+
+def test_jump_free_ensemble_holds_no_count_block():
+    """Its jump_counts is a read-only zero-stride view of the usual shape, so
+    the ensemble holds at most 1.5 MB beyond its increments."""
+    g = make_grid(0.2, 1.0, 8)
+    sample_ensemble(g, JumpSpec.none(), seed=0, n_paths=2)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ens = sample_ensemble(g, JumpSpec.none(), seed=0, n_paths=10_000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= ens.increments.nbytes + 1.5e6, (held, ens.increments.nbytes)
+    counts = ens.jump_counts
+    assert counts.shape == (10_000, g.n_steps) and counts.strides == (0, 0)
+    assert not counts.flags.writeable and not counts.any()
+    assert ens.path(7).jump_counts.strides == (0, 0)
+    assert np.array_equal(coarsen(ens, 2).jump_counts, np.zeros((10_000, g.n_steps // 2)))
