@@ -472,7 +472,9 @@ def run_scenario(cfg):
     else:
         control = ControlPath.constant(grid, cfg["control"]["value"],
                                        control_set=model.control_set)
-    state = simulate_state(model, control, noise)
+    # one state per run control: with a regression check, reduce_2d's, whose X2 it reads
+    simulate = reduce_2d if "regression" in cfg["checks"]["run"] else simulate_state
+    state = simulate(model, control, noise)
     j_value, j_se, _ = evaluate_performance(model, control, noise, state=state)
 
     checks = {}
@@ -483,10 +485,7 @@ def run_scenario(cfg):
         elif check == "bridge":
             checks[check] = check_bridge(model, cfg, grid, closed)
         elif check == "regression":
-            reg_state = reduce_2d(model, control, noise)
-            checks[check], regression_sol = check_regression(
-                model, cfg, grid, reg_state, closed
-            )
+            checks[check], regression_sol = check_regression(model, cfg, grid, state, closed)
         elif check == "max-principle":
             foc_state = state
             if cfg["control"]["kind"] != "foc":
@@ -545,7 +544,7 @@ def write_outputs(cfg, report, artifacts):
                 ]
                 zg = state.z_general
                 row.append("" if zg is None else "%.17g" % zg[0, k])
-                row.append("")  # the run's state is simulate_state's, which keeps no X2
+                row.append("")  # X2 is not written, even when the run's state holds it
                 writer.writerow(row)
         written.append(path)
     if cfg["output"]["write_adjoint"]:

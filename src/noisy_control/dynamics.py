@@ -12,8 +12,6 @@ the memory integral is maintained as a running prefix sum so that Z is, bit
 for bit, the difference of two anchored Ito integrals.
 """
 
-import copy
-
 import numpy as np
 
 from .errors import (
@@ -323,17 +321,26 @@ class CallableJumpCoefficient:
 
 
 def _at_jumps(noise, k, arrays):
-    """Path index and mark of every jump of step k, and each of `arrays` (one
-    value per path, a singleton row or a scalar) read on the jump's path."""
+    """Path index and mark of every jump of step k, and each of `arrays` read
+    on the jump's path.  An array holds one value per path, a singleton or a
+    scalar on its last axis, behind which a leading axis (a stacked sweep's
+    slots) is kept."""
     bounds, path, marks = noise.step_jumps
     jumps = slice(bounds[k], bounds[k + 1])
     path = path[jumps]
-    return path, marks[jumps], [np.broadcast_to(a, (noise.n_paths,))[path] for a in arrays]
+    return path, marks[jumps], [
+        np.broadcast_to(a, np.shape(a)[:-1] + (noise.n_paths,))[..., path] for a in arrays]
 
 
 def _sum_per_path(values, path, n_paths):
+    """Per-path sums of `values`, one per jump on the last axis; a leading
+    axis (a stacked sweep's slots) gives one row of sums per entry."""
+    values = np.broadcast_to(values, np.shape(values)[:-1] + path.shape)
+    rows = values.shape[0] if values.ndim == 2 else 1
+    cells = path + n_paths * np.arange(rows)[:, None]  # row r's paths are bins r * n_paths + path
     # bincount adds its weights in input order from 0.0: per path, in draw order
-    return np.bincount(path, weights=np.broadcast_to(values, path.shape), minlength=n_paths)
+    sums = np.bincount(cells.ravel(), weights=values.ravel(), minlength=rows * n_paths)
+    return sums.reshape(values.shape[:-1] + (n_paths,))
 
 
 class CoefficientModel:
@@ -355,6 +362,10 @@ class CoefficientModel:
     always the central finite difference.
     A terminal payoff's value must vectorize too: a finite difference reads
     it once on the stacked (k, n_paths) terminal rows of its k controls.
+    Several controls swept together (_performance_paths) pass x, y, z as
+    (k, n_paths) blocks with u a (k, 1) column, or a (k, n_paths) block when
+    some control is per path, and a CallableJumpCoefficient's fn then gets
+    (k, jumps) arrays beside the step's marks.
 
     Args:
         drift, diffusion, running_cost: coefficient callables.
@@ -526,42 +537,59 @@ class StateBundle:
 class _Carry:
     """The buffers a sweep reads from node `node` on; the sweep updates them in place.
 
-    v holds V's rows, indexed by node modulo its row count: every node, or
-    with `ring` a ring of m + 2 rows that holds every row the next steps
-    read.  prefix is a ring of m + 1 rows of the running prefix of V dB.
-    terms is the path-major term matrix of a non-identity kernel (None
-    otherwise).  cost is None here; a state carry (_state_carry) sums the
-    running cost over the nodes before `node` into it.  A fresh carry has
-    zero buffers, with V equal to `start` on the initial segment when given.
+    Each row of a buffer has a slot axis, one slot per control that a
+    stacked sweep carries (_performance_paths); a sweep advances the first
+    `active` slots, one contiguous (active, n_paths) block per row, and
+    slot 0 alone as (n_paths,) rows.  v holds V's rows, indexed by node
+    modulo its row count: every node, or with `ring` a ring of m + 2 rows
+    that holds every row the next steps read.  prefix is a ring of m + 1
+    rows of the running prefix of V dB.  terms is the path-major term matrix
+    of each slot for a non-identity kernel (None otherwise).  cost is None
+    here; a state carry (_state_carry) sums the running cost over the nodes
+    before `node` into it.  A fresh carry has zero buffers, with V equal to
+    `start` on the initial segment when given.
     """
 
-    def __init__(self, noise, node, start=None, kernel=None, ring=False):
+    def __init__(self, noise, node, slots, start=None, kernel=None, ring=False):
         grid = noise.grid
         m = grid.steps_per_delay
         n_paths = noise.n_paths
         self.node = node
         self.ring = ring
+        self.active = 1
         self.kernel = kernel if kernel is not None and not kernel.is_identity else None
-        self.v = np.zeros((m + 2 if ring else grid.n_nodes, n_paths))
+        self.v = np.zeros((m + 2 if ring else grid.n_nodes, slots, n_paths))
         if start is not None:
-            self.v[: m + 1] = np.asarray(start)[:, None]
-        self.prefix = np.zeros((m + 1, n_paths))
-        self.terms = np.zeros((n_paths, grid.n_steps)) if self.kernel is not None else None
+            self.v[: m + 1] = np.asarray(start)[:, None, None]
+        self.prefix = np.zeros((m + 1, slots, n_paths))
+        self.terms = (np.zeros((slots, n_paths, grid.n_steps)) if self.kernel is not None
+                      else None)
         self.cost = None
 
-    def copy(self):
-        """An independent carry at the same node.
+    @property
+    def live(self):
+        """Index of the slots a sweep advances: 0, for (n_paths,) rows, while
+        slot 0 is the only one, else the first `active`."""
+        return 0 if self.active == 1 else slice(0, self.active)
 
-        The term matrix is shared, not copied: its columns before `node` are
-        never written again, and a sweep writes each later column before it
-        reads it, so sweeps resumed one after the other from the two carries
-        see their own columns.
+    def fan_out(self, active):
+        """Start slots active..: each becomes a copy of slot 0 at `node`.
+
+        Of the term matrix, only the m columns before `node` are copied: a
+        sweep reads no earlier column, and writes each later one before it
+        reads it.
         """
-        out = copy.copy(self)
-        out.v = self.v.copy()
-        out.prefix = self.prefix.copy()
-        out.cost = None if self.cost is None else self.cost.copy()
-        return out
+        new = slice(self.active, active)
+        # row by row: numpy would first copy a source whose bounds overlap the target's
+        for buf in (self.v, self.prefix):
+            for row in buf:
+                row[new] = row[0]
+        if self.terms is not None:
+            window = slice(self.node - (len(self.prefix) - 1), self.node)
+            self.terms[new, :, window] = self.terms[0, :, window]
+        if self.cost is not None:
+            self.cost[new] = self.cost[0]
+        self.active = active
 
 
 def _sweep(noise, carry, step, what="state", stop=None):
@@ -575,53 +603,60 @@ def _sweep(noise, carry, step, what="state", stop=None):
     where step(k, V[k], V[k-m], window[k]) returns (b, s), or (b, s, jump,
     comp) with jump the step's per-path jump sum, read from the noise by the
     jump coefficient.  The window integrates V dB over the trailing delay,
-    weighted by the carry's kernel when it has one.
+    weighted by the carry's kernel when it has one.  Each argument of step
+    holds the carry's live slots (_Carry.live): (n_paths,) rows, or
+    (slots, n_paths) blocks on which every operation is elementwise, so each
+    slot's rows are bitwise those of a sweep of that slot alone.
 
-    The work buffers are (node, path) rows, so each step touches contiguous
-    memory, and the increments are read forward from the ensemble's
-    time-major companion NoiseEnsemble.increment_rows.  The plain window is
-    the difference of two entries of the running prefix of V dB.  The
-    weighted window keeps the path-major term matrix and its matrix-vector
-    product, whose BLAS summation order fixes its bits.  With a ring carry
-    the row being written is never V[k-m], and each window is kept in one
-    row: for callers that read the process only inside `step`.
+    The work buffers are (node, slot, path) rows, so each step touches
+    contiguous memory, and the increments are read forward from the
+    ensemble's time-major companion NoiseEnsemble.increment_rows.  The plain
+    window is the difference of two entries of the running prefix of V dB.
+    The weighted window keeps each slot's path-major term matrix and its
+    matrix-vector product, one (n_paths, m) @ (m,) product per slot whose
+    BLAS summation order fixes its bits.  With a ring carry the row being
+    written is never V[k-m], and each window is kept in one row: for callers
+    that read the process only inside `step`.
 
-    Returns time-major (V, plain window, weighted window or None); the
-    windows cover the nodes of [0, horizon], and those before the first node
-    swept are zero.  With a ring carry, V is its terminal row and each window
-    its last row.
+    Returns time-major (V, plain window, weighted window or None), each with
+    a slot axis after the node axis; the windows cover the nodes of
+    [0, horizon], and those before the first node swept are zero.  With a
+    ring carry, V is its terminal row and each window its last row.
 
     Raises:
-        NonFiniteState: V left the finite range (step and time attached).
+        NonFiniteState: V left the finite range in some slot (the earliest
+            such step and its time attached).
     """
     grid = noise.grid
     m = grid.steps_per_delay
     n = grid.n_horizon_steps
     h = grid.step
-    n_paths = noise.n_paths
     kernel = carry.kernel
     incr = noise.increment_rows
     v, prefix, terms = carry.v, carry.prefix, carry.terms
     v_rows, prefix_rows = len(v), len(prefix)
     window_rows = 1 if carry.ring else n + 1
-    window = np.zeros((window_rows, n_paths))
-    weighted = np.zeros((window_rows, n_paths)) if kernel is not None else None
+    window = np.zeros((window_rows,) + v.shape[1:])
+    weighted = np.zeros(window.shape) if kernel is not None else None
+    s = carry.live
 
     end = m + n + 1 if stop is None else stop
     for k in range(carry.node, end):
-        vk = v[k % v_rows]
+        vk = v[k % v_rows, s]
         if k >= m:
             w = (k - m) % window_rows
-            np.subtract(prefix[k % prefix_rows], prefix[(k - m) % prefix_rows], out=window[w])
+            np.subtract(prefix[k % prefix_rows, s], prefix[(k - m) % prefix_rows, s],
+                        out=window[w, s])
             if kernel is not None:
-                weighted[w] = terms[:, k - m : k] @ kernel.weights(grid, k)
+                weighted[w, s] = terms[s, :, k - m : k] @ kernel.weights(grid, k)
             if k == m + n:
                 break
         incr_k = incr[k]
         if k >= m:
-            coef = step(k, vk, v[(k - m) % v_rows], (window if kernel is None else weighted)[w])
+            coef = step(k, vk, v[(k - m) % v_rows, s],
+                        (window if kernel is None else weighted)[w, s])
             # v[k] + b h + s dB (+ jump - h comp), evaluated in that order
-            v_next = v[(k + 1) % v_rows]
+            v_next = v[(k + 1) % v_rows, s]
             np.multiply(coef[0], h, out=v_next)
             np.add(vk, v_next, out=v_next)
             v_next += coef[1] * incr_k
@@ -636,19 +671,21 @@ def _sweep(noise, carry, step, what="state", stop=None):
                 )
         term = vk * incr_k
         if kernel is not None:
-            terms[:, k] = term
-        np.add(prefix[k % prefix_rows], term, out=prefix[(k + 1) % prefix_rows])
+            terms[s, :, k] = term
+        np.add(prefix[k % prefix_rows, s], term, out=prefix[(k + 1) % prefix_rows, s])
     carry.node = end
     return (v[(m + n) % v_rows] if carry.ring else v), window, weighted
 
 
-def _state_carry(model, noise, ring=False):
-    """Fresh carry of the state sweep of `model` at node 0, V its initial
-    segment, with a zero running-cost sum (see _Carry and _state_sweep)."""
+def _state_carry(model, noise, slots, ring=False):
+    """Fresh carry of `slots` slots of the state sweep of `model` at node 0,
+    V its initial segment, with a zero running-cost sum (see _Carry and
+    _state_sweep)."""
     grid = noise.grid
-    carry = _Carry(noise, 0, model.initial_segment(grid.nodes[: grid.steps_per_delay + 1]),
+    carry = _Carry(noise, 0, slots,
+                   model.initial_segment(grid.nodes[: grid.steps_per_delay + 1]),
                    kernel=model.kernel, ring=ring)
-    carry.cost = np.zeros(noise.n_paths)
+    carry.cost = np.zeros((slots, noise.n_paths))
     return carry
 
 
@@ -665,27 +702,28 @@ def _control_rows(control, noise):
     return rows
 
 
-def _state_sweep(model, control, noise, carry, stop=None):
-    """_sweep of the state equation of `model` under `control` on `noise`, from `carry`.
+def _state_sweep(model, u, noise, carry, stop=None):
+    """_sweep of the state equation of `model` on `noise`, from `carry`.
 
-    Each step also adds the running cost at its node to carry.cost, in node
-    order, with u a scalar when the control is shared across paths.
+    u holds the control rows of each slot of the carry, (slots, 1 or
+    n_paths, n+1).  Each step also adds the running cost at its node to
+    carry.cost, in node order, with u a scalar when slot 0 sweeps alone
+    under a control shared across paths.
 
     Raises:
-        GridMismatch: the control is on another grid than the noise, or
-            has neither 1 nor n_paths rows.
         NonFiniteState: the state left the finite range.
     """
     grid = noise.grid
     m = grid.steps_per_delay
-    u_rows = _control_rows(control, noise)
-    cost = carry.cost
+    s = carry.live
+    cost = carry.cost[s]
+    u = u[s]
 
     def step(k, xk, yk, zk):
         t_k = grid.nodes[k]
-        uk = u_rows[:, k - m]
-        u_cost = uk if u_rows.shape[0] > 1 else u_rows[0, k - m]
-        np.add(cost, model.running_cost(t_k, xk, yk, zk, u_cost), out=cost)
+        uk = u[..., k - m]
+        np.add(cost, model.running_cost(t_k, xk, yk, zk, uk[0] if uk.shape == (1,) else uk),
+               out=cost)
         coef = (model.drift(t_k, xk, yk, zk, uk), model.diffusion(t_k, xk, yk, zk, uk))
         if not model.has_jumps:
             return coef
@@ -716,9 +754,10 @@ def simulate_state(model, control, noise):
         NonFiniteState: the state left the finite range (step and time attached).
     """
     grid = noise.grid
-    carry = _state_carry(model, noise)
-    x, z, zg = _state_sweep(model, control, noise, carry)
-    cost_sum = carry.cost
+    carry = _state_carry(model, noise, 1)
+    u = _control_rows(control, noise)[None]
+    x, z, zg = (a if a is None else a[:, 0] for a in _state_sweep(model, u, noise, carry))
+    cost_sum = carry.cost[0]
     del carry
     # Copy back one buffer at a time so the time-major ones are freed early.
     x = _time_major(x)
@@ -799,42 +838,54 @@ def _per_path_value(model, grid, cost, x_terminal, noise):
 def _performance_paths(model, controls, noise):
     """Per-path J of each of `controls` on `noise`, state-free (see evaluate_performance).
 
-    Sweeps whose controls have the same rows, bit for bit, on the first s
-    horizon nodes agree bit for bit up to node m + s (_shared_nodes).  That
-    part is swept once; each control then resumes from the carry there, a
-    copy for every control but the last, which takes the carry itself.  This
-    is how the two sides of a finite difference skip the nodes before their
-    direction's support.  The terminal payoff is evaluated once, on the
-    stacked (len(controls), n_paths) terminal rows; the result has one row
-    per control.
+    The controls are swept together, one slot of the carry each, so each
+    Euler step makes one set of numpy calls for all of them: rows are
+    (slots, n_paths) and a shared control's u is a (slots, 1) column.  A
+    control whose rows agree bit for bit with those of controls[0] on its
+    first s horizon nodes (_shared_nodes) has its state up to node m + s:
+    slot 0, which holds controls[0], sweeps alone up to the first such node,
+    and each other control's slot starts as a copy of slot 0 at its own
+    node (_Carry.fan_out), in order of that node.  This is how the two sides
+    of a finite difference skip the nodes before their direction's support,
+    and how a spike is swept only from where it starts.  Each step does the
+    same elementwise operations on each slot's rows as a sweep of that
+    control alone, so each row of the result is bitwise that sweep's.  The
+    terminal payoff is evaluated once, on the stacked (len(controls),
+    n_paths) terminal rows; the result has one row per control.
+
+    Raises:
+        GridMismatch: a control is on another grid than the noise, or has
+            neither 1 nor n_paths rows.
+        NonFiniteState: a state left the finite range (the earliest step
+            over all the controls).
     """
     grid = noise.grid
-    carry = _state_carry(model, noise, ring=True)
-    if len(controls) > 1:
-        stop = grid.steps_per_delay + _shared_nodes(controls)
-        _state_sweep(model, controls[0], noise, carry, stop=stop)
-    ends = []
-    for i, control in enumerate(controls):
-        own = carry if i == len(controls) - 1 else carry.copy()
-        ends.append((_state_sweep(model, control, noise, own)[0], own.cost))
-    x_terminal, cost = (np.stack(rows) for rows in zip(*ends))
-    del carry, own, ends  # a terminal payoff may need more room than a sweep
+    m = grid.steps_per_delay
+    rows = [_control_rows(c, noise) for c in controls]
+    starts = [0] + [_shared_nodes(rows[0], r) for r in rows[1:]]
+    order = [0] + sorted(range(1, len(rows)), key=starts.__getitem__)
+    width = max(len(r) for r in rows)
+    u = np.stack([np.broadcast_to(rows[i], (width, rows[i].shape[1])) for i in order])
+    carry = _state_carry(model, noise, len(rows), ring=True)
+    for slot, i in enumerate(order[1:], start=1):
+        _state_sweep(model, u, noise, carry, stop=m + starts[i])
+        carry.fan_out(slot + 1)
+    x_terminal = _state_sweep(model, u, noise, carry)[0]
+    back = np.argsort(order)
+    x_terminal, cost = x_terminal[back], carry.cost[back]
+    del carry  # a terminal payoff may need more room than a sweep
     return _per_path_value(model, grid, cost, x_terminal, noise)
 
 
-def _shared_nodes(controls):
-    """Horizon nodes before the first at which the controls' rows differ in
-    any bit, sign of zero included: at most n, as no step reads node n, and
-    0 when their row counts differ."""
-    rows = [c.rows() for c in controls]
-    n = controls[0].grid.n_horizon_steps
-    first = rows[0][:, :n]
-    differ = np.zeros(n, dtype=bool)
-    for other in rows[1:]:
-        if other.shape != rows[0].shape:
-            return 0
-        other = other[:, :n]
-        differ |= ((other != first) | (np.signbit(other) != np.signbit(first))).any(axis=0)
+def _shared_nodes(first, rows):
+    """Horizon nodes before the first at which control rows `rows` differ
+    from `first` in any bit, sign of zero included: at most n, as no step
+    reads node n, and 0 when their row counts differ."""
+    n = first.shape[1] - 1
+    if rows.shape != first.shape:
+        return 0
+    first, rows = first[:, :n], rows[:, :n]
+    differ = ((rows != first) | (np.signbit(rows) != np.signbit(first))).any(axis=0)
     hits = np.flatnonzero(differ)
     return int(hits[0]) if hits.size else n
 

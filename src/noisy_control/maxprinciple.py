@@ -116,8 +116,9 @@ def derivative_process(model, state, eta):
             model.gamma.grad_dot_nu_integral(*point, vec, model.jump_spec),
         )
 
-    carry = _Carry(noise, m + _support_start(eta_r), kernel=model.kernel)
-    k_path, kz, kz_weighted = _sweep(noise, carry, step, what="derivative process")
+    carry = _Carry(noise, m + _support_start(eta_r), 1, kernel=model.kernel)
+    k_path, kz, kz_weighted = (a if a is None else a[:, 0]
+                               for a in _sweep(noise, carry, step, what="derivative process"))
     return KBundle(k_path.T, (kz if kz_weighted is None else kz_weighted).T, grid)
 
 
@@ -208,8 +209,8 @@ def finite_difference_derivative(model, control, noise, eta, s=1e-3):
     Falls back to a one-sided difference when the shifted control leaves the
     admissible set on one side; raises OutOfControlSet if it leaves on both.
     The two sides are swept once together up to the first node at which
-    their controls differ, which is where eta's support starts, and each
-    goes on from there (dynamics._performance_paths).
+    their controls differ, which is where eta's support starts, and from
+    there as one stacked (2, n_paths) sweep (dynamics._performance_paths).
     Returns (value, se, per_path); raises GridMismatch for an eta off the
     horizon nodes (see _eta_rows).
     """

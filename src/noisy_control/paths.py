@@ -255,14 +255,15 @@ class NoiseEnsemble:
         self.grid = grid
         self.increments = np.ascontiguousarray(increments, dtype=float)
         counts = np.asarray(jump_counts, dtype=np.int64)
-        self.jump_counts = np.ascontiguousarray(counts) if any(counts.strides) else counts
+        self.jump_counts = counts if _broadcast(counts) else np.ascontiguousarray(counts)
         self.jump_marks = np.ascontiguousarray(jump_marks, dtype=float)
         shape = self.increments.shape
         if len(shape) != 2 or shape[1] != grid.n_steps or self.jump_counts.shape != shape:
             raise ValueError(
                 "increments and jump counts must both have shape (n_paths, %d)" % grid.n_steps
             )
-        if self.jump_marks.shape != (self.jump_counts.sum(),):
+        total = counts.flat[0] * counts.size if _broadcast(counts) else counts.sum()
+        if self.jump_marks.shape != (total,):
             raise ValueError("jump marks must be one flat array of one mark per jump")
         self.n_paths = shape[0]
         for arr in (self.increments, self.jump_counts, self.jump_marks):
@@ -313,6 +314,11 @@ class NoiseEnsemble:
         sums = np.bincount(_jump_cells(self.jump_counts), weights=self.jump_marks,
                            minlength=self.jump_counts.size)
         return sums.reshape(self.jump_counts.shape)
+
+
+def _broadcast(counts):
+    """Whether counts is one value broadcast over every cell (all strides zero)."""
+    return counts.size > 0 and not any(counts.strides)
 
 
 def _jump_cells(counts):
@@ -412,13 +418,23 @@ def coarsen(noise, factor):
 
     Brownian increments over merged steps add; jumps keep their marks and
     land in the coarse step containing their fine step.  Used for
-    strong-order checks against a common refinement.
+    strong-order checks against a common refinement.  Counts broadcast from
+    one value (a jump-free ensemble's) stay a broadcast view.
+
+    Raises:
+        InvalidGrid: factor is not a positive integer dividing steps_per_delay.
     """
     grid = noise.grid
+    if factor != int(factor) or factor < 1 or grid.steps_per_delay % factor:
+        raise InvalidGrid("coarsening factor %r does not divide steps_per_delay %d"
+                          % (factor, grid.steps_per_delay))
     factor = int(factor)
-    if factor < 1 or grid.steps_per_delay % factor:
-        raise ValueError("factor must divide steps_per_delay")
     coarse = make_grid(grid.delta, grid.horizon, grid.steps_per_delay // factor)
     shape = (noise.n_paths, coarse.n_steps, factor)
-    return NoiseEnsemble(coarse, noise.increments.reshape(shape).sum(axis=-1),
-                         noise.jump_counts.reshape(shape).sum(axis=-1), noise.jump_marks)
+    counts = noise.jump_counts
+    if _broadcast(counts):
+        counts = np.broadcast_to(counts.flat[0] * factor, shape[:2])
+    else:
+        counts = counts.reshape(shape).sum(axis=-1)
+    return NoiseEnsemble(coarse, noise.increments.reshape(shape).sum(axis=-1), counts,
+                         noise.jump_marks)

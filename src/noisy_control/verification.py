@@ -26,7 +26,8 @@ from . import malliavin as malliavin_mod
 from . import maxprinciple as mp
 from . import scenarios
 from .dynamics import (
-    ControlPath, MemoryKernel, _mean_se, evaluate_performance, reduce_2d, simulate_state,
+    ControlPath, MemoryKernel, _mean_se, _performance_paths, evaluate_performance, reduce_2d,
+    simulate_state,
 )
 from .errors import NonFiniteState, ZeroResidual
 from .malliavin import horizon_values
@@ -157,27 +158,38 @@ def rel_rms(approx, exact):
     return rms(approx - exact) / rms(exact)
 
 
+# spikes per stacked sweep of spike_battery: its buffers are this many
+# controls' worth, whatever the spike count
+_SPIKE_BLOCK = 16
+
+
 def spike_battery(model, state, seed, t0_nodes, width, values, count, se_mult):
     """Spike perturbations of the control of `state`, scored against it on its noise.
 
     Draws from Philox(seed + 7): per spike a start among `t0_nodes`, then a
-    value uniform on `values` = (low, high).  Each spike of `width` is scored
-    by the paired per-path gain in J over the base control, whose J is read
-    from `state`.  Returns (worst gain - se_mult * se, one dict per spike).
+    value uniform on `values` = (low, high); every draw comes before any
+    sweep.  The spikes of `width` are then swept _SPIKE_BLOCK at a time, each
+    block one stacked sweep beside the base control (dynamics._performance_paths),
+    so each spike's state is swept only from the node where it starts.  Each
+    spike is scored by the paired per-path gain in J over the base control,
+    whose J is read from `state`.  Returns (worst gain - se_mult * se, one
+    dict per spike).
     """
     base, noise = state.control, state.noise
     _, _, per0 = evaluate_performance(model, base, noise, state=state)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed + 7)))
+    draws = [(float(gen.choice(t0_nodes)), float(gen.uniform(*values))) for _ in range(count)]
     worst = -np.inf
     spikes = []
-    for _ in range(count):
-        t0 = float(gen.choice(t0_nodes))
-        v = float(gen.uniform(*values))
-        spike = mp.spike_perturbation(base, t0, width, v)
-        _, _, per1 = evaluate_performance(model, spike, noise)
-        gain, se = _mean_se(per1 - per0)
-        worst = max(worst, gain - se_mult * se)
-        spikes.append({"t0": t0, "value": v, "gain": gain, "se": se})
+    for first in range(0, count, _SPIKE_BLOCK):
+        block = draws[first : first + _SPIKE_BLOCK]
+        controls = [base] + [mp.spike_perturbation(base, t0, width, v) for t0, v in block]
+        # the block's rows die here, before the next block is swept
+        scores = [_mean_se(per1 - per0)
+                  for per1 in _performance_paths(model, controls, noise)[1:]]
+        for (t0, v), (gain, se) in zip(block, scores):
+            worst = max(worst, gain - se_mult * se)
+            spikes.append({"t0": t0, "value": v, "gain": gain, "se": se})
     return worst, spikes
 
 

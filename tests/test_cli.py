@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisy_control import cli, scenarios, verification
+from noisy_control import cli, dynamics, scenarios, verification
 from noisy_control.adjoint import LinearBSDESpec
 from noisy_control.errors import ConfigError, NonFiniteState
 from noisy_control.paths import JumpSpec, make_grid, sample_ensemble
@@ -652,3 +652,26 @@ def test_configs_regenerate_blas_order_dependent_out(tmp_path, monkeypatch):
     differing = [rel for rel, new, old in _regenerate_out(tmp_path, monkeypatch)
                  if rel in BLAS_ORDER_DEPENDENT and new != old]
     assert differing == []
+
+
+@pytest.mark.parametrize("name", ["consumption", "custom-affine", "linear-noisy-memory"])
+def test_a_regression_run_simulates_its_control_once(monkeypatch, name):
+    """With a regression check, the run's one state of its control is
+    reduce_2d's, and solve_absde_2d reads that very object."""
+    simulated, solved = [], []
+    simulate, solve = dynamics.simulate_state, cli.adjoint_mod.solve_absde_2d
+
+    def counted(model, control, noise):
+        simulated.append(control)
+        return simulate(model, control, noise)
+
+    monkeypatch.setattr(dynamics, "simulate_state", counted)
+    monkeypatch.setattr(cli, "simulate_state", counted)
+    monkeypatch.setattr(cli.adjoint_mod, "solve_absde_2d",
+                        lambda model, state, **k: solved.append(state) or solve(model, state, **k))
+    cfg = cli.load_config(str(REPO / "configs" / (name + ".ini")))
+    assert "regression" in cfg["checks"]["run"]
+    _, _, artifacts = cli.run_scenario(cfg)
+    state = artifacts["state"]
+    assert solved == [state] and state.x2 is not None
+    assert sum(control is state.control for control in simulated) == 1

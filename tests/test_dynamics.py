@@ -636,3 +636,69 @@ def test_exploding_derivative_process_raises_with_step_info():
     with pytest.raises(NonFiniteState) as err, np.errstate(over="ignore", invalid="ignore"):
         derivative_process(model, state, np.full(g.n_horizon_steps + 1, 10.0))
     assert err.value.step == g.index_zero
+
+
+def _stacked_case(case):
+    """(model, noise, controls) for a stacked sweep: a base control, spikes
+    starting at different nodes (one twice), a copy of the base and a
+    control that differs from it from node 0."""
+    g = make_grid(0.2, 1.0, 8)
+    spec = JumpSpec.none()
+    if case == "consumption":
+        model = scenarios.consumption()
+    elif case == "generalized-memory":
+        model = scenarios.generalized_memory()
+    else:
+        spec = JumpSpec.discrete(2.0, [-0.5, 1.0], [0.5, 0.5])
+        model = scenarios.consumption(jump_scale=0.1, jump_spec=spec)
+        if case == "callable-jumps":
+            model.gamma = CallableJumpCoefficient(
+                lambda t, x, y, z, u, zeta: 0.1 * np.tanh(x) * zeta + 0.05 * x * zeta * zeta)
+    ens = sample_ensemble(g, spec, seed=5, n_paths=200)
+    base = ControlPath.constant(g, 1.0, control_set=model.control_set)
+    w = 4 * g.step
+    controls = [base] + [maxprinciple.spike_perturbation(base, t0, w, v)
+                         for t0, v in ((0.5, 2.0), (0.1, 0.5), (0.5, 1.5), (0.8, 0.3))]
+    controls += [ControlPath.constant(g, 1.0, control_set=model.control_set),
+                 ControlPath.constant(g, 1.25, control_set=model.control_set)]
+    if case == "mixed":
+        mask = np.arange(200) % 3 == 0
+        controls[2:2] = [maxprinciple.spike_perturbation(base, t0, w, 2.0, event_mask=mask)
+                         for t0 in (0.3, 0.0)]
+    return model, ens, controls
+
+
+@pytest.mark.parametrize("case", ["consumption", "generalized-memory", "affine-jumps",
+                                  "callable-jumps", "mixed"])
+def test_a_stacked_sweep_is_bitwise_each_control_alone(case):
+    """_performance_paths sweeps its controls as one block of rows; each row
+    is the bits of that control's own sweep, whatever the order."""
+    model, ens, controls = _stacked_case(case)
+    alone = [evaluate_performance(model, c, ens)[2] for c in controls]
+    for order in (controls, controls[::-1], controls[3:] + controls[:3]):
+        stacked = dynamics._performance_paths(model, order, ens)
+        assert stacked.shape == (len(order), ens.n_paths)
+        for c, row in zip(order, stacked):
+            assert row.tobytes() == alone[controls.index(c)].tobytes()
+
+
+def test_a_stacked_sweep_raises_at_the_earliest_blow_up():
+    """The step named is the earliest one at which any control's state
+    leaves the finite range, whichever slot that control sweeps in."""
+    g = make_grid(0.2, 1.0, 8)
+    model = scenarios.custom_affine()
+    ens = sample_ensemble(g, JumpSpec.none(), seed=8, n_paths=4)
+    n = g.n_horizon_steps
+
+    def blows_up_at(j):
+        values = np.zeros(n + 1)
+        values[j] = np.inf
+        return ControlPath(g, values)
+
+    base = ControlPath(g, np.zeros(n + 1))
+    for controls in ((blows_up_at(30), blows_up_at(20)), (blows_up_at(20), blows_up_at(30)),
+                     (base, blows_up_at(30), blows_up_at(20), base)):
+        with pytest.raises(NonFiniteState) as err, np.errstate(invalid="ignore"):
+            dynamics._performance_paths(model, controls, ens)
+        assert err.value.step == g.index_zero + 20
+        assert err.value.time == g.nodes[g.index_zero + 20]

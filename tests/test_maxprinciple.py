@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisy_control import scenarios
+from noisy_control import scenarios, verification
 from noisy_control.adjoint import (
     AdjointTriple,
     LinearBSDESpec,
@@ -83,7 +83,8 @@ def test_derivative_process_starts_from_rest():
 
 def test_perturbed_sweeps_start_at_the_support():
     """The tangent reads no gradient before eta's support, and the two sides
-    of a finite difference sweep the nodes before it once, together."""
+    of a finite difference sweep the nodes before it once, as one path's
+    rows, then every later node once, as stacked (2, n_paths) rows."""
     model = scenarios.consumption()
     state, ctrl, ens = _state(model, n_paths=50)
     eta = dict(probe_directions(GRID))["late-half"]
@@ -93,10 +94,10 @@ def test_perturbed_sweeps_start_at_the_support():
     model.drift_grad = lambda t, *args: times.append(t) or drift_grad(t, *args)
     derivative_process(model, state, eta)
     assert times == list(GRID.nodes[GRID.index_zero + k_s : -1])
-    model.drift = lambda t, *args: times.append(t) or drift(t, *args)
-    del times[:]
+    shapes = []
+    model.drift = lambda t, x, *args: shapes.append(np.shape(x)) or drift(t, x, *args)
     finite_difference_derivative(model, ctrl, ens, eta)
-    assert len(times) == k_s + 2 * (n - k_s)
+    assert shapes == [(50,)] * k_s + [(2, 50)] * (n - k_s)
 
 
 def test_sensitivity_route_handles_a_general_jump_coefficient():
@@ -344,6 +345,58 @@ def test_spike_battery_never_beats_the_optimizer():
         gain = float(diff.mean())
         se = float(diff.std(ddof=1) / np.sqrt(len(diff)))
         assert gain <= 3.0 * se + 1e-12
+
+
+@pytest.mark.parametrize("case", ["consumption", "generalized-memory", "per-path-base"])
+def test_spike_battery_is_bitwise_a_loop_of_single_spikes(case):
+    """Every gain and se of the stacked battery equals the one a sweep of
+    that spike alone gives, over more spikes than one stacked sweep holds."""
+    model = scenarios.generalized_memory() if case == "generalized-memory" \
+        else scenarios.consumption()
+    ens = sample_ensemble(GRID, JumpSpec.none(), seed=4, n_paths=300)
+    n = GRID.n_horizon_steps
+    if case == "per-path-base":
+        values = np.random.default_rng(1).uniform(0.5, 2.0, size=(300, n + 1))
+        base = ControlPath(GRID, values, control_set=model.control_set)
+    else:
+        base = ControlPath.constant(GRID, 1.0, control_set=model.control_set)
+    state = simulate_state(model, base, ens)
+    count, seed, width, t0s = verification._SPIKE_BLOCK + 5, 3, 4 * GRID.step, NODES[:-5]
+    worst, spikes = verification.spike_battery(model, state, seed, t0s, width, (0.1, 3.0),
+                                               count, 2.0)
+    per0 = evaluate_performance(model, base, ens)[2]
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed + 7)))
+    expected = []
+    for _ in range(count):
+        t0 = float(gen.choice(t0s))
+        v = float(gen.uniform(0.1, 3.0))
+        per1 = evaluate_performance(model, spike_perturbation(base, t0, width, v), ens)[2]
+        diff = per1 - per0
+        gain, se = float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(len(diff)))
+        expected.append({"t0": t0, "value": v, "gain": gain, "se": se})
+    assert spikes == expected
+    assert worst == max(s["gain"] - 2.0 * s["se"] for s in expected)
+
+
+def test_spike_battery_traced_peak_does_not_grow_with_the_count():
+    """200 spikes at 2000 paths hold one stacked sweep's worth of buffers,
+    as a battery of one sweep does, plus the returned scores, under 1 kB a
+    spike.  One slot of a carry is 0.3 MB here, so 200 slots at once would
+    hold about 60 MB."""
+    model = scenarios.consumption()
+    ens = sample_ensemble(GRID, JumpSpec.none(), seed=4, n_paths=2000)
+    base = ControlPath.constant(GRID, 1.0, control_set=model.control_set)
+    state = simulate_state(model, base, ens)
+    peaks = {}
+    for count in (verification._SPIKE_BLOCK, 200, verification._SPIKE_BLOCK):
+        tracemalloc.start()
+        try:
+            verification.spike_battery(model, state, 0, NODES[:-5], 4 * GRID.step,
+                                       (0.1, 3.0), count, 2.0)
+            _, peaks[count] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] - peaks[verification._SPIKE_BLOCK] <= 200 * 1e3, peaks
 
 
 def test_sufficient_reads_scalar_and_node_indexed_jump_adjoints_alike():

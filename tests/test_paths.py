@@ -139,6 +139,16 @@ def test_coarsen_sums_increments_and_keeps_jumps():
         coarsen(ens, 3)  # does not divide 8
 
 
+def test_a_factor_that_does_not_divide_the_grid_is_typed():
+    """A coarsening factor that is not a positive integer dividing
+    steps_per_delay is an InvalidGrid naming both."""
+    ens = sample_ensemble(make_grid(0.2, 1.0, 8), JumpSpec.none(), seed=9, n_paths=2)
+    for factor in (3, 0, -2, 16, 2.5):
+        with pytest.raises(InvalidGrid, match="factor %s does not divide steps_per_delay 8$"
+                           % re.escape(repr(factor))):
+            coarsen(ens, factor)
+
+
 def test_coarsen_single_path():
     g = make_grid(0.2, 1.0, 4)
     noise = sample_ensemble(g, JumpSpec.none(), seed=2, n_paths=1)
@@ -472,3 +482,19 @@ def test_jump_free_ensemble_holds_no_count_block():
     assert not counts.flags.writeable and not counts.any()
     assert ens.path(7).jump_counts.strides == (0, 0)
     assert np.array_equal(coarsen(ens, 2).jump_counts, np.zeros((10_000, g.n_steps // 2)))
+    assert coarsen(ens, 2).jump_counts.strides == (0, 0)
+
+
+def test_marks_that_do_not_match_a_broadcast_count_raise():
+    """A count broadcast from one value is checked against the marks as
+    that value times the number of cells."""
+    g = make_grid(0.2, 1.0, 2)
+    shape = (3, g.n_steps)
+    ones = np.broadcast_to(np.int64(1), shape)
+    ens = NoiseEnsemble(g, np.zeros(shape), ones, np.zeros(3 * g.n_steps))
+    assert ens.jump_counts.strides == (0, 0)
+    for marks in (np.zeros(3 * g.n_steps - 1), np.zeros(1), np.zeros(0)):
+        with pytest.raises(ValueError, match="one mark per jump"):
+            NoiseEnsemble(g, np.zeros(shape), ones, marks)
+    with pytest.raises(ValueError, match="one mark per jump"):
+        NoiseEnsemble(g, np.zeros(shape), np.broadcast_to(np.int64(0), shape), np.zeros(1))

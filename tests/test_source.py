@@ -79,12 +79,21 @@ def _passes(call, name, position):
             or (position is not None and len(call.args) > position))
 
 
+def _own_cls_calls(cls):
+    """The cls(...) calls inside the classmethods of class node `cls`: calls
+    of its constructor."""
+    return [call for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and any(getattr(d, "id", None) == "classmethod" for d in fn.decorator_list)
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls"]
+
+
 def test_every_defaulted_parameter_is_passed_somewhere():
-    """Each defaulted parameter of a library function or method is passed by
-    some call in src/, perfbench/ or tests/ to a callee of its name; one that
-    no call passes is a constant.  Constructors are out of scope: their
-    parameters are the fields of user-built objects, and classmethods call
-    them as cls(...)."""
+    """Each defaulted parameter of a library function, method or constructor
+    is passed by some call in src/, perfbench/ or tests/ to a callee of its
+    name; one that no call passes is a constant.  A constructor's callers
+    are the calls of its class by name and the cls(...) calls inside the
+    class's classmethods."""
     calls = {}
     for path in _USERS + sorted((REPO / "tests").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -92,20 +101,25 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    functions = []
+    functions = []  # (qualified name, definition, whether a method, its calls)
     for module in _LIBRARY:
         for node in ast.parse((REPO / "src" / "noisy_control" / (module + ".py")).read_text()).body:
             if isinstance(node, ast.FunctionDef):
-                functions.append((node.name, node, False))
+                functions.append((node.name, node, False, calls.get(node.name, [])))
             elif isinstance(node, ast.ClassDef):
-                functions += [("%s.%s" % (node.name, fn.name), fn,
-                               not any(getattr(d, "id", None) == "staticmethod"
-                                       for d in fn.decorator_list))
-                              for fn in node.body if isinstance(fn, ast.FunctionDef)
-                              and fn.name != "__init__"
-                              and "%s.%s" % (node.name, fn.name) not in _API_METHODS]
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    qualified = "%s.%s" % (node.name, fn.name)
+                    if qualified in _API_METHODS:
+                        continue
+                    method = not any(getattr(d, "id", None) == "staticmethod"
+                                     for d in fn.decorator_list)
+                    callers = (calls.get(node.name, []) + _own_cls_calls(node)
+                               if fn.name == "__init__" else calls.get(fn.name, []))
+                    functions.append((qualified, fn, method, callers))
     unset = ["%s.%s" % (qualified, name)
-             for qualified, fn, method in functions
+             for qualified, fn, method, callers in functions
              for name, position in _defaulted(fn, method)
-             if not any(_passes(call, name, position) for call in calls.get(fn.name, []))]
+             if not any(_passes(call, name, position) for call in callers)]
     assert sorted(unset) == sorted(_ALIASED_PARAMETERS)
