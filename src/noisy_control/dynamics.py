@@ -104,8 +104,8 @@ class ControlPath:
 
     values has shape (n_horizon_steps + 1,) for controls that are identical
     across noise paths or (n_paths, n_horizon_steps + 1) for adapted per-path
-    controls.  Which information flow a control is adapted to is the
-    optimality checks' information argument, not a property of the values.
+    controls.  The optimality checks read every control under the trivial
+    information flow; the flow is not a property of the values.
     Values of any other shape are a ControlShape error naming it.
     """
 
@@ -546,7 +546,9 @@ class _Carry:
     rows of the running prefix of V dB.  terms is the path-major term matrix
     of each slot for a non-identity kernel (None otherwise).  cost is None
     here; a state carry (_state_carry) sums the running cost over the nodes
-    before `node` into it.  A fresh carry has zero buffers, with V equal to
+    before `node` into it, and the tangent sweep
+    (maxprinciple.derivative_process) the running cost's gradient contracted
+    against its direction.  A fresh carry has zero buffers, with V equal to
     `start` on the initial segment when given.
     """
 

@@ -31,11 +31,15 @@ _CONCAVITY_TOL = 1e-12
 
 @dataclass
 class KBundle:
-    """State-sensitivity paths: K on all nodes, its memory window on [0, T]."""
+    """State-sensitivity paths: K on all nodes, its memory window on [0, T],
+    and cost_sum, the (n_paths,) sum of grad f . (K, K(t - delta), window,
+    eta) over the horizon nodes before the last, without the factor h (as
+    StateBundle.cost_sum sums f)."""
 
     k: np.ndarray
     kz: np.ndarray
     grid: object
+    cost_sum: np.ndarray
 
 
 @dataclass
@@ -91,9 +95,12 @@ def derivative_process(model, state, eta):
     contracted against (K, K(t - delta), window of K, eta); K vanishes on the
     initial segment.  The memory window is weighted by model.kernel, as the
     state's was.  K is exactly zero up to the first node of eta's support
-    (_support_start), so the sweep starts there from zero buffers.
+    (_support_start), so the sweep starts there from zero buffers.  Each
+    step also adds the running cost's gradient contracted against the same
+    vector into the carry's running sum, in node order (KBundle.cost_sum);
+    before the support every such term is zero.
 
-    Returns a KBundle whose arrays are transposed views of the sweep's
+    Returns a KBundle whose k and kz are transposed views of the sweep's
     (node, path) buffers; raises GridMismatch for an eta off the horizon
     nodes (see _eta_rows).
     """
@@ -103,11 +110,15 @@ def derivative_process(model, state, eta):
     eta_r = _eta_rows(eta, state.n_paths, grid)
     memory = state.memory_arg
     noise = state.noise
+    carry = _Carry(noise, m + _support_start(eta_r), 1, kernel=model.kernel)
+    carry.cost = np.zeros((1, state.n_paths))
+    cost = carry.cost[0]
 
     def step(j, kj, k_lag, kz):
         i = j - m
         point = (grid.nodes[j], state.x[:, j], state.y[:, i], memory[:, i], u_rows[:, i])
         vec = (kj, k_lag, kz, eta_r[:, i])
+        np.add(cost, _dot4(model.cost_grad(*point), vec), out=cost)
         coef = (_dot4(model.drift_grad(*point), vec), _dot4(model.diffusion_grad(*point), vec))
         if not model.has_jumps:
             return coef
@@ -116,46 +127,23 @@ def derivative_process(model, state, eta):
             model.gamma.grad_dot_nu_integral(*point, vec, model.jump_spec),
         )
 
-    carry = _Carry(noise, m + _support_start(eta_r), 1, kernel=model.kernel)
     k_path, kz, kz_weighted = (a if a is None else a[:, 0]
                                for a in _sweep(noise, carry, step, what="derivative process"))
-    return KBundle(k_path.T, (kz if kz_weighted is None else kz_weighted).T, grid)
-
-
-# horizon nodes per block of the K route's contraction
-_K_BLOCK = 32
+    return KBundle(k_path.T, (kz if kz_weighted is None else kz_weighted).T, grid, cost)
 
 
 def directional_derivative_K(model, state, eta):
     """Derivative of J in direction eta via the state-sensitivity process.
 
     E[g'(X(T)) K(T) + int grad f . (K, K_y, K_window, eta) dt], estimated on
-    the ensemble the state was simulated on.  The quadrature starts at the
-    first node of eta's support, before which every term is zero, and adds
-    the nodes' terms in node order, contracted a block of nodes at a time.
+    the ensemble the state was simulated on; the quadrature is the tangent
+    sweep's own sum (KBundle.cost_sum).
 
     Returns (value, se, per_path).
     """
-    grid = state.grid
-    n = grid.n_horizon_steps
-    m = grid.steps_per_delay
-    h = grid.step
-    iz = grid.index_zero
     kb = derivative_process(model, state, eta)
-    eta_r = _eta_rows(eta, state.n_paths, grid)
-    # time-major (node, path) rows, as the sweep wrote them
-    k_rows, kz_rows, eta_rows = kb.k.T, kb.kz.T, eta_r.T
-
-    fg = [np.broadcast_to(g, (state.n_paths, n + 1)).T
-          for g in model.cost_grad(*state.horizon_args())]
-    running = np.zeros(state.n_paths)
-    for a in range(_support_start(eta_r), n, _K_BLOCK):
-        b = min(a + _K_BLOCK, n)
-        vec = (k_rows[iz + a : iz + b], k_rows[iz + a - m : iz + b - m], kz_rows[a:b],
-               eta_rows[a:b])
-        for term in _dot4([g[a:b] for g in fg], vec):
-            running += term
-    per_path = model.terminal.grad(state.terminal_x, state.noise) * kb.k[:, -1] + h * running
+    per_path = (model.terminal.grad(state.terminal_x, state.noise) * kb.k[:, -1]
+                + state.grid.step * kb.cost_sum)
     value, se = _mean_se(per_path)
     return value, se, per_path
 
@@ -240,15 +228,15 @@ def finite_difference_derivative(model, control, noise, eta, s=1e-3):
     return value, se, per_path
 
 
-def probe_directions(grid, scale=1.0):
-    """Bounded direction battery: constants, step indicators, one random path."""
+def probe_directions(grid):
+    """Direction battery bounded by 1: constants, step indicators, one random path."""
     n = grid.n_horizon_steps
     t = grid.horizon_nodes
-    const = np.full(n + 1, scale)
-    late = np.where(t >= grid.horizon / 2, scale, 0.0)
-    mid = np.where((t >= grid.horizon / 4) & (t < grid.horizon / 2), scale, 0.0)
+    const = np.full(n + 1, 1.0)
+    late = np.where(t >= grid.horizon / 2, 1.0, 0.0)
+    mid = np.where((t >= grid.horizon / 4) & (t < grid.horizon / 2), 1.0, 0.0)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(0)))
-    random = scale * gen.uniform(-1.0, 1.0, size=n + 1)
+    random = gen.uniform(-1.0, 1.0, size=n + 1)
     return [("const", const), ("late-half", late), ("mid-quarter", mid), ("random", random)]
 
 
@@ -265,40 +253,27 @@ def _node_stats(dhu):
     return means, ses
 
 
-def check_necessary_I(model, state, adjoint, information="trivial"):
-    """Stationarity: E[dH/du | G_t] = 0 at every node, for the control of `state`.
+def check_necessary_I(model, state, adjoint):
+    """Stationarity: E[dH/du | G_t] = 0 at every node, for the control of `state`,
+    under the trivial information flow: E[. | G_t] is the mean over the paths.
 
-    Under the trivial information model the statistic is the largest per-node
-    standardized mean (threshold 3); under full information it is the largest
-    pathwise |dH/du| against the deterministic tolerance.  Its integral form,
-    the derivative of J in a direction, is directional_derivative_H.
-    information names the controller's flow G_t = E_t, a sub-flow of F_t:
-    "trivial" or "full".
+    The statistic is the largest per-node standardized mean (threshold 3).
+    Its integral form, the derivative of J in a direction, is
+    directional_derivative_H.
     """
     dhu = control_partial_paths(model, state, adjoint)
     vacuous = model.control_set.is_singleton
-    if information == "full":
-        statistic = float(np.max(np.abs(dhu)))
-        threshold = _TOL
-        passed = statistic <= threshold
-        worst = int(np.argmax(np.abs(dhu).max(axis=0)))
-        se_out = None
-        details = {"node_means": dhu, "node_ses": None, "worst_node": worst}
-    else:
-        means, ses = _node_stats(dhu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(
-                ses > 0, np.abs(means) / ses, np.where(np.abs(means) <= _TOL, 0.0, np.inf)
-            )
-        statistic = float(np.max(z))
-        threshold = 3.0
-        passed = bool(np.all(np.abs(means) <= np.maximum(3.0 * ses, _TOL)))
-        worst = int(np.argmax(z))
-        se_out = float(ses[worst])
-        details = {"node_means": means.copy(), "node_ses": ses.copy(), "worst_node": worst}
+    means, ses = _node_stats(dhu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(
+            ses > 0, np.abs(means) / ses, np.where(np.abs(means) <= _TOL, 0.0, np.inf)
+        )
+    passed = bool(np.all(np.abs(means) <= np.maximum(3.0 * ses, _TOL)))
+    worst = int(np.argmax(z))
+    details = {"node_means": means.copy(), "node_ses": ses.copy(), "worst_node": worst}
     return MPReport(
-        "necessary-I", passed or vacuous, statistic, threshold,
-        se=se_out, vacuous=vacuous, details=details,
+        "necessary-I", passed or vacuous, float(np.max(z)), 3.0,
+        se=float(ses[worst]), vacuous=vacuous, details=details,
     )
 
 
@@ -507,13 +482,10 @@ def solve_foc(model, p, grid, max_iter=200):
     return out
 
 
-def spike_perturbation(base, t0, width, v, event_mask=None):
+def spike_perturbation(base, t0, width, v):
     """Replace the control by the constant v on [t0, t0 + width).
 
-    With an event_mask (boolean per path), only the flagged paths are
-    modified and the result is a per-path control; the caller is
-    responsible for the mask being measurable at t0.  Zero width returns the
-    base control unchanged.
+    Zero width returns the base control unchanged.
     """
     grid = base.grid
     cs = base.control_set
@@ -531,13 +503,6 @@ def spike_perturbation(base, t0, width, v, event_mask=None):
     if k0 + kw > grid.n_horizon_steps + 1:
         raise OffGrid("spike window [%r, %r) leaves the horizon" % (t0, t0 + width))
 
-    if event_mask is None:
-        values = np.array(base.values, copy=True)
-        values[..., k0 : k0 + kw] = v
-        return ControlPath(grid, values, control_set=cs)
-    mask = np.asarray(event_mask, dtype=bool)
-    rows = np.array(base.rows(), copy=True)
-    if rows.shape[0] == 1 and mask.shape[0] > 1:
-        rows = np.repeat(rows, mask.shape[0], axis=0)
-    rows[mask, k0 : k0 + kw] = v
-    return ControlPath(grid, rows, control_set=cs)
+    values = np.array(base.values, copy=True)
+    values[..., k0 : k0 + kw] = v
+    return ControlPath(grid, values, control_set=cs)

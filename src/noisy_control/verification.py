@@ -500,7 +500,7 @@ def _mini_report(seed):
     ctrl = ControlPath.constant(grid, 1.0, control_set=model.control_set)
     state = simulate_state(model, ctrl, noise)
     closed = closed_form(model, noise)
-    j_value, j_se, _ = evaluate_performance(model, ctrl, noise)
+    j_value, j_se, _ = evaluate_performance(model, ctrl, noise, state=state)
     payload = {
         "terminal_mean": float(state.terminal_x.mean()),
         "p0_mean": float(closed.p[:, 0].mean()),

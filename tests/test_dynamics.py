@@ -662,9 +662,14 @@ def _stacked_case(case):
     controls += [ControlPath.constant(g, 1.0, control_set=model.control_set),
                  ControlPath.constant(g, 1.25, control_set=model.control_set)]
     if case == "mixed":
-        mask = np.arange(200) % 3 == 0
-        controls[2:2] = [maxprinciple.spike_perturbation(base, t0, w, 2.0, event_mask=mask)
-                         for t0 in (0.3, 0.0)]
+        # per-path controls: a spike to 2.0 on every third path only
+        def masked_spike(t0):
+            rows = np.repeat(base.rows(), 200, axis=0)
+            k0 = g.index_of(t0) - g.index_zero
+            rows[np.arange(200) % 3 == 0, k0 : k0 + 4] = 2.0
+            return ControlPath(g, rows, control_set=model.control_set)
+
+        controls[2:2] = [masked_spike(t0) for t0 in (0.3, 0.0)]
     return model, ens, controls
 
 

@@ -54,9 +54,11 @@ def _state(model, value=1.0, n_paths=2000, seed=0):
     return simulate_state(model, ctrl, ens), ctrl, ens
 
 
-def test_directional_derivative_K_matches_per_node_reference():
-    """One whole-horizon cost gradient, accumulated node by node as before."""
-    model = scenarios.linear_noisy_memory()
+@pytest.mark.parametrize("name", ["linear-noisy-memory", "state-dependent-cost"])
+def test_directional_derivative_K_matches_per_node_reference(name):
+    """The K route's quadrature is the per-node cost gradient contracted
+    against (K, K(t - delta), window, eta) and accumulated node by node."""
+    model = _EACH_TERM[name]()
     state, ctrl, _ = _state(model, value=3.0, n_paths=300, seed=4)
     eta = probe_directions(GRID)[3][1]
     kb = derivative_process(model, state, eta)
@@ -82,18 +84,22 @@ def test_derivative_process_starts_from_rest():
 
 
 def test_perturbed_sweeps_start_at_the_support():
-    """The tangent reads no gradient before eta's support, and the two sides
-    of a finite difference sweep the nodes before it once, as one path's
-    rows, then every later node once, as stacked (2, n_paths) rows."""
+    """The tangent reads no gradient before eta's support, and the K route
+    reads the running cost's gradient in the same pass, once per swept node
+    and never on the horizon block; the two sides of a finite difference
+    sweep the nodes before it once, as one path's rows, then every later
+    node once, as stacked (2, n_paths) rows."""
     model = scenarios.consumption()
     state, ctrl, ens = _state(model, n_paths=50)
     eta = dict(probe_directions(GRID))["late-half"]
     n, k_s = GRID.n_horizon_steps, int(np.flatnonzero(eta)[0])
-    times = []
-    drift, drift_grad = model.drift, model.drift_grad
+    times, cost_times = [], []
+    drift, drift_grad, cost_grad = model.drift, model.drift_grad, model.cost_grad
     model.drift_grad = lambda t, *args: times.append(t) or drift_grad(t, *args)
-    derivative_process(model, state, eta)
+    model.cost_grad = lambda t, *args: cost_times.append(t) or cost_grad(t, *args)
+    directional_derivative_K(model, state, eta)
     assert times == list(GRID.nodes[GRID.index_zero + k_s : -1])
+    assert cost_times == times
     shapes = []
     model.drift = lambda t, x, *args: shapes.append(np.shape(x)) or drift(t, x, *args)
     finite_difference_derivative(model, ctrl, ens, eta)
@@ -138,16 +144,41 @@ def test_directions_off_the_horizon_nodes_are_rejected():
             route(eta)
 
 
+def _affine_delay():
+    return scenarios.custom_affine(bx=0.3, by=0.1, bz=0.2, bu=-1.0, s_const=0.1, sx=0.2,
+                                   terminal_slope=1.0)
+
+
+def _state_dependent_cost():
+    """_affine_delay's dynamics with the running cost -(u - 1)^2 / 2 - 0.3 x^2
+    + 0.2 y z, whose analytic gradient check_gradients confirms."""
+    affine = _affine_delay()
+    model = CoefficientModel(
+        drift=affine.drift,
+        diffusion=affine.diffusion,
+        running_cost=lambda t, x, y, z, u: -0.5 * (u - 1.0) ** 2 - 0.3 * x * x + 0.2 * y * z,
+        terminal=affine.terminal,
+        initial_segment=affine.initial_segment,
+        control_set=affine.control_set,
+        drift_grad=affine.drift_grad,
+        diffusion_grad=affine.diffusion_grad,
+        cost_grad=lambda t, x, y, z, u: (-0.6 * x, 0.2 * z, 0.2 * y, -(u - 1.0)),
+    )
+    model.check_gradients()
+    return model
+
+
 # One model per term of the dynamics that the K route must carry: the noisy
 # memory window, the delay X(t - delta) (no catalog model's coefficients read
-# it), the jumps and the ramp kernel.
+# it), the jumps, the ramp kernel, and a running cost that reads x, y and z
+# (no catalog running cost does).
 _EACH_TERM = {
     "linear-noisy-memory": scenarios.linear_noisy_memory,
-    "custom-affine-delay": lambda: scenarios.custom_affine(
-        bx=0.3, by=0.1, bz=0.2, bu=-1.0, s_const=0.1, sx=0.2, terminal_slope=1.0),
+    "custom-affine-delay": _affine_delay,
     "consumption-jumps": lambda: scenarios.consumption(
         jump_scale=0.1, jump_spec=JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])),
     "generalized-memory-ramp": scenarios.generalized_memory,
+    "state-dependent-cost": _state_dependent_cost,
 }
 
 
@@ -187,12 +218,12 @@ def test_finite_difference_one_sided_fallback():
 
 
 def test_probe_directions_battery():
-    probes = probe_directions(GRID, scale=2.0)
+    probes = probe_directions(GRID)
     names = [name for name, _ in probes]
     assert names == ["const", "late-half", "mid-quarter", "random"]
     for _, eta in probes:
         assert eta.shape == (GRID.n_horizon_steps + 1,)
-        assert np.max(np.abs(eta)) <= 2.0
+        assert np.max(np.abs(eta)) <= 1.0
 
 
 def test_solve_foc_inverts_log_utility():
@@ -243,17 +274,6 @@ def test_spike_perturbation_window_and_validation():
         spike_perturbation(base, 0.875, 0.25, 2.5)
 
 
-def test_spike_perturbation_event_mask():
-    base = ControlPath.constant(GRID, 1.0, control_set=scenarios.consumption().control_set)
-    mask = np.array([True, False, True, False])
-    spiked = spike_perturbation(base, 0.5, 0.125, 3.0, event_mask=mask)
-    rows = spiked.rows()
-    assert rows.shape == (4, GRID.n_horizon_steps + 1)
-    k0 = GRID.index_of(0.5) - GRID.index_zero
-    assert np.all(rows[mask, k0] == 3.0)
-    assert np.all(rows[~mask, k0] == 1.0)
-
-
 def test_necessary_I_accepts_the_optimizer_and_rejects_others():
     model = scenarios.consumption()
     adjoint = _flat_adjoint(P_EXACT)
@@ -269,18 +289,6 @@ def test_necessary_I_accepts_the_optimizer_and_rejects_others():
     at_off = check_necessary_I(model, state_off, adjoint)
     assert not at_off.passed
     assert at_off.statistic > 5.0
-
-
-def test_necessary_I_full_information_is_deterministic():
-    model = scenarios.consumption()
-    adjoint = _flat_adjoint(P_EXACT)
-    ustar = solve_foc(model, P_EXACT[None, :], GRID)
-    ens = sample_ensemble(GRID, JumpSpec.none(), 12, 200)
-    state = simulate_state(model, ustar, ens)
-    report = check_necessary_I(model, state, adjoint, information="full")
-    assert report.passed
-    assert report.statistic <= 1e-10
-    assert report.se is None
 
 
 def test_boundary_optimum_splits_the_two_necessary_conditions():

@@ -22,9 +22,18 @@ _API_METHODS = {
     "JumpSpec.gaussian",
 }
 
-# A defaulted parameter kept although no call passes it: a test sets it
-# through an alias of the function.
-_ALIASED_PARAMETERS = {"solve_foc.max_iter"}
+# Defaulted parameters that only a test passes, each kept for what that test
+# checks through it.
+_TEST_SET_PARAMETERS = {
+    # the chunk-keying determinism claim is checked through it
+    "sample_ensemble.first_path",
+    # Euler is the reference the corrected scheme is tested against
+    "clark_ocone_residual.scheme",
+    # a rank-deficient basis stands in for the RankDeficientBasis failure mode
+    "solve_absde_2d.basis",
+    # too few bisection steps name the first unconverged node
+    "solve_foc.max_iter",
+}
 
 _MODULES = sorted((REPO / "src" / "noisy_control").glob("*.py"))
 _USERS = _MODULES + sorted((REPO / "perfbench").glob("*.py"))
@@ -90,12 +99,12 @@ def _own_cls_calls(cls):
 
 def test_every_defaulted_parameter_is_passed_somewhere():
     """Each defaulted parameter of a library function, method or constructor
-    is passed by some call in src/, perfbench/ or tests/ to a callee of its
-    name; one that no call passes is a constant.  A constructor's callers
-    are the calls of its class by name and the cls(...) calls inside the
-    class's classmethods."""
+    is passed by some call in src/ or perfbench/ to a callee of its name;
+    one that no such call passes is a constant, as a test is no caller.  A
+    constructor's callers are the calls of its class by name and the
+    cls(...) calls inside the class's classmethods."""
     calls = {}
-    for path in _USERS + sorted((REPO / "tests").glob("*.py")):
+    for path in _USERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -122,4 +131,4 @@ def test_every_defaulted_parameter_is_passed_somewhere():
              for qualified, fn, method, callers in functions
              for name, position in _defaulted(fn, method)
              if not any(_passes(call, name, position) for call in callers)]
-    assert sorted(unset) == sorted(_ALIASED_PARAMETERS)
+    assert sorted(unset) == sorted(_TEST_SET_PARAMETERS)
