@@ -255,7 +255,7 @@ def solve_linear_closed_form(spec, noise):
     q = psi[None, :] * p
     mu = (a_path + sigma0 * psi)[None, :] * p
 
-    weight = np.exp((psi[:n] * rows.increments[:, grid.index_zero:]).sum(axis=1))
+    weight = np.exp(rows.horizon_sum(psi[:n]))
     terminal_residual = float(np.max(np.abs(p[:, -1] - weight)))
     if rows is not noise:
         p, q, mu = (np.broadcast_to(a, (noise.n_paths, n + 1)) for a in (p, q, mu))

@@ -20,6 +20,15 @@ class SeedOutOfRange(NoisyControlError, ValueError):
     [0, 2**64 - 1] of its two 64-bit words."""
 
 
+class SeedNotInteger(NoisyControlError, ValueError):
+    """A noise seed is inside the Philox key range but is not an integer."""
+
+
+class InvalidFirstPath(NoisyControlError, ValueError):
+    """An ensemble's first path index is negative, not a number, or not an
+    integer."""
+
+
 class InvalidGrid(NoisyControlError, ValueError):
     """A grid's delay or horizon is not positive, or its steps per delay is
     not a positive integer."""

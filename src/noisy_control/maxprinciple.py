@@ -148,6 +148,39 @@ def directional_derivative_K(model, state, eta):
     return value, se, per_path
 
 
+def _control_partial_terms(model, state, adjoint):
+    """The operands of dH/du, in _control_partial's order: the u-partials of
+    f, b and sigma at StateBundle.horizon_args(), p, q, and the jump
+    pairing's u-partial (None without one).  Raises GridMismatch as
+    control_partial_paths does."""
+    grid = state.grid
+    p = np.atleast_2d(adjoint.p)
+    q = np.atleast_2d(adjoint.q)
+    _require_grid(grid, n_paths=state.n_paths, adjoint=adjoint, p=p, q=q)
+    args = state.horizon_args()
+    terms = (model.cost_grad(*args)[3], model.drift_grad(*args)[3], p,
+             model.diffusion_grad(*args)[3], q)
+    jump = None
+    if model.has_jumps and adjoint.r is not None:
+        r0, r1 = _r_pair(adjoint.r)
+        jump = model.gamma.pair_grad_nu_integral(*args, r0, r1, model.jump_spec)[3]
+    return terms + (jump,)
+
+
+def _control_partial(f_u, b_u, p, sigma_u, q, jump_u):
+    """dH/du = f_u + b_u p + sigma_u q (+ the jump pairing's u-partial),
+    added left to right."""
+    dhu = f_u + b_u * p + sigma_u * q
+    return dhu if jump_u is None else dhu + jump_u
+
+
+def _row_constant(a):
+    """Whether a is the same on every path: a scalar, a row of the horizon,
+    or (rows, n+1) with one row or a zero stride on the path axis."""
+    nd = np.ndim(a)
+    return nd < 2 or (nd == 2 and (a.shape[0] == 1 or a.strides[0] == 0))
+
+
 def control_partial_paths(model, state, adjoint):
     """dH/du on every horizon node and path, at the given adjoint values.
 
@@ -158,20 +191,8 @@ def control_partial_paths(model, state, adjoint):
     C-contiguous (n_paths, n+1) array; raises GridMismatch when the adjoint
     is on another grid than the state or p or q has another row count.
     """
-    grid = state.grid
-    p = np.atleast_2d(adjoint.p)
-    q = np.atleast_2d(adjoint.q)
-    _require_grid(grid, n_paths=state.n_paths, adjoint=adjoint, p=p, q=q)
-    args = state.horizon_args()
-    dhu = (
-        model.cost_grad(*args)[3]
-        + model.drift_grad(*args)[3] * p
-        + model.diffusion_grad(*args)[3] * q
-    )
-    if model.has_jumps and adjoint.r is not None:
-        r0, r1 = _r_pair(adjoint.r)
-        dhu = dhu + model.gamma.pair_grad_nu_integral(*args, r0, r1, model.jump_spec)[3]
-    shape = (state.n_paths, grid.n_horizon_steps + 1)
+    dhu = _control_partial(*_control_partial_terms(model, state, adjoint))
+    shape = (state.n_paths, state.grid.n_horizon_steps + 1)
     if dhu.shape == shape and dhu.flags.c_contiguous:
         return dhu  # already a fresh block of its own
     return np.broadcast_to(dhu, shape).copy()
@@ -181,12 +202,25 @@ def directional_derivative_H(model, state, adjoint, eta):
     """Derivative of J in direction eta via the Hamiltonian control partial.
 
     E[int dH/du(t) eta(t) dt] on the ensemble; returns (value, se, per_path).
+    When every operand of dH/du and eta is the same on every path
+    (_row_constant: a shared control, constant u-partials and a
+    deterministic adjoint, such as the psi = 0 closed form's broadcast
+    views), dH/du and its contraction are made for one row, and per_path is
+    a fresh C-contiguous (n_paths,) array of that row's value, bitwise the
+    per-path result.
     """
     grid = state.grid
     n = grid.n_horizon_steps
-    dhu = control_partial_paths(model, state, adjoint)
-    eta_r = _eta_rows(eta, dhu.shape[0], grid)
+    terms = _control_partial_terms(model, state, adjoint)
+    eta_r = _eta_rows(eta, state.n_paths, grid)
+    one_row = all(_row_constant(a) for a in terms + (eta_r,))
+    if one_row:
+        terms = tuple(a[:1] if np.ndim(a) == 2 else a for a in terms)
+        eta_r = eta_r[:1]
+    dhu = _control_partial(*terms)
     per_path = grid.step * (dhu[:, :n] * eta_r[:, :n]).sum(axis=1)
+    if one_row:
+        per_path = np.full(state.n_paths, per_path[0])
     value, se = _mean_se(per_path)
     return value, se, per_path
 

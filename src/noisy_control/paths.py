@@ -9,8 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (GridTooLarge, InvalidGrid, NonCommensurate, OffGrid, SeedOutOfRange,
-                     TooFewPaths)
+from .errors import (GridTooLarge, InvalidFirstPath, InvalidGrid, NonCommensurate, OffGrid,
+                     SeedNotInteger, SeedOutOfRange, TooFewPaths)
 
 _COMMENSURATE_RTOL = 1e-9
 _UNCOUNTABLE = "the grid's step count horizon * steps_per_delay / delta is past the float range"
@@ -249,6 +249,13 @@ class NoiseEnsemble:
     step by step.  Each is built once per ensemble and kept with it; sampling
     and the path-major readers (duality_check, ...) never build them, and
     the sweeps of a model without jumps build none of the jump part.
+
+    horizon_sum(loading), the per-path sum of loading * dB over the horizon
+    steps, is held the same way, one read-only (n_paths,) entry per distinct
+    loading, from its first request on: the lognormal terminal weight and
+    the closed-form adjoint's terminal check read it, so a J, a K route, a
+    finite difference and a closed form on one ensemble sum it once.  A new
+    ensemble (path(i), coarsen) holds none.
     """
 
     def __init__(self, grid, increments, jump_counts, jump_marks):
@@ -268,6 +275,7 @@ class NoiseEnsemble:
         self.n_paths = shape[0]
         for arr in (self.increments, self.jump_counts, self.jump_marks):
             arr.flags.writeable = False
+        self._horizon_sums = {}
 
     @cached_property
     def increment_rows(self):
@@ -297,6 +305,23 @@ class NoiseEnsemble:
         for arr in out:
             arr.flags.writeable = False
         return out
+
+    def horizon_sum(self, loading):
+        """(loading * increments[:, index_zero:]).sum(axis=1): each path's sum
+        of loading * dB over the horizon steps, shape (n_paths,).
+
+        loading has one value per horizon step, or broadcasts to them.  The
+        sum is made on the first request for a loading and held read-only,
+        keyed by the loading's shape and bytes, for the ensemble's lifetime.
+        """
+        loading = np.asarray(loading, dtype=float)
+        key = (loading.shape, loading.tobytes())
+        held = self._horizon_sums.get(key)
+        if held is None:
+            held = (loading * self.increments[:, self.grid.index_zero:]).sum(axis=1)
+            held.flags.writeable = False
+            self._horizon_sums[key] = held
+        return held
 
     def path(self, i):
         """Path i as a one-path ensemble (a view of row i)."""
@@ -354,6 +379,8 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
     Raises:
         SeedOutOfRange: seed is negative or not finite, or a key (seed,
             first_path + i) is past 2**64 - 1.
+        SeedNotInteger: seed is in that range but not an integer.
+        InvalidFirstPath: first_path is negative, nan or not an integer.
         TooFewPaths: n_paths is below one.
         GridTooLarge: numpy refuses the (n_paths, n_steps) arrays.
     """
@@ -361,15 +388,15 @@ def sample_ensemble(grid, jump_spec, seed, n_paths, first_path=0):
     if not 0 <= seed <= _KEY_MAX:
         raise SeedOutOfRange("seed %s is outside [0, 2**64 - 1]" % seed)
     if int(seed) != seed:
-        raise ValueError("seed must be an integer")
+        raise SeedNotInteger("seed %r is not an integer" % (seed,))
     if n_paths < 1:
         raise TooFewPaths("need at least one path, got n_paths=%r" % (n_paths,))
-    if first_path < 0 or int(first_path) != first_path:
-        raise ValueError("first_path must be a nonnegative integer")
-    seed, first_path = int(seed), int(first_path)
     if first_path + n_paths - 1 > _KEY_MAX:
         raise SeedOutOfRange("the path keys (seed, first_path + i) for i < n_paths "
                              "run past 2**64 - 1")
+    if not first_path >= 0 or int(first_path) != first_path:  # nan fails the first test
+        raise InvalidFirstPath("first_path %r is not a nonnegative integer" % (first_path,))
+    seed, first_path = int(seed), int(first_path)
     # One Philox re-keyed per path: the state set below (counter 0, empty
     # buffer, no cached uint32) is that of a fresh Philox(key=[seed, path]).
     # The state is built from plain ints: the setter reads them about twice

@@ -93,26 +93,35 @@ def _memory_drift(a0, a1):
     return drift, drift_grad
 
 
-def _proportional_diffusion(sigma0_fn):
-    zeros = _constants(0.0, 0.0, 0.0)
+def _proportional_diffusion(sigma0):
+    """sigma0(t) * x.  A constant sigma0's partials are cached read-only views
+    (_constants), as the drift's are; a callable's are broadcast per call."""
+    sigma0_fn = _as_time_fn(sigma0)
 
     def diffusion(t, x, y, z, u):
         return sigma0_fn(t) * x
 
-    def diffusion_grad(t, x, y, z, u):
-        shape = np.shape(x)
-        return (np.broadcast_to(np.asarray(sigma0_fn(t), dtype=float), shape),) + zeros(shape)
+    if callable(sigma0):
+        zeros = _constants(0.0, 0.0, 0.0)
+
+        def diffusion_grad(t, x, y, z, u):
+            shape = np.shape(x)
+            return (np.broadcast_to(np.asarray(sigma0(t), dtype=float), shape),) + zeros(shape)
+    else:
+        partials = _constants(sigma0, 0.0, 0.0, 0.0)
+
+        def diffusion_grad(t, x, y, z, u):
+            return partials(np.shape(x))
 
     return diffusion, diffusion_grad
 
 
 def _lognormal_weight(psi_fn):
-    """Terminal weight exp(sum psi(t_k) dB_k) over the horizon steps."""
+    """Terminal weight exp(sum psi(t_k) dB_k) over the horizon steps; the sum
+    is the ensemble's held NoiseEnsemble.horizon_sum."""
 
     def weight(noise):
-        grid = noise.grid
-        psi_vals = np.asarray(psi_fn(grid.horizon_nodes[:-1]), dtype=float)
-        return np.exp((psi_vals * noise.increments[:, grid.index_zero:]).sum(axis=1))
+        return np.exp(noise.horizon_sum(psi_fn(noise.grid.horizon_nodes[:-1])))
 
     return weight
 
@@ -139,7 +148,7 @@ def linear_noisy_memory(
     sigma0_fn = _as_time_fn(sigma0)
     psi_fn = _as_time_fn(psi)
     drift, drift_grad = _memory_drift(a0, a1)
-    diffusion, diffusion_grad = _proportional_diffusion(sigma0_fn)
+    diffusion, diffusion_grad = _proportional_diffusion(sigma0)
     cost, cost_grad = _log_utility()
     return CoefficientModel(
         drift=drift,
@@ -191,7 +200,7 @@ def consumption(
     """
     sigma0_fn = _as_time_fn(sigma0)
     drift, drift_grad = _memory_drift(a0, a1)
-    diffusion, diffusion_grad = _proportional_diffusion(sigma0_fn)
+    diffusion, diffusion_grad = _proportional_diffusion(sigma0)
     gamma = None
     if jump_scale:
         if jump_spec is None:

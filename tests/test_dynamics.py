@@ -235,6 +235,26 @@ def test_check_gradients_accepts_correct_and_rejects_wrong():
         bad.check_gradients(seed=0)
 
 
+def test_constant_sigma0_partials_are_cached_views():
+    """A constant sigma0's diffusion partials are one read-only view per
+    shape, built once, with the bytes of a callable sigma0's per-call values;
+    every catalog model's analytic gradients pass check_gradients."""
+    const = scenarios.linear_noisy_memory(sigma0=0.2)
+    varying = scenarios.linear_noisy_memory(sigma0=lambda t: np.full(np.shape(t), 0.2))
+    t = make_grid(0.2, 1.0, 8).horizon_nodes
+    x = np.ones((5, t.size))
+    for args in ((t, x, x, x, x), (t[3], x[:, 3], x[:, 3], x[:, 3], 3.0)):
+        first = const.diffusion_grad(*args)
+        assert all(a is b for a, b in zip(first, const.diffusion_grad(*args)))
+        assert not any(a.flags.writeable for a in first)
+        for a, b in zip(first, varying.diffusion_grad(*args)):
+            assert a.shape == b.shape == np.shape(args[1])
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    varying.check_gradients()
+    for entry in scenarios.CATALOG.values():
+        entry["factory"]().check_gradients()
+
+
 def test_control_set_and_path_validation():
     cs = ControlSet(0.0, 2.0)
     assert cs.midpoint == 1.0

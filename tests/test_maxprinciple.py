@@ -28,6 +28,7 @@ from noisy_control.maxprinciple import (
     check_necessary_I,
     check_necessary_II,
     check_sufficient,
+    control_partial_paths,
     derivative_process,
     directional_derivative_H,
     directional_derivative_K,
@@ -36,7 +37,7 @@ from noisy_control.maxprinciple import (
     solve_foc,
     spike_perturbation,
 )
-from noisy_control.paths import JumpSpec, make_grid, sample_ensemble
+from noisy_control.paths import JumpSpec, NoiseEnsemble, make_grid, sample_ensemble
 
 GRID = make_grid(0.2, 1.0, 8)
 NODES = GRID.horizon_nodes
@@ -168,15 +169,27 @@ def _state_dependent_cost():
     return model
 
 
+def _callable_gamma():
+    """consumption with its affine jumps replaced by a non-affine callable
+    gamma, whose gradient is its central finite difference."""
+    model = scenarios.consumption(
+        jump_scale=0.1, jump_spec=JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5]))
+    model.gamma = CallableJumpCoefficient(
+        lambda t, x, y, z, u, zeta: 0.1 * np.tanh(x) * zeta + 0.05 * x * zeta * zeta
+    )
+    return model
+
+
 # One model per term of the dynamics that the K route must carry: the noisy
 # memory window, the delay X(t - delta) (no catalog model's coefficients read
-# it), the jumps, the ramp kernel, and a running cost that reads x, y and z
-# (no catalog running cost does).
+# it), the affine jumps, a general callable gamma, the ramp kernel, and a
+# running cost that reads x, y and z (no catalog running cost does).
 _EACH_TERM = {
     "linear-noisy-memory": scenarios.linear_noisy_memory,
     "custom-affine-delay": _affine_delay,
     "consumption-jumps": lambda: scenarios.consumption(
         jump_scale=0.1, jump_spec=JumpSpec.discrete(1.0, [-0.5, 1.0], [0.5, 0.5])),
+    "callable-gamma": _callable_gamma,
     "generalized-memory-ramp": scenarios.generalized_memory,
     "state-dependent-cost": _state_dependent_cost,
 }
@@ -192,6 +205,99 @@ def test_sensitivity_route_matches_finite_differences(factory):
         val_f, _, per_f = finite_difference_derivative(model, ctrl, ens, eta)
         assert val_k == pytest.approx(val_f, abs=5e-6)
         assert np.max(np.abs(per_k - per_f)) <= 1e-4 * (1.0 + np.max(np.abs(per_f)))
+
+
+def test_the_terminal_weight_sum_is_made_once_per_ensemble(monkeypatch):
+    """On one linear-noisy-memory ensemble the closed form, J, the K route and
+    the finite differences of three directions read psi * dB summed over the
+    horizon 8 times, and sum it once: the ensemble holds it."""
+    model = scenarios.linear_noisy_memory()
+    ens = sample_ensemble(GRID, JumpSpec.none(), 7, 300)
+    ctrl = ControlPath.constant(GRID, 3.0, control_set=model.control_set)
+    read, made = [], []
+    horizon_sum = NoiseEnsemble.horizon_sum
+
+    def counted(noise, loading):
+        held = len(vars(noise)["_horizon_sums"])
+        out = horizon_sum(noise, loading)
+        read.append(noise)
+        if len(vars(noise)["_horizon_sums"]) > held:
+            made.append(noise)
+        return out
+
+    monkeypatch.setattr(NoiseEnsemble, "horizon_sum", counted)
+    solve_linear_closed_form(LinearBSDESpec.from_model(model), ens)
+    evaluate_performance(model, ctrl, ens)
+    state = simulate_state(model, ctrl, ens)
+    for _, eta in probe_directions(GRID)[:3]:
+        directional_derivative_K(model, state, eta)
+        finite_difference_derivative(model, ctrl, ens, eta)
+    assert len(read) == 8 and all(noise is ens for noise in read)
+    assert made == [ens]
+
+
+def _per_path_H(model, state, adjoint, eta):
+    """The H route's per-path values from the full dH/du block."""
+    n = GRID.n_horizon_steps
+    dhu = control_partial_paths(model, state, adjoint)
+    eta_r = np.broadcast_to(eta, dhu.shape)
+    return GRID.step * (dhu[:, :n] * eta_r[:, :n]).sum(axis=1)
+
+
+def test_hamiltonian_route_on_row_constant_operands_is_bitwise_the_block():
+    """On the psi = 0 closed form of consumption (p, q and mu broadcast views,
+    a shared control, constant u-partials) the H route is made on one row;
+    its per-path values are a fresh C-contiguous array, bitwise those of the
+    same call on contiguous copies and of the full dH/du block."""
+    model = scenarios.consumption()
+    state, _, ens = _state(model, value=3.0, n_paths=500, seed=2)
+    closed = solve_linear_closed_form(LinearBSDESpec.from_model(model), ens)
+    assert closed.p.strides[0] == 0 and closed.q.strides[0] == 0
+    copies = AdjointTriple(GRID, np.ascontiguousarray(closed.p), np.ascontiguousarray(closed.q),
+                           None, np.ascontiguousarray(closed.mu), {})
+    for _, eta in probe_directions(GRID):
+        got = directional_derivative_H(model, state, closed, eta)
+        ref = directional_derivative_H(model, state, copies, eta)
+        assert got[2].tobytes() == ref[2].tobytes() and got[:2] == ref[:2]
+        assert got[2].tobytes() == _per_path_H(model, state, closed, eta).tobytes()
+        assert got[2].shape == (500,) and got[2].flags.c_contiguous and got[2].flags.writeable
+
+
+def _u_reads_x():
+    """consumption's dynamics with the running cost -(u - x)^2 / 2, whose
+    u-partial x - u differs per path."""
+    base = scenarios.consumption()
+    model = CoefficientModel(
+        drift=base.drift,
+        diffusion=base.diffusion,
+        running_cost=lambda t, x, y, z, u: -0.5 * (u - x) ** 2,
+        terminal=base.terminal,
+        initial_segment=base.initial_segment,
+        control_set=base.control_set,
+        drift_grad=base.drift_grad,
+        diffusion_grad=base.diffusion_grad,
+        cost_grad=lambda t, x, y, z, u: (u - x, 0.0 * y, 0.0 * z, x - u),
+    )
+    model.check_gradients()
+    return model
+
+
+@pytest.mark.parametrize("case", ["per-path-eta", "psi-adjoint", "u-partial-reads-x"])
+def test_hamiltonian_route_on_per_path_operands_is_the_block(case):
+    """With one operand that differs per path (eta, a psi != 0 adjoint, or a
+    u-partial that reads the state) the H route contracts the full block, as
+    before, bit for bit."""
+    model = {"per-path-eta": scenarios.consumption, "psi-adjoint": scenarios.linear_noisy_memory,
+             "u-partial-reads-x": _u_reads_x}[case]()
+    state, _, ens = _state(model, value=3.0, n_paths=500, seed=2)
+    fixture = model if case == "psi-adjoint" else scenarios.consumption()
+    closed = solve_linear_closed_form(LinearBSDESpec.from_model(fixture), ens)
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(11)))
+    etas = ([gen.uniform(-1.0, 1.0, size=(500, GRID.n_horizon_steps + 1))]
+            if case == "per-path-eta" else [eta for _, eta in probe_directions(GRID)])
+    for eta in etas:
+        per_path = directional_derivative_H(model, state, closed, eta)[2]
+        assert per_path.tobytes() == _per_path_H(model, state, closed, eta).tobytes()
 
 
 def test_hamiltonian_route_agrees_within_noise():
@@ -868,7 +974,12 @@ def test_routes_that_start_inside_the_horizon_are_pinned(case):
 
 # Traced peak of one H-route call in (n_paths, n+1) float buffers, at 4000
 # paths x 320 horizon steps.  Gradients built as full arrays peaked at 5.0.
-@pytest.mark.parametrize("name", ["linear_noisy_memory", "consumption"])
+# On consumption every operand of dH/du is the same on every path, so dH/du
+# is one row; as a full block it peaked at 1.67.
+_H_PEAK_BOUND = {"linear_noisy_memory": 2.5, "consumption": 0.1}
+
+
+@pytest.mark.parametrize("name", list(_H_PEAK_BOUND))
 def test_hamiltonian_route_traced_peak(name):
     model = getattr(scenarios, name)()
     g = make_grid(0.2, 1.0, 64)
@@ -884,7 +995,7 @@ def test_hamiltonian_route_traced_peak(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (8 * ens.n_paths * (g.n_horizon_steps + 1)) <= 2.5
+    assert peak / (8 * ens.n_paths * (g.n_horizon_steps + 1)) <= _H_PEAK_BOUND[name]
 
 
 # Traced peak of one finite difference in (n_paths, n_nodes) float buffers, at

@@ -10,9 +10,12 @@ import pytest
 from noisy_control import malliavin, scenarios
 from noisy_control.dynamics import ControlPath, simulate_state
 from noisy_control.errors import (
+    InvalidFirstPath,
     InvalidGrid,
+    NoisyControlError,
     NonCommensurate,
     OffGrid,
+    SeedNotInteger,
     SeedOutOfRange,
     TooFewPaths,
 )
@@ -232,6 +235,47 @@ def test_path_keys_stay_in_the_philox_range():
         with pytest.raises(SeedOutOfRange) as err:
             sample_ensemble(g, JumpSpec.none(), seed, n_paths, first_path=first_path)
         assert isinstance(err.value, ValueError)
+
+
+def test_non_integer_seeds_and_first_paths_are_typed():
+    """A seed inside the key range that is not an integer, and a first_path
+    that is negative, nan or not an integer, each raise a typed ValueError
+    naming the value."""
+    g = make_grid(0.2, 1.0, 4)
+    with pytest.raises(SeedNotInteger, match=r"seed 2\.5 ") as err:
+        sample_ensemble(g, JumpSpec.none(), 2.5, 1)
+    assert isinstance(err.value, ValueError) and isinstance(err.value, NoisyControlError)
+    for first_path in (-1, 2.5, float("nan")):
+        with pytest.raises(InvalidFirstPath, match="first_path %s " % re.escape(repr(first_path))) as err:
+            sample_ensemble(g, JumpSpec.none(), 0, 1, first_path=first_path)
+        assert isinstance(err.value, ValueError) and isinstance(err.value, NoisyControlError)
+    assert np.array_equal(sample_ensemble(g, JumpSpec.none(), 3.0, 2, first_path=4.0).increments,
+                          sample_ensemble(g, JumpSpec.none(), 3, 2, first_path=4).increments)
+
+
+def test_horizon_sum_is_held_per_loading():
+    """horizon_sum is today's expression, bit for bit, made once per loading
+    and held read-only; a second loading gets its own entry, and a path or
+    coarsened ensemble starts with none."""
+    g = make_grid(0.2, 1.0, 8)
+    ens = sample_ensemble(g, JumpSpec.none(), seed=5, n_paths=300)
+    flat = np.full(g.n_horizon_steps, 0.1)
+    wave = 0.2 * (1.0 - 0.5 * g.horizon_nodes[:-1])
+    assert vars(ens)["_horizon_sums"] == {}
+    held = ens.horizon_sum(flat)
+    expected = (flat * ens.increments[:, g.index_zero:]).sum(axis=1)
+    assert held.shape == (300,) and held.tobytes() == expected.tobytes()
+    assert not held.flags.writeable
+    assert ens.horizon_sum(flat) is held
+    assert ens.horizon_sum(flat.copy()) is held  # keyed by the bytes, not the object
+    other = ens.horizon_sum(wave)
+    assert other is not held
+    assert other.tobytes() == (wave * ens.increments[:, g.index_zero:]).sum(axis=1).tobytes()
+    assert len(vars(ens)["_horizon_sums"]) == 2
+    assert ens.horizon_sum(wave) is other and ens.horizon_sum(flat) is held
+    for fresh in (ens.path(3), coarsen(ens, 2)):
+        assert vars(fresh)["_horizon_sums"] == {}
+    assert ens.path(3).horizon_sum(flat).tobytes() == held[3:4].tobytes()
 
 
 _COMPANIONS = ("increment_rows", "jump_count_rows", "mark_sum_rows")
